@@ -380,6 +380,21 @@ impl NetShare {
             })?;
         }
         let events = std::sync::Arc::new(events);
+        // This run's taps on the two process-global observers, removed
+        // again on every way out of this function: left installed, they
+        // would keep every later span in the process flowing into this
+        // run's (finished) event stream. Both observers are
+        // last-writer-wins, so of two runs sharing a process the one that
+        // returns first ends the tap for both.
+        struct GlobalTaps;
+        impl Drop for GlobalTaps {
+            fn drop(&mut self) {
+                telemetry::span::clear_span_sink();
+                #[cfg(feature = "sanitize")]
+                nnet::sanitize::clear_hook();
+            }
+        }
+        let _taps = GlobalTaps;
         // With the sanitizer compiled in, route its trips into this run's
         // event stream: the hook fires on the tripping worker thread just
         // before the fatal panic, so the layer-attributed diagnostic is on
@@ -400,8 +415,7 @@ impl NetShare {
 
         // Bridge telemetry spans into the same JSONL stream. With the
         // `telemetry` feature off this installs nothing (the sink setter is
-        // a no-op and spans never fire). Like the sanitize hook, the sink
-        // is process-global and last-writer-wins across concurrent runs.
+        // a no-op and spans never fire).
         {
             let sink = std::sync::Arc::clone(&events);
             telemetry::span::set_span_sink(move |sp: &telemetry::span::SpanEvent| {

@@ -7,6 +7,10 @@ use nnet::infer::{Arena, FrozenGru, FrozenSequential};
 use nnet::{Activation, Gru, Layer, Linear, Parameterized, Sequential, Tensor};
 use rand::prelude::*;
 use serde::{Deserialize, Serialize};
+use telemetry::metrics::{LazyCounter, LazyTimerUs};
+
+static INFER_STEPS: LazyCounter = LazyCounter::new("infer.steps");
+static INFER_GENERATE_US: LazyTimerUs = LazyTimerUs::new("infer.generate.us");
 
 /// A batch of generated samples, in transformed (decodable) space.
 #[derive(Debug, Clone)]
@@ -302,8 +306,8 @@ impl FrozenGenerator<'_> {
         rng: &mut R,
         arena: &mut Arena,
     ) -> GeneratedBatch {
-        let _timer = telemetry::metrics::scoped_timer_us("infer.generate.us");
-        telemetry::metrics::counter("infer.steps").add(self.max_len as u64);
+        let _timer = INFER_GENERATE_US.start();
+        INFER_STEPS.get().add(self.max_len as u64);
         let record_dim = self.record_spec.dim();
         let step_dim = record_dim + 1;
         let hidden = self.rnn.hidden_dim();

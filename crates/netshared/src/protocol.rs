@@ -198,10 +198,252 @@ fn from_wire(e: WireError) -> ProtoError {
 }
 
 /// Encodes a frame as its on-wire bytes (length prefix + JSON payload).
+/// DATA frames, the only ones that carry bulk, go through the direct
+/// byte writer the producer uses (`EncodedSamples`); the rest through
+/// `serde_json`.
 pub fn encode_frame(frame: &Frame) -> Result<Vec<u8>, ProtoError> {
+    if let Frame::Data { stream, seq, samples } = frame {
+        return EncodedSamples::encode(samples).frame(*stream, *seq, 0..samples.len());
+    }
     let payload = serde_json::to_string(frame)
         .map_err(|e| ProtoError::Malformed(format!("encode: {e}")))?;
     wire::frame(payload.as_bytes(), MAX_FRAME_BYTES).map_err(from_wire)
+}
+
+/// What follows the samples of a DATA payload.
+const DATA_TRAILER: &[u8] = b"]}}";
+
+/// What precedes the samples of the DATA payload for `stream`/`seq`.
+fn data_header(stream: u64, seq: u64) -> Vec<u8> {
+    let mut out = Vec::with_capacity(64);
+    out.extend_from_slice(b"{\"Data\":{\"stream\":");
+    write_u64(&mut out, stream);
+    out.extend_from_slice(b",\"seq\":");
+    write_u64(&mut out, seq);
+    out.extend_from_slice(b",\"samples\":[");
+    out
+}
+
+fn write_u64(out: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
+}
+
+/// The text `serde_json` gives an `f32`: the shortest round-trip decimal
+/// of the value widened to `f64` (`{:?}`), `null` when it is not finite.
+/// Values that `{:?}` prints in exponent form go through `{:?}` itself.
+fn write_f32(out: &mut Vec<u8>, v: f32) {
+    use std::io::Write;
+    if !v.is_finite() {
+        out.extend_from_slice(b"null");
+    } else if v.fract() == 0.0 && v.abs() < 1e15 { // lint: allow(float-eq) exact integers only: their `{:?}` text is the digits plus ".0"
+        // One-hot segments make exact 0.0 / 1.0 the most common values
+        // on the wire; below 1e16 `{:?}` never switches to an exponent.
+        if v.is_sign_negative() {
+            out.push(b'-');
+        }
+        write_u64(out, v.abs() as u64);
+        out.extend_from_slice(b".0");
+    } else if (1e-4..8_388_608.0).contains(&f64::from(v.abs())) {
+        write_shortest(out, v);
+    } else {
+        // lint: allow(panic-in-lib) writing into a Vec cannot fail
+        write!(out, "{:?}", f64::from(v)).expect("write to Vec");
+    }
+}
+
+/// `floor(10^j / 2^30)`: half the gap between neighbouring `f64`s at a
+/// widened `f32`, in units of the `f32`'s own last place, after `j`
+/// decimal digits of its fraction.
+const HALF_GAP: [u64; 23] = {
+    let mut table = [0u64; 23];
+    let (mut pow10, mut j) = (1u128, 0);
+    while j < table.len() {
+        table[j] = (pow10 >> 30) as u64;
+        pow10 *= 10;
+        j += 1;
+    }
+    table
+};
+
+/// `{:?}` of `f64::from(v)` for a non-integer `v` of magnitude at least
+/// 1e-4 (so normal, below 2^23, and printed without exponent), at less
+/// than half of what `{:?}` costs: the format machinery is
+/// skipped and the arithmetic fits a `u64` because the widened value has
+/// only 24 significant bits.
+///
+/// The digits are those of the free-format algorithm behind `{:?}`
+/// (Steele–White / Burger–Dybvig, `core::num::flt2dec`): the integer
+/// part, then fraction digits until what is left of the value (`down`),
+/// or what is missing to the next digit (`up`), is within half the gap to
+/// the neighbouring `f64` — the bounds count as within, since the widened
+/// mantissa is even — then the last digit goes up if that is closer, or
+/// as close. `v` is `m · 2^-s` with `2^23 <= m < 2^24`; the half-gap is
+/// `2^-30` of `m`'s last place, and half of that below a power of two.
+fn write_shortest(out: &mut Vec<u8>, v: f32) {
+    let bits = v.to_bits();
+    let m = u64::from(bits & 0x7f_ffff | 0x80_0000);
+    let s = 150 - (bits >> 23 & 0xff); // 1..=37 for 1e-4 <= |v| < 2^23
+    let one = 1u64 << s;
+    // A sign, at most 8 integer digits, the point, at most 22 fraction
+    // digits: `HALF_GAP[22] >= 2^37`, so digit 22 always ends the loop.
+    let mut text = [0u8; 32];
+    let mut start = 9;
+    let mut int = m >> s;
+    loop {
+        start -= 1;
+        text[start] = b'0' + (int % 10) as u8;
+        int /= 10;
+        if int == 0 {
+            break;
+        }
+    }
+    text[9] = b'.';
+    let mut end = 10;
+    let mut rest = m & (one - 1);
+    let round_up = loop {
+        rest *= 10;
+        text[end] = b'0' + (rest >> s) as u8;
+        end += 1;
+        rest &= one - 1;
+        let gap = HALF_GAP[end - 10];
+        let down = rest <= if m == 0x80_0000 { gap / 2 } else { gap };
+        let up = one - rest <= gap;
+        if down || up {
+            break up && (!down || 2 * rest >= one);
+        }
+    };
+    if round_up {
+        let mut at = end;
+        loop {
+            at -= 1;
+            match text[at] {
+                b'.' => {}
+                b'9' => {
+                    text[at] = b'0';
+                    if at == start {
+                        start -= 1;
+                        text[start] = b'1';
+                        break;
+                    }
+                }
+                digit => {
+                    text[at] = digit + 1;
+                    break;
+                }
+            }
+        }
+    }
+    if v.is_sign_negative() {
+        start -= 1;
+        text[start] = b'-';
+    }
+    out.extend_from_slice(&text[start..end]);
+}
+
+fn write_f32s(out: &mut Vec<u8>, values: &[f32]) {
+    out.push(b'[');
+    for (i, &v) in values.iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        write_f32(out, v);
+    }
+    out.push(b']');
+}
+
+#[cfg(test)]
+thread_local! {
+    /// How many samples this thread has encoded, for the tests that count
+    /// encodes per batch.
+    pub(crate) static SAMPLE_ENCODES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+fn write_sample(out: &mut Vec<u8>, sample: &GeneratedSample) {
+    #[cfg(test)]
+    SAMPLE_ENCODES.with(|n| n.set(n.get() + 1));
+    out.extend_from_slice(b"{\"meta\":");
+    write_f32s(out, &sample.meta);
+    out.extend_from_slice(b",\"records\":[");
+    for (i, record) in sample.records.iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        write_f32s(out, record);
+    }
+    out.extend_from_slice(b"]}");
+}
+
+/// The JSON text of a run of samples, each encoded once, from which the
+/// DATA frame of any contiguous sub-run can be sized exactly and cut
+/// without encoding anything again. The bytes are those
+/// `serde_json::to_string(&Frame::Data { .. })` produces (the grammar is
+/// frozen; `tests::data_writer_matches_serde_json` pins it).
+pub(crate) struct EncodedSamples {
+    /// Every sample's text followed by a comma, so a sub-run's text minus
+    /// its last byte is the comma-joined array body.
+    text: Vec<u8>,
+    /// `ends[i]` is where sample `i`'s text-and-comma ends in `text`.
+    ends: Vec<usize>,
+}
+
+impl EncodedSamples {
+    pub(crate) fn encode(samples: &[GeneratedSample]) -> Self {
+        let mut text = Vec::new();
+        let mut ends = Vec::with_capacity(samples.len());
+        for sample in samples {
+            write_sample(&mut text, sample);
+            text.push(b',');
+            ends.push(text.len());
+        }
+        EncodedSamples { text, ends }
+    }
+
+    /// The comma-joined text of samples `range`.
+    fn body(&self, range: std::ops::Range<usize>) -> &[u8] {
+        if range.is_empty() {
+            return &[];
+        }
+        let start = if range.start == 0 { 0 } else { self.ends[range.start - 1] };
+        &self.text[start..self.ends[range.end - 1] - 1]
+    }
+
+    /// On-wire length (prefix included) of the DATA frame `stream`/`seq`
+    /// carrying samples `range`; what [`Self::frame`] would return, were
+    /// it within [`MAX_FRAME_BYTES`].
+    pub(crate) fn frame_len(&self, stream: u64, seq: u64, range: std::ops::Range<usize>) -> usize {
+        4 + data_header(stream, seq).len() + self.body(range).len() + DATA_TRAILER.len()
+    }
+
+    /// The on-wire bytes of the DATA frame `stream`/`seq` carrying
+    /// samples `range`.
+    pub(crate) fn frame(
+        &self,
+        stream: u64,
+        seq: u64,
+        range: std::ops::Range<usize>,
+    ) -> Result<Vec<u8>, ProtoError> {
+        let (header, body) = (data_header(stream, seq), self.body(range));
+        let len = header.len() + body.len() + DATA_TRAILER.len();
+        if len > MAX_FRAME_BYTES {
+            return Err(ProtoError::Oversized(len as u64));
+        }
+        let mut out = Vec::with_capacity(4 + len);
+        out.extend_from_slice(&(len as u32).to_be_bytes());
+        out.extend_from_slice(&header);
+        out.extend_from_slice(body);
+        out.extend_from_slice(DATA_TRAILER);
+        Ok(out)
+    }
 }
 
 /// Decodes one frame from payload bytes (the length prefix already
@@ -244,9 +486,140 @@ pub fn write_frame(
     write_encoded(stream, &bytes, token)
 }
 
+/// The frame bytes as every frame was produced before DATA got its own
+/// writer: the derived `Serialize` through `serde_json`, then the prefix.
+/// The oracle the DATA writer and the splitter are tested against.
+#[cfg(test)]
+pub(crate) fn serde_frame(frame: &Frame) -> Result<Vec<u8>, ProtoError> {
+    let payload = serde_json::to_string(frame).expect("serde_json encodes every frame");
+    wire::frame(payload.as_bytes(), MAX_FRAME_BYTES).map_err(from_wire)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// `f32` bit patterns with the ones a decimal writer gets wrong
+    /// over-represented: non-finite values, signed zeros, subnormals, the
+    /// extremes, exact integers on both sides of every cut-over in
+    /// `write_f32` and `{:?}` (2^24, 1e15, 1e16), and exponent-form
+    /// magnitudes.
+    fn hostile_f32() -> impl Strategy<Value = f32> {
+        const SPECIAL: &[f32] = &[
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            f32::MAX,
+            f32::MIN,
+            f32::MIN_POSITIVE,
+            f32::EPSILON,
+            16_777_216.0,
+            -16_777_217.0,
+            9.999_999e14,
+            1e15,
+            -1e15,
+            9.999_999e15,
+            1e16,
+            1e-4,
+            9.999_999e-5,
+            -1e-5,
+            0.1,
+            0.5,
+            1.5,
+            -2.5,
+            1e-38,
+        ];
+        prop_oneof![
+            any::<u32>().prop_map(f32::from_bits),
+            (0usize..SPECIAL.len()).prop_map(|i| SPECIAL[i]),
+            // Subnormals: exponent bits zero, either sign.
+            any::<u32>().prop_map(|b| f32::from_bits(b & 0x807f_ffff)),
+        ]
+    }
+
+    fn hostile_u64() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            any::<u64>(),
+            (0usize..6).prop_map(|i| [0, 9, 10, i64::MAX as u64, i64::MAX as u64 + 1, u64::MAX][i]),
+        ]
+    }
+
+    fn hostile_sample() -> impl Strategy<Value = GeneratedSample> {
+        (
+            prop::collection::vec(hostile_f32(), 0..8),
+            prop::collection::vec(prop::collection::vec(hostile_f32(), 0..5), 0..4),
+        )
+            .prop_map(|(meta, records)| GeneratedSample { meta, records })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn f32_text_is_serde_jsons(v in hostile_f32()) {
+            let mut text = Vec::new();
+            write_f32(&mut text, v);
+            let text = String::from_utf8(text).unwrap();
+            prop_assert_eq!(&text, &serde_json::to_string(&v).unwrap(), "{:?} ({:#x})", v, v.to_bits());
+        }
+
+        #[test]
+        fn data_writer_matches_serde_json(
+            stream in hostile_u64(),
+            seq in hostile_u64(),
+            samples in prop::collection::vec(hostile_sample(), 0..5),
+        ) {
+            let frame = Frame::Data { stream, seq, samples: samples.clone() };
+            let bytes = encode_frame(&frame).unwrap();
+            prop_assert_eq!(&bytes, &serde_frame(&frame).unwrap());
+
+            // Finite values come back bit for bit, the rest as NaN.
+            let same = |back: &[f32], sent: &[f32]| {
+                back.len() == sent.len()
+                    && back.iter().zip(sent).all(|(b, s)| {
+                        if s.is_finite() { b.to_bits() == s.to_bits() } else { b.is_nan() }
+                    })
+            };
+            match decode_frame(&bytes[4..]) {
+                Ok(Frame::Data { stream: s, seq: q, samples: back }) => {
+                    prop_assert_eq!((s, q, back.len()), (stream, seq, samples.len()));
+                    for (b, sent) in back.iter().zip(&samples) {
+                        prop_assert!(same(&b.meta, &sent.meta));
+                        prop_assert_eq!(b.records.len(), sent.records.len());
+                        for (br, sr) in b.records.iter().zip(&sent.records) {
+                            prop_assert!(same(br, sr));
+                        }
+                    }
+                }
+                other => return Err(TestCaseError::Fail(format!("bad decode: {other:?}"))),
+            }
+
+            // Any sub-run cut from one encoding is the frame of that
+            // sub-run, and is sized without being cut.
+            let encoded = EncodedSamples::encode(&samples);
+            for start in 0..=samples.len() {
+                for end in start..=samples.len() {
+                    let sub = Frame::Data { stream, seq, samples: samples[start..end].to_vec() };
+                    let cut = encoded.frame(stream, seq, start..end).unwrap();
+                    prop_assert_eq!(&cut, &serde_frame(&sub).unwrap());
+                    prop_assert_eq!(encoded.frame_len(stream, seq, start..end), cut.len());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn data_frame_over_the_wire_ceiling_is_oversized() {
+        // 0.1f32 widens to 0.10000000149011612: 20 bytes with its comma.
+        let big = GeneratedSample { meta: vec![0.1; MAX_FRAME_BYTES / 20 + 1], records: vec![] };
+        let frame = Frame::Data { stream: 1, seq: 0, samples: vec![big] };
+        assert!(matches!(encode_frame(&frame), Err(ProtoError::Oversized(n)) if n > MAX_FRAME_BYTES as u64));
+    }
 
     #[test]
     fn encode_prepends_big_endian_length() {

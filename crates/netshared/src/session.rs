@@ -20,7 +20,7 @@
 
 use crate::buffer::{Pulled, StreamBuf};
 use crate::protocol::{
-    self, Frame, ProtoError, ERR_DRAINING, ERR_MALFORMED, ERR_OVERSIZED, ERR_PROTOCOL,
+    self, EncodedSamples, Frame, ProtoError, ERR_DRAINING, ERR_MALFORMED, ERR_OVERSIZED, ERR_PROTOCOL,
     ERR_UNKNOWN_ARTIFACT, ERR_VERSION, PROTOCOL_VERSION,
 };
 use crate::server::ServerStats;
@@ -138,50 +138,64 @@ fn send_error(
     );
 }
 
-/// Encodes `samples` as one DATA frame and pushes it; recursively splits
-/// the batch when the encoding exceeds the buffer capacity (or the wire
-/// ceiling), so one frame never monopolizes the whole buffer. Returns
-/// `false` once the stream is closed or a single sample cannot fit.
+/// Cuts one generated batch into DATA frames and hands each to `push`
+/// (the stream buffer): the whole batch as one frame if that fits
+/// `capacity` (the buffer's) and the wire ceiling, otherwise its halves,
+/// recursively, so one frame never monopolizes the whole buffer. Returns
+/// `false` once `push` refuses a frame (the stream closed) or a single
+/// sample is over the wire ceiling.
 ///
-/// Frames with `seq < from_seq` are *suppressed*: they are still encoded
+/// Every sample is encoded exactly once, up front; the halving works on
+/// exact frame lengths computed from the encoded text, and only frames
+/// that will be pushed are assembled.
+///
+/// Frames with `seq < from_seq` are *suppressed*: they are still sized
 /// and still advance `next_seq` — so batch-split decisions, frame
 /// boundaries, and downstream seq numbers are bitwise-identical to an
-/// uninterrupted stream — but their bytes never enter the buffer. This
-/// is what makes a v2 resume (`SUBSCRIBE.from_seq`) exact: the producer
-/// replays the deterministic generation and skips the delivered prefix.
+/// uninterrupted stream — but they are never assembled and never enter
+/// the buffer. This is what makes a v2 resume (`SUBSCRIBE.from_seq`)
+/// exact: the producer replays the deterministic generation and skips
+/// the delivered prefix.
 fn push_samples(
     stream: u64,
     samples: &[GeneratedSample],
     next_seq: &mut u64,
     from_seq: u64,
-    buf: &StreamBuf,
-    token: &CancelToken,
+    capacity: usize,
+    push: &mut impl FnMut(Vec<u8>) -> bool,
 ) -> bool {
-    if samples.is_empty() {
+    let encoded = EncodedSamples::encode(samples);
+    push_range(stream, &encoded, 0..samples.len(), next_seq, from_seq, capacity, push)
+}
+
+fn push_range(
+    stream: u64,
+    encoded: &EncodedSamples,
+    range: std::ops::Range<usize>,
+    next_seq: &mut u64,
+    from_seq: u64,
+    capacity: usize,
+    push: &mut impl FnMut(Vec<u8>) -> bool,
+) -> bool {
+    if range.is_empty() {
         return true;
     }
-    let frame = Frame::Data { stream, seq: *next_seq, samples: samples.to_vec() };
-    let split = |next_seq: &mut u64| {
-        let mid = samples.len() / 2;
-        push_samples(stream, &samples[..mid], next_seq, from_seq, buf, token)
-            && push_samples(stream, &samples[mid..], next_seq, from_seq, buf, token)
-    };
-    match protocol::encode_frame(&frame) {
-        Ok(bytes) if bytes.len() <= buf.capacity() || samples.len() == 1 => {
-            if *next_seq < from_seq {
-                *next_seq += 1; // suppressed: the client already has it
-                true
-            } else if buf.push(bytes, token) {
-                *next_seq += 1;
-                true
-            } else {
-                false
-            }
-        }
-        Ok(_) => split(next_seq),
-        Err(ProtoError::Oversized(_)) if samples.len() > 1 => split(next_seq),
-        Err(_) => false,
+    let len = encoded.frame_len(stream, *next_seq, range.clone());
+    let over_wire = len - 4 > protocol::MAX_FRAME_BYTES;
+    if range.len() > 1 && (over_wire || len > capacity) {
+        let mid = range.start + range.len() / 2;
+        return push_range(stream, encoded, range.start..mid, next_seq, from_seq, capacity, push)
+            && push_range(stream, encoded, mid..range.end, next_seq, from_seq, capacity, push);
     }
+    if over_wire {
+        return false;
+    }
+    // Below `from_seq` the client already has the frame.
+    if *next_seq >= from_seq && !encoded.frame(stream, *next_seq, range).is_ok_and(&mut *push) {
+        return false;
+    }
+    *next_seq += 1;
+    true
 }
 
 /// The producer thread body: sampler rebuild + cursor walk + encode +
@@ -199,6 +213,17 @@ fn produce(
     stats: Arc<ServerStats>,
 ) {
     let _span = telemetry::span!("netshared/produce[{}]", stream);
+    // Spin-up is milliseconds of uninterrupted arithmetic (rebuild + the
+    // first batch) on a thread the scheduler has just handed a fresh
+    // slice. When that thread is born on the CPU of the peer that wrote
+    // SUBSCRIBE — loopback on a one- or two-core host, where the session
+    // thread's wake-up preempted the peer inside its `write` — the peer
+    // would sit runnable for that whole slice. Stand aside for what is
+    // already queued here: the first yield goes to the sender thread
+    // spawned beside this one (it blocks at once on the empty buffer),
+    // the second to the peer. Alone on a CPU both return immediately.
+    std::thread::yield_now();
+    std::thread::yield_now();
     let mut model = match bundle.rebuild() {
         Ok(m) => m,
         Err(e) => {
@@ -234,7 +259,8 @@ fn produce(
         if token.is_cancelled() {
             return;
         }
-        if !push_samples(stream, &batch, &mut next_seq, from_seq, &buf, &token) {
+        let mut push = |bytes| buf.push(bytes, &token);
+        if !push_samples(stream, &batch, &mut next_seq, from_seq, buf.capacity(), &mut push) {
             return;
         }
     }
@@ -528,5 +554,200 @@ fn frame_name(frame: &Frame) -> &'static str {
         Frame::Credit { .. } => "CREDIT",
         Frame::Eof { .. } => "EOF",
         Frame::Error { .. } => "ERROR",
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::{serde_frame, SAMPLE_ENCODES};
+    use proptest::prelude::*;
+
+    /// The splitter as it was before frames were sized from one encoding:
+    /// encode the whole sub-batch through `serde_json`, measure, throw the
+    /// bytes away and recurse on the halves when they do not fit. Kept as
+    /// the oracle for [`push_samples`].
+    fn encode_and_measure(
+        stream: u64,
+        samples: &[GeneratedSample],
+        next_seq: &mut u64,
+        from_seq: u64,
+        capacity: usize,
+        push: &mut impl FnMut(Vec<u8>) -> bool,
+    ) -> bool {
+        if samples.is_empty() {
+            return true;
+        }
+        let frame = Frame::Data { stream, seq: *next_seq, samples: samples.to_vec() };
+        let mut split = |next_seq: &mut u64| {
+            let mid = samples.len() / 2;
+            encode_and_measure(stream, &samples[..mid], next_seq, from_seq, capacity, push)
+                && encode_and_measure(stream, &samples[mid..], next_seq, from_seq, capacity, push)
+        };
+        match serde_frame(&frame) {
+            Ok(bytes) if bytes.len() <= capacity || samples.len() == 1 => {
+                let sent = *next_seq < from_seq || push(bytes);
+                *next_seq += u64::from(sent);
+                sent
+            }
+            Ok(_) => split(next_seq),
+            Err(ProtoError::Oversized(_)) if samples.len() > 1 => split(next_seq),
+            Err(_) => false,
+        }
+    }
+
+    /// What one splitter did with a batch: every pushed frame with the
+    /// seq in its header (the bytes name the seq and the samples, so equal
+    /// bytes are equal sample ranges), the seq the next batch would start
+    /// at, and whether the stream goes on.
+    type Outcome = (Vec<(u64, Vec<u8>)>, u64, bool);
+
+    type Splitter =
+        fn(u64, &[GeneratedSample], &mut u64, u64, usize, &mut dyn FnMut(Vec<u8>) -> bool) -> bool;
+
+    /// Runs `splitter` on one batch of stream 7 against a buffer that
+    /// takes every frame, or refuses push number `refuse_at` as a closed
+    /// stream does.
+    fn run(
+        splitter: Splitter,
+        samples: &[GeneratedSample],
+        first_seq: u64,
+        from_seq: u64,
+        capacity: usize,
+        refuse_at: Option<usize>,
+    ) -> Outcome {
+        let mut pushed = Vec::new();
+        let mut next_seq = first_seq;
+        let mut push = |bytes: Vec<u8>| {
+            if refuse_at == Some(pushed.len()) {
+                return false;
+            }
+            match protocol::decode_frame(&bytes[4..]) {
+                Ok(Frame::Data { stream: 7, seq, .. }) => pushed.push((seq, bytes)),
+                other => panic!("pushed bytes are not a DATA frame of stream 7: {other:?}"),
+            }
+            true
+        };
+        let alive = splitter(7, samples, &mut next_seq, from_seq, capacity, &mut push);
+        (pushed, next_seq, alive)
+    }
+
+    fn new_splitter(
+        stream: u64,
+        samples: &[GeneratedSample],
+        next_seq: &mut u64,
+        from_seq: u64,
+        capacity: usize,
+        mut push: &mut dyn FnMut(Vec<u8>) -> bool,
+    ) -> bool {
+        push_samples(stream, samples, next_seq, from_seq, capacity, &mut push)
+    }
+
+    fn old_splitter(
+        stream: u64,
+        samples: &[GeneratedSample],
+        next_seq: &mut u64,
+        from_seq: u64,
+        capacity: usize,
+        mut push: &mut dyn FnMut(Vec<u8>) -> bool,
+    ) -> bool {
+        encode_and_measure(stream, samples, next_seq, from_seq, capacity, &mut push)
+    }
+
+    /// A sample whose text is about `20 * floats` bytes.
+    fn sample_of(floats: usize) -> GeneratedSample {
+        let (meta, rest) = (floats.min(3), floats.saturating_sub(3));
+        GeneratedSample {
+            meta: (0..meta).map(|i| i as f32 + 0.1).collect(),
+            records: (0..rest.div_ceil(4))
+                .map(|r| (0..4.min(rest - 4 * r)).map(|c| (r * 4 + c) as f32 * 0.3).collect())
+                .collect(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn length_based_split_is_the_encode_and_measure_split(
+            sizes in prop::collection::vec(0usize..60, 1..14),
+            // One byte to a mebibyte, every magnitude as likely.
+            (cap_bits, cap_low) in (0u32..=20, any::<u32>()),
+            // Sometimes one sample is over the capacity on its own.
+            giant in prop_oneof![Just(None), (0usize..14).prop_map(Some)],
+            first_seq in (0usize..4).prop_map(|i| [0, 9, 99, u64::MAX - 1000][i]),
+        ) {
+            let mut capacity = ((1usize << cap_bits) | (cap_low as usize & ((1 << cap_bits) - 1))).min(1 << 20);
+            let mut samples: Vec<GeneratedSample> = sizes.iter().map(|&n| sample_of(n)).collect();
+            if let Some(at) = giant {
+                // Kept to 16 KiB so the oracle's re-encodes stay cheap.
+                capacity = capacity.min(1 << 14);
+                samples[at % sizes.len()] = sample_of(capacity / 10 + 8); // ≥ 2 × capacity of text
+            }
+            let whole = run(old_splitter, &samples, first_seq, 0, capacity, None);
+            let frames = whole.0.len();
+            prop_assert_eq!(whole.1, first_seq + frames as u64);
+            for from_seq in first_seq..=first_seq + frames as u64 + 1 {
+                let old = run(old_splitter, &samples, first_seq, from_seq, capacity, None);
+                let new = run(new_splitter, &samples, first_seq, from_seq, capacity, None);
+                prop_assert_eq!(&new, &old, "from_seq {}", from_seq);
+                // A resumed stream is the tail of the whole one.
+                let skipped = ((from_seq - first_seq) as usize).min(frames);
+                prop_assert_eq!(&new.0[..], &whole.0[skipped..]);
+            }
+            // Capacities that a frame of this stream fits exactly, and
+            // misses by one byte.
+            for len in whole.0.iter().map(|(_, bytes)| bytes.len()) {
+                for edge in [len - 1, len] {
+                    let old = run(old_splitter, &samples, first_seq, 0, edge, None);
+                    let new = run(new_splitter, &samples, first_seq, 0, edge, None);
+                    prop_assert_eq!(&new, &old, "capacity {}", edge);
+                }
+            }
+            for refuse_at in 0..frames {
+                let old = run(old_splitter, &samples, first_seq, 0, capacity, Some(refuse_at));
+                let new = run(new_splitter, &samples, first_seq, 0, capacity, Some(refuse_at));
+                prop_assert_eq!(&new, &old, "refused push {}", refuse_at);
+                prop_assert!(!new.2);
+            }
+        }
+    }
+
+    #[test]
+    fn the_wire_ceiling_splits_a_batch_and_fails_a_single_sample() {
+        // 0.1f32 is 20 bytes of text with its comma: each sample is 5 MB,
+        // two are over the 8 MiB ceiling whatever the buffer holds.
+        let half = GeneratedSample { meta: vec![0.1; 250_000], records: vec![] };
+        let pair = [half.clone(), half];
+        let old = run(old_splitter, &pair, 0, 0, usize::MAX, None);
+        let new = run(new_splitter, &pair, 0, 0, usize::MAX, None);
+        assert_eq!((old.0.len(), old.1, old.2), (2, 2, true));
+        assert_eq!(new, old);
+
+        let over = [GeneratedSample { meta: vec![0.1; 450_000], records: vec![] }];
+        for from_seq in [0, 1] {
+            let old = run(old_splitter, &over, 0, from_seq, usize::MAX, None);
+            let new = run(new_splitter, &over, 0, from_seq, usize::MAX, None);
+            assert_eq!((old.0.len(), old.1, old.2), (0, 0, false));
+            assert_eq!(new, old);
+        }
+    }
+
+    #[test]
+    fn a_batch_costs_one_encode_per_sample() {
+        // 32 samples of ≈ 4.8 KB against 64 KiB: the batch is cut into
+        // quarters, which the old splitter paid for with three encodes of
+        // every sample.
+        let batch: Vec<GeneratedSample> = (0..32).map(|_| sample_of(240)).collect();
+        let encodes = || SAMPLE_ENCODES.with(|n| n.get());
+        for from_seq in [0, 2, 4] {
+            let before = encodes();
+            let (pushed, next_seq, alive) = run(new_splitter, &batch, 0, from_seq, 64 << 10, None);
+            assert_eq!(encodes() - before, batch.len());
+            assert_eq!((pushed.len() as u64, next_seq, alive), (4 - from_seq, 4, true));
+        }
+        let before = encodes();
+        run(old_splitter, &batch, 0, 0, 64 << 10, None);
+        assert_eq!(encodes() - before, 0, "the oracle encodes through serde_json only");
     }
 }

@@ -16,6 +16,11 @@ use crate::tensor::Tensor;
 use crate::Parameterized;
 use rand::prelude::*;
 use serde::{Deserialize, Serialize};
+use telemetry::metrics::{LazyCounter, LazyTimerUs};
+
+static GRU_STEPS: LazyCounter = LazyCounter::new("gru.steps");
+static GRU_FORWARD_US: LazyTimerUs = LazyTimerUs::new("gru.forward.us");
+static GRU_BACKWARD_US: LazyTimerUs = LazyTimerUs::new("gru.backward.us");
 
 /// Per-step cache for BPTT.
 #[derive(Debug, Clone)]
@@ -185,8 +190,8 @@ impl Gru {
     pub fn forward_sequence(&mut self, xs: &[Tensor], h0: &Tensor) -> Vec<Tensor> {
         self.drain_cache();
         let _scope = crate::sanitize::scope_with(|| "Gru::forward".to_string());
-        telemetry::metrics::counter("gru.steps").add(xs.len() as u64);
-        let _timer = telemetry::metrics::scoped_timer_us("gru.forward.us");
+        GRU_STEPS.get().add(xs.len() as u64);
+        let _timer = GRU_FORWARD_US.start();
         let mut hs = Vec::with_capacity(xs.len());
         let mut h = self.scratch.take_copy(h0);
         // lint: step-loop
@@ -206,7 +211,7 @@ impl Gru {
     pub fn backward_sequence(&mut self, grad_hs: &[Tensor]) -> (Vec<Tensor>, Tensor) {
         assert_eq!(grad_hs.len(), self.cache.len(), "grad/cache length mismatch");
         let _scope = crate::sanitize::scope_with(|| "Gru::backward".to_string());
-        let _timer = telemetry::metrics::scoped_timer_us("gru.backward.us");
+        let _timer = GRU_BACKWARD_US.start();
         let steps = self.cache.len();
         let batch = grad_hs.last().map(|g| g.rows()).unwrap_or(0);
         let mut dxs = vec![Tensor::zeros(0, 0); steps];

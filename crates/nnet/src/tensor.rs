@@ -2,10 +2,11 @@
 //!
 //! Matrix products are backed by the kernels in [`crate::kernel`]:
 //! [`Tensor::matmul`], [`Tensor::t_matmul`], and [`Tensor::matmul_t`]
-//! dispatch between a naive loop, a cache-tiled kernel, and a tiled
-//! kernel over rayon row bands based on the product's FLOP count. The
-//! `*_serial`, `*_tiled`, and `*_parallel` variants pin a specific path
-//! (equivalence tests, benchmarks); the fused helpers
+//! dispatch between a naive loop and a cache-tiled kernel based on the
+//! product's FLOP count, and never start a thread. The `*_serial` and
+//! `*_tiled` variants pin one of the two (equivalence tests,
+//! benchmarks), and [`Tensor::matmul_parallel`] is the tiled kernel over
+//! rayon row bands, a reference no dispatch reaches; the fused helpers
 //! ([`Tensor::matmul_add_bias`], [`Tensor::matmul_acc`],
 //! [`Tensor::t_matmul_acc`], [`Tensor::map_inplace`], [`Tensor::axpy`])
 //! merge a GEMM with the surrounding element-wise pass so layer code
@@ -188,8 +189,8 @@ impl Tensor {
         );
     }
 
-    /// Matrix product `self · other`, dispatched between the naive,
-    /// tiled, and parallel kernels by problem size.
+    /// Matrix product `self · other`, dispatched between the naive and
+    /// tiled kernels by problem size.
     ///
     /// # Panics
     /// Panics on an inner-dimension mismatch.
@@ -229,7 +230,9 @@ impl Tensor {
     }
 
     /// `self · other` on the tiled kernel over rayon row bands,
-    /// regardless of size. Bitwise identical to [`Tensor::matmul_tiled`].
+    /// regardless of size. Bitwise identical to [`Tensor::matmul_tiled`];
+    /// a reference for tests and benchmarks, never chosen by
+    /// [`Tensor::matmul`].
     pub fn matmul_parallel(&self, other: &Tensor) -> Tensor {
         self.assert_matmul_dims(other);
         let mut out = Tensor::zeros(self.rows, other.cols);

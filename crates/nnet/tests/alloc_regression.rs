@@ -53,8 +53,6 @@ fn train_pass(gru: &mut Gru, xs: &[Tensor], h0: &Tensor, grad_template: &Tensor)
 
 #[test]
 fn gru_step_loops_do_not_allocate_per_gate() {
-    // Sizes deliberately below the GEMM parallel threshold so rayon's
-    // worker pool never wakes up and pollutes the counter.
     let (batch, input_dim, hidden) = (4, 6, 16);
     let mut rng = StdRng::seed_from_u64(42);
     let mut gru = Gru::new(input_dim, hidden, &mut rng);

@@ -134,20 +134,6 @@ fn linear_batch_on_tiled_kernel_path() {
 }
 
 #[test]
-fn linear_batch_on_parallel_kernel_path() {
-    // 32 × 64 · 64 × 64 = 131k FLOPs ≥ PAR_MIN_FLOPS; force multiple
-    // rayon threads so the banded kernel actually runs multi-threaded
-    // even on a single-core host. Safe process-wide: the parallel path
-    // is bitwise identical to the tiled path at any thread count.
-    std::env::set_var("RAYON_NUM_THREADS", "4");
-    const _: () = assert!(32 * 64 * 64 >= nnet::kernel::PAR_MIN_FLOPS);
-    let mut rng = StdRng::seed_from_u64(12);
-    let mut l = Linear::new(64, 64, &mut rng);
-    let x = Tensor::randn(32, 64, &mut rng);
-    check_layer(&mut l, &x, 1e-2, 3e-2);
-}
-
-#[test]
 fn mlp_every_activation() {
     for (seed, act) in [
         (20u64, Activation::Tanh),

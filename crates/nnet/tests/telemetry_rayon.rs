@@ -1,6 +1,5 @@
 //! Telemetry metrics stay deterministic when recorded from the rayon
-//! pool — the same pool the parallel GEMM kernel dispatches into, so this
-//! pins the property the instrumented hot path relies on.
+//! pool's threads.
 #![cfg(feature = "telemetry")]
 
 use rayon::prelude::*;

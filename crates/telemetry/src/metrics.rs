@@ -2,9 +2,11 @@
 //! histograms, and a deterministic JSON snapshot.
 //!
 //! Handles are created on first use and live for the process:
-//! `metrics::counter("gemm.calls").inc()`. All mutation is atomic and
-//! lock-free after registration, so hot paths (GEMM dispatch, GRU steps)
-//! pay one registry lock on first touch and plain atomic ops after.
+//! `metrics::counter("train.gen_steps").inc()`. All mutation is atomic
+//! and lock-free, but every by-name lookup takes the registry lock and
+//! allocates the key, so hot paths (GEMM dispatch, GRU sequences) keep
+//! their handles in `static` [`LazyCounter`] / [`LazyTimerUs`] cells:
+//! one registry lock on first touch and plain atomic ops after.
 //!
 //! Snapshots ([`snapshot`] / [`snapshot_json`]) iterate `BTreeMap`s, so
 //! output ordering is key-sorted and stable across runs and thread
@@ -347,8 +349,10 @@ mod imp {
             }
         }
 
-        /// Drop every registered metric (handles held elsewhere keep
-        /// working but are no longer visible in snapshots). For tests.
+        /// Drop every registered metric. For tests. Handles held elsewhere
+        /// outlive the reset: they keep recording into the detached metric,
+        /// which no snapshot shows again, and the next by-name lookup
+        /// registers a fresh one.
         pub fn reset(&self) {
             // lint: allow(panic-in-lib) poisoned registry lock is unrecoverable
             self.counters.lock().expect("counter registry lock poisoned").clear(); // lint: lock-order(telemetry.metrics_counters)
@@ -390,29 +394,83 @@ mod imp {
         snapshot().to_json()
     }
 
-    /// Clear the global registry (tests only; concurrent recorders keep
-    /// their handles).
+    /// Clear the global registry (tests only). Handles handed out before
+    /// the reset — every [`LazyCounter`] and [`LazyTimerUs`] that has been
+    /// touched included — outlive it, see [`Registry::reset`]: a process
+    /// that resets loses those series from its later snapshots.
     pub fn reset() {
         global().reset()
     }
 
-    /// RAII timer: records elapsed microseconds into the named global
-    /// histogram (with [`super::DURATION_US_EDGES`] buckets) on drop.
+    /// RAII timer: records elapsed microseconds into its histogram on
+    /// drop.
     #[must_use = "dropping the timer immediately records zero elapsed time"]
     pub struct ScopedTimer {
-        name: &'static str,
+        histogram: Arc<Histogram>,
         start_ns: u64,
     }
 
-    /// Start a scoped duration timer for histogram `name`.
+    /// Start a scoped duration timer for the global histogram `name`
+    /// (with [`super::DURATION_US_EDGES`] buckets).
     pub fn scoped_timer_us(name: &'static str) -> ScopedTimer {
-        ScopedTimer { name, start_ns: clock::monotonic_nanos() }
+        ScopedTimer::on(histogram(name, &super::DURATION_US_EDGES))
+    }
+
+    impl ScopedTimer {
+        fn on(histogram: Arc<Histogram>) -> Self {
+            ScopedTimer { histogram, start_ns: clock::monotonic_nanos() }
+        }
     }
 
     impl Drop for ScopedTimer {
         fn drop(&mut self) {
             let us = clock::nanos_since(self.start_ns) as f64 / 1_000.0;
-            histogram(self.name, &super::DURATION_US_EDGES).record(us);
+            self.histogram.record(us);
+        }
+    }
+
+    /// A global counter looked up on first use and cached for the
+    /// process, for call sites too hot for a by-name lookup per event:
+    /// `static CALLS: LazyCounter = LazyCounter::new("gemm.calls");`.
+    pub struct LazyCounter {
+        name: &'static str,
+        cell: OnceLock<Arc<Counter>>,
+    }
+
+    impl LazyCounter {
+        /// A handle for the global counter `name`, resolved on first
+        /// [`Self::get`].
+        pub const fn new(name: &'static str) -> Self {
+            LazyCounter { name, cell: OnceLock::new() }
+        }
+
+        /// The counter.
+        pub fn get(&self) -> &Counter {
+            self.cell.get_or_init(|| counter(self.name))
+        }
+    }
+
+    /// The [`LazyCounter`] of duration histograms: [`scoped_timer_us`]
+    /// without the by-name lookup per timer.
+    pub struct LazyTimerUs {
+        name: &'static str,
+        cell: OnceLock<Arc<Histogram>>,
+    }
+
+    impl LazyTimerUs {
+        /// A handle for the global histogram `name` (with
+        /// [`super::DURATION_US_EDGES`] buckets), resolved on first
+        /// [`Self::start`].
+        pub const fn new(name: &'static str) -> Self {
+            LazyTimerUs { name, cell: OnceLock::new() }
+        }
+
+        /// Start a scoped duration timer on the histogram.
+        pub fn start(&self) -> ScopedTimer {
+            let histogram = self
+                .cell
+                .get_or_init(|| histogram(self.name, &super::DURATION_US_EDGES));
+            ScopedTimer::on(Arc::clone(histogram))
         }
     }
 }
@@ -518,6 +576,38 @@ mod noop {
     #[inline(always)]
     pub fn scoped_timer_us(_name: &'static str) -> ScopedTimer {
         ScopedTimer(())
+    }
+
+    /// Zero-sized feature-off cached counter.
+    pub struct LazyCounter(());
+
+    impl LazyCounter {
+        /// Feature-off: the name is dropped.
+        pub const fn new(_name: &'static str) -> Self {
+            LazyCounter(())
+        }
+
+        /// Feature-off: the zero-sized counter.
+        #[inline(always)]
+        pub fn get(&self) -> &Counter {
+            &Counter
+        }
+    }
+
+    /// Zero-sized feature-off cached timer histogram.
+    pub struct LazyTimerUs(());
+
+    impl LazyTimerUs {
+        /// Feature-off: the name is dropped.
+        pub const fn new(_name: &'static str) -> Self {
+            LazyTimerUs(())
+        }
+
+        /// Feature-off: zero-sized timer, records nothing.
+        #[inline(always)]
+        pub fn start(&self) -> ScopedTimer {
+            ScopedTimer(())
+        }
     }
 }
 

@@ -144,3 +144,18 @@ fn scoped_timer_records_into_the_global_duration_histogram() {
     assert_eq!(hs.edges, DURATION_US_EDGES.to_vec());
     assert_eq!(hs.buckets.iter().sum::<u64>(), 1);
 }
+
+#[test]
+fn lazy_handles_record_into_the_same_global_series_as_by_name_lookups() {
+    static CALLS: metrics::LazyCounter = metrics::LazyCounter::new("lazy.test.calls");
+    static TIMER: metrics::LazyTimerUs = metrics::LazyTimerUs::new("lazy.test.us");
+    metrics::counter("lazy.test.calls").inc();
+    CALLS.get().add(2);
+    drop(TIMER.start());
+    drop(metrics::scoped_timer_us("lazy.test.us"));
+    drop(TIMER.start());
+    let snap = metrics::snapshot();
+    assert_eq!(snap.counters["lazy.test.calls"], 3);
+    assert_eq!(snap.histograms["lazy.test.us"].count, 3);
+    assert_eq!(snap.histograms["lazy.test.us"].edges, DURATION_US_EDGES.to_vec());
+}

@@ -47,6 +47,16 @@ fn feature_off_metrics_are_zero_sized_noops() {
     assert_eq!(std::mem::size_of_val(&t), 0, "timer must be a ZST");
     drop(t);
 
+    static CALLS: telemetry::metrics::LazyCounter = telemetry::metrics::LazyCounter::new("x.calls");
+    static TIMER: telemetry::metrics::LazyTimerUs = telemetry::metrics::LazyTimerUs::new("x.us");
+    CALLS.get().inc();
+    assert_eq!(CALLS.get().get(), 0);
+    assert_eq!(std::mem::size_of_val(&CALLS), 0, "cached counter must be a ZST");
+    let t = TIMER.start();
+    assert_eq!(std::mem::size_of_val(&t), 0, "cached timer must be a ZST");
+    assert_eq!(std::mem::size_of_val(&TIMER), 0, "cached histogram must be a ZST");
+    drop(t);
+
     assert_eq!(
         telemetry::metrics::snapshot_json(),
         "{\"counters\":{},\"gauges\":{},\"histograms\":{}}"

@@ -3,7 +3,8 @@
 # analysis (clippy + netshare-lint), rustdoc at -D warnings, the
 # sanitize-feature and telemetry-off test suites, and an orchestrator
 # fault-injection smoke test through the CLI (which also checks the
-# --metrics-out telemetry snapshot).
+# --metrics-out telemetry snapshot), then the serve, scale, serve-chaos
+# and nsbench gates below.
 #
 #   scripts/ci.sh        # run the full gate
 #   scripts/ci.sh bench  # run benchmarks and emit BENCH_<host>_<date>.json
@@ -11,6 +12,7 @@
 #   scripts/ci.sh serve  # netshared daemon + pull-client serving smoke
 #   scripts/ci.sh scale  # coordinator + worker processes + kill-worker + gc
 #   scripts/ci.sh serve-chaos  # netfault matrix + daemon kill -9 + kill-coord
+#   scripts/ci.sh nsbench  # the frozen benchmark's unit tests + smoke run
 #
 # Run from anywhere; operates on the repo root.
 set -euo pipefail
@@ -346,6 +348,20 @@ if [[ "${1:-}" == "serve-chaos" ]]; then
   exit 0
 fi
 
+# The frozen end-to-end benchmark (benches/nsbench, a package outside the
+# workspace that no gate above or below compiles): its unit tests, then
+# every workload at a twentieth of its size with every correctness check
+# on. Its `layers.rs` calls the product crates' public functions by name,
+# so a product-API change that breaks it fails here and not in the
+# benchmark driver.
+if [[ "${1:-}" == "nsbench" ]]; then
+  manifest=benches/nsbench/Cargo.toml
+  cargo test -q --release --offline --manifest-path "$manifest"
+  timeout 300 cargo run -q --release --offline --manifest-path "$manifest" -- smoke
+  echo "nsbench: unit tests green, smoke run correct"
+  exit 0
+fi
+
 # --workspace so member bins (netshare_cli, netshare-lint, bench_report)
 # are rebuilt too — the root package alone would leave them stale.
 cargo build --release --workspace
@@ -383,6 +399,9 @@ echo "cargo doc: warning-free"
 # Runtime sanitizer gate: the feature-gated NaN/shape/grad-norm guards must
 # build and their trip tests (layer attribution, hook delivery) must pass.
 cargo test -q -p nnet --features sanitize
+# The dispatch test's metrics half (no `gemm.us.parallel` series) only
+# compiles with nnet's own telemetry on, which no other gate gives it.
+cargo test -q -p nnet --features telemetry --test dispatch
 
 # Inference-path gate: the frozen arena-backed sampler must stay
 # bitwise-equal to the training-graph sampler (the default-precision
@@ -441,3 +460,4 @@ echo "orchestrator smoke: fault retried, output identical, telemetry snapshot co
 "$0" serve
 "$0" scale
 "$0" serve-chaos
+"$0" nsbench
