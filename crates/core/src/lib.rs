@@ -32,7 +32,6 @@
 //! let synthetic = model.generate_flows(5_000);
 //! ```
 
-pub mod artifact;
 pub mod chunking;
 pub mod config;
 pub mod flowcodec;
@@ -41,7 +40,9 @@ pub mod pipeline;
 pub mod postprocess;
 pub mod tuplecodec;
 
-pub use artifact::{ArtifactBundle, ModelArtifact};
+// The serializable product of one training job lives in `doppelganger`
+// (the serving daemon loads artifacts without depending on this crate).
+pub use doppelganger::{ArtifactBundle, ModelArtifact};
 pub use config::{DpOptions, DpPretrainSource, NetShareConfig, OrchestratorOptions};
 pub use pipeline::{parse_divergence_spec, NetShare, PipelineError, SamplePath};
 

@@ -1,6 +1,6 @@
 //! The end-to-end NetShare pipeline (paper Fig. 9).
 
-use crate::artifact::ModelArtifact;
+use crate::ModelArtifact;
 use crate::chunking::{chunk_flows, chunk_packets, Chunked};
 use crate::config::NetShareConfig;
 use crate::flowcodec::FlowCodec;

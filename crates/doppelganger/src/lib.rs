@@ -38,8 +38,6 @@ pub mod train;
 pub use artifact::{ArtifactBundle, ModelArtifact};
 pub use data::TimeSeriesDataset;
 pub use sentinel::{Rollback, SentinelConfig, TrainAbort, TrainControl};
-#[cfg(feature = "infer-f32")]
-pub use model::PackedGenerator;
 pub use model::{DgDiscriminators, DgGenerator, FrozenGenerator, GeneratedBatch};
 pub use spec::{FeatureSpec, Segment};
 pub use train::{DgConfig, DgLoss, DoppelGanger, GeneratedSample, SampleCursor, TrainStats};

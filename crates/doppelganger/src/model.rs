@@ -1,8 +1,6 @@
 //! Generator and discriminator networks.
 
 use crate::spec::FeatureSpec;
-#[cfg(feature = "infer-f32")]
-use nnet::infer::{FrozenNode, PackedTensor};
 use nnet::infer::{Arena, FrozenGru, FrozenSequential};
 use nnet::{Activation, Gru, Layer, Linear, Parameterized, Sequential, Tensor};
 use rand::prelude::*;
@@ -380,149 +378,6 @@ impl FrozenGenerator<'_> {
             meta: meta_y,
             records,
         }
-    }
-}
-
-/// One node of a packed MLP: a bf16 weight matrix with an f32 bias
-/// (biases are tiny, so packing them buys nothing), or an activation.
-#[cfg(feature = "infer-f32")]
-enum PackedNode {
-    Linear { w: PackedTensor, b: Tensor },
-    Activation(Activation),
-}
-
-#[cfg(feature = "infer-f32")]
-fn pack_seq(net: &Sequential) -> Result<Vec<PackedNode>, String> {
-    let mut out = Vec::new();
-    for n in net.nodes() {
-        match n {
-            nnet::layers::Node::Linear(l) => out.push(PackedNode::Linear {
-                w: PackedTensor::pack(l.weights()),
-                b: l.bias().clone(),
-            }),
-            nnet::layers::Node::Activation(a) => {
-                out.push(PackedNode::Activation(a.activation()))
-            }
-            nnet::layers::Node::Conv(_) => {
-                return Err("PackedGenerator supports Linear/Activation nodes only".to_string())
-            }
-        }
-    }
-    Ok(out)
-}
-
-#[cfg(feature = "infer-f32")]
-fn packed_frozen_seq<'a>(nodes: &'a [PackedNode], store: &'a [Tensor]) -> FrozenSequential<'a> {
-    let mut out = Vec::with_capacity(nodes.len());
-    let mut wi = 0;
-    for n in nodes {
-        match n {
-            PackedNode::Linear { b, .. } => {
-                out.push(FrozenNode::Linear { w: &store[wi], b });
-                wi += 1;
-            }
-            PackedNode::Activation(a) => out.push(FrozenNode::Activation(*a)),
-        }
-    }
-    FrozenSequential::from_nodes(out)
-}
-
-/// A bf16-packed snapshot of a generator's weights (feature
-/// `infer-f32`): half the weight memory of the f32 original. Sampling
-/// dequantizes each weight matrix once per [`PackedGenerator::generate`]
-/// call through the arena and then runs the *same* frozen forward code
-/// as the default-precision path — no duplicated math, so the only
-/// divergence from [`DgGenerator::generate`] is the one-time bf16
-/// rounding of the weights (documented tolerance ~1e-2 relative on
-/// outputs; pinned by the feature-gated test in `tests/infer_equiv.rs`).
-#[cfg(feature = "infer-f32")]
-pub struct PackedGenerator {
-    meta_nodes: Vec<PackedNode>,
-    head_nodes: Vec<PackedNode>,
-    /// wz, uz, wr, ur, wh, uh — in [`FrozenGru`] field order.
-    rnn_w: [PackedTensor; 6],
-    /// bz, br, bh (kept at f32).
-    rnn_b: [Tensor; 3],
-    meta_spec: FeatureSpec,
-    record_spec: FeatureSpec,
-    z_meta_dim: usize,
-    z_record_dim: usize,
-    max_len: usize,
-}
-
-#[cfg(feature = "infer-f32")]
-impl PackedGenerator {
-    /// Packs a generator's weights to bf16. Errors on convolution nodes.
-    pub fn pack(gen: &DgGenerator) -> Result<Self, String> {
-        let f = gen.rnn.freeze();
-        Ok(PackedGenerator {
-            meta_nodes: pack_seq(&gen.meta_net)?,
-            head_nodes: pack_seq(&gen.head)?,
-            rnn_w: [
-                PackedTensor::pack(f.wz),
-                PackedTensor::pack(f.uz),
-                PackedTensor::pack(f.wr),
-                PackedTensor::pack(f.ur),
-                PackedTensor::pack(f.wh),
-                PackedTensor::pack(f.uh),
-            ],
-            rnn_b: [f.bz.clone(), f.br.clone(), f.bh.clone()],
-            meta_spec: gen.meta_spec.clone(),
-            record_spec: gen.record_spec.clone(),
-            z_meta_dim: gen.z_meta_dim,
-            z_record_dim: gen.z_record_dim,
-            max_len: gen.max_len,
-        })
-    }
-
-    /// Generates a batch from the packed weights: dequantize once, then
-    /// run the shared frozen forward. Same RNG draw order as the other
-    /// generate paths.
-    pub fn generate<R: Rng + ?Sized>(
-        &self,
-        batch: usize,
-        rng: &mut R,
-        arena: &mut Arena,
-    ) -> GeneratedBatch {
-        let unpack_weights = |nodes: &[PackedNode], arena: &mut Arena| -> Vec<Tensor> {
-            nodes
-                .iter()
-                .filter_map(|n| match n {
-                    PackedNode::Linear { w, .. } => Some(w.unpack_into(arena)),
-                    PackedNode::Activation(_) => None,
-                })
-                .collect()
-        };
-        let meta_store = unpack_weights(&self.meta_nodes, arena);
-        let head_store = unpack_weights(&self.head_nodes, arena);
-        let rnn_store: Vec<Tensor> = self.rnn_w.iter().map(|w| w.unpack_into(arena)).collect();
-
-        let frozen = FrozenGenerator {
-            meta_net: packed_frozen_seq(&self.meta_nodes, &meta_store),
-            rnn: FrozenGru {
-                wz: &rnn_store[0],
-                uz: &rnn_store[1],
-                bz: &self.rnn_b[0],
-                wr: &rnn_store[2],
-                ur: &rnn_store[3],
-                br: &self.rnn_b[1],
-                wh: &rnn_store[4],
-                uh: &rnn_store[5],
-                bh: &self.rnn_b[2],
-            },
-            head: packed_frozen_seq(&self.head_nodes, &head_store),
-            meta_spec: &self.meta_spec,
-            record_spec: &self.record_spec,
-            z_meta_dim: self.z_meta_dim,
-            z_record_dim: self.z_record_dim,
-            max_len: self.max_len,
-        };
-        let out = frozen.generate(batch, rng, arena);
-        drop(frozen);
-        for t in meta_store.into_iter().chain(head_store).chain(rnn_store) {
-            arena.recycle(t);
-        }
-        out
     }
 }
 

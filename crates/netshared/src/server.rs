@@ -20,8 +20,9 @@
 use crate::protocol::{self, Frame, ERR_OVERLOADED};
 use crate::session::{run_session, SessionCtx};
 use doppelganger::ArtifactBundle;
+use orchestrator::timing::Stopwatch;
 use orchestrator::watchdog::{Watchdog, WatchdogOptions};
-use orchestrator::{CancelToken, EventLog};
+use orchestrator::{fnv1a64, Backoff, CancelToken, EventLog};
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
@@ -32,6 +33,11 @@ use std::time::Duration;
 const ACCEPT_POLL: Duration = Duration::from_millis(20);
 /// Drain-phase poll interval.
 const DRAIN_POLL: Duration = Duration::from_millis(50);
+/// How long [`Server::start`] keeps retrying a bind the OS refuses with
+/// `AddrInUse`. A supervisor that restarts a killed daemon on the same
+/// port races the kernel reaping the old process: `kill -9` only queues
+/// the signal and the dead daemon's listener stays bound until the reap.
+pub const BIND_RETRY_WINDOW: Duration = Duration::from_secs(2);
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -117,8 +123,33 @@ pub struct Server {
     drain: Duration,
 }
 
+/// Binds `addr`, retrying `AddrInUse` — and only that — under seeded
+/// backoff until [`BIND_RETRY_WINDOW`] has passed.
+fn bind_with_retry(addr: &str, token: &CancelToken) -> std::io::Result<TcpListener> {
+    let clock = Stopwatch::start();
+    let mut backoff = Backoff::new(
+        Duration::from_millis(10),
+        Duration::from_millis(200),
+        fnv1a64(addr.as_bytes()),
+    );
+    loop {
+        match TcpListener::bind(addr) {
+            Err(e)
+                if e.kind() == std::io::ErrorKind::AddrInUse
+                    && clock.elapsed_seconds() < BIND_RETRY_WINDOW.as_secs_f64() =>
+            {
+                if backoff.sleep(token) {
+                    return Err(e);
+                }
+            }
+            other => return other,
+        }
+    }
+}
+
 impl Server {
-    /// Binds and starts serving `bundles`. Fails on bind errors and on
+    /// Binds and starts serving `bundles`. Fails on bind errors (an
+    /// address still in use only after [`BIND_RETRY_WINDOW`]) and on
     /// duplicate artifact names.
     pub fn start(cfg: ServerConfig, bundles: Vec<ArtifactBundle>) -> Result<Server, String> {
         let mut by_name: BTreeMap<String, Arc<ArtifactBundle>> = BTreeMap::new();
@@ -131,8 +162,9 @@ impl Server {
         let artifacts: Vec<String> = by_name.keys().cloned().collect();
         let by_name = Arc::new(by_name);
 
-        let listener = TcpListener::bind(&cfg.addr)
-            .map_err(|e| format!("bind {}: {e}", cfg.addr))?;
+        let token = CancelToken::new();
+        let listener =
+            bind_with_retry(&cfg.addr, &token).map_err(|e| format!("bind {}: {e}", cfg.addr))?;
         let local_addr = listener
             .local_addr()
             .map_err(|e| format!("local_addr: {e}"))?;
@@ -140,7 +172,6 @@ impl Server {
             .set_nonblocking(true)
             .map_err(|e| format!("set_nonblocking: {e}"))?;
 
-        let token = CancelToken::new();
         let draining = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(ServerStats::default());
         let sessions: Arc<Mutex<Vec<SessionSlot>>> = Arc::new(Mutex::new(Vec::new()));

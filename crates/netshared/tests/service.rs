@@ -6,7 +6,9 @@
 //! clients.
 
 use netshared::protocol::{self, Frame, PROTOCOL_VERSION};
+use netshared::server::BIND_RETRY_WINDOW;
 use netshared::{demo_bundle, pull, PullConfig, Server, ServerConfig};
+use orchestrator::timing::Stopwatch;
 use orchestrator::CancelToken;
 use std::sync::atomic::Ordering;
 use std::time::Duration;
@@ -244,4 +246,35 @@ fn silent_client_is_evicted_by_the_idle_watchdog() {
     assert_eq!(result.samples.len(), 40);
     drop(sock);
     server.shutdown();
+}
+
+#[test]
+fn start_outwaits_a_listener_that_is_about_to_die() {
+    // What a supervisor restarting a SIGKILLed daemon sees: the port is
+    // still bound when the new process starts and frees a moment later.
+    let dying = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = dying.local_addr().unwrap().to_string();
+    let reaper = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(300));
+        drop(dying);
+    });
+    let server =
+        Server::start(ServerConfig { addr: addr.clone(), ..Default::default() }, vec![demo_bundle("demo", 7)])
+            .expect("the bind is retried until the old listener is gone");
+    assert_eq!(server.local_addr().to_string(), addr);
+    reaper.join().unwrap();
+    server.shutdown();
+}
+
+#[test]
+fn start_gives_up_on_a_port_held_for_the_whole_window() {
+    let squatter = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = squatter.local_addr().unwrap().to_string();
+    let clock = Stopwatch::start();
+    let err = Server::start(ServerConfig { addr: addr.clone(), ..Default::default() }, Vec::new())
+        .err()
+        .expect("the port never frees");
+    assert!(clock.elapsed_seconds() >= BIND_RETRY_WINDOW.as_secs_f64(), "gave up early");
+    assert!(err.starts_with(&format!("bind {addr}: ")), "{err}");
+    drop(squatter);
 }

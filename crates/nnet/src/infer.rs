@@ -16,10 +16,6 @@
 //!   identical GEMM shapes (hence identical kernel dispatch), identical
 //!   fused bias-seed + accumulate ordering, identical activation
 //!   closures. The equivalence suite in `crates/doppelganger` pins this.
-//! * `PackedTensor` (feature `infer-f32`) — bf16-packed weight storage
-//!   at half the memory, dequantized through the arena per forward.
-//!   Packed outputs match the reference within a documented ~1e-2
-//!   relative tolerance; they are *not* bitwise-equal.
 //!
 //! Batched multi-stream sampling falls out of the design: a frozen
 //! forward over a `K × in` input advances K independent flows per GRU
@@ -203,16 +199,7 @@ impl<'a> FrozenSequential<'a> {
     /// which the inference path does not support (the DoppelGANger
     /// generator networks are Linear/Activation stacks by construction).
     pub fn of(net: &'a Sequential) -> Result<Self, String> {
-        FrozenSequential::from_nodes_of(net.nodes())
-    }
-
-    /// Builds a frozen view from an explicit node slice (used by the
-    /// packed-weight path, which dequantizes into its own tensors).
-    pub fn from_nodes(nodes: Vec<FrozenNode<'a>>) -> Self {
-        FrozenSequential { nodes }
-    }
-
-    fn from_nodes_of(nodes: &'a [Node]) -> Result<Self, String> {
+        let nodes = net.nodes();
         let mut out = Vec::with_capacity(nodes.len());
         for n in nodes {
             match n {
@@ -331,66 +318,6 @@ impl FrozenGru<'_> {
     }
 }
 
-/// bf16-packed weight storage: each `f32` is rounded to the nearest
-/// bfloat16 (round-to-nearest-even on the truncated mantissa) and stored
-/// as its high 16 bits — half the memory of the source tensor.
-///
-/// Dequantization restores an exact `f32` per element (bf16 values are a
-/// subset of f32), so the *storage* is lossless after the initial
-/// rounding; the rounding itself costs ~3 decimal digits of mantissa.
-/// Forward passes through packed weights therefore track the
-/// full-precision reference within a relative tolerance of about `1e-2`
-/// on trained-network outputs (pinned by the `infer-f32` equivalence
-/// test) — they are **not** bitwise-equal.
-#[cfg(feature = "infer-f32")]
-pub struct PackedTensor {
-    rows: usize,
-    cols: usize,
-    bits: Vec<u16>,
-}
-
-#[cfg(feature = "infer-f32")]
-impl PackedTensor {
-    /// Packs a tensor, rounding each element to bfloat16.
-    pub fn pack(t: &Tensor) -> Self {
-        let bits = t
-            .data()
-            .iter()
-            .map(|v| {
-                let b = v.to_bits();
-                // Round-to-nearest-even on the low 16 bits.
-                let rounded = b.wrapping_add(0x7FFF + ((b >> 16) & 1));
-                (rounded >> 16) as u16
-            })
-            .collect();
-        PackedTensor {
-            rows: t.rows(),
-            cols: t.cols(),
-            bits,
-        }
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Dequantizes into an arena tensor (recycle it after the GEMMs that
-    /// consume it).
-    pub fn unpack_into(&self, arena: &mut Arena) -> Tensor {
-        let mut out = arena.take_zeroed(self.rows, self.cols);
-        for (o, &b) in out.data_mut().iter_mut().zip(&self.bits) {
-            *o = f32::from_bits((b as u32) << 16);
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -460,19 +387,5 @@ mod tests {
         let h_fast = frozen.step(&x, &h0, &mut arena);
         let h_ref = gru.step(&x, &h0);
         assert_eq!(h_ref.data(), h_fast.data(), "frozen GRU step must be bitwise-equal");
-    }
-
-    #[cfg(feature = "infer-f32")]
-    #[test]
-    fn packed_round_trip_is_close_and_half_size() {
-        let mut rng = StdRng::seed_from_u64(14);
-        let t = Tensor::randn(6, 9, &mut rng);
-        let p = PackedTensor::pack(&t);
-        let mut arena = Arena::new();
-        let u = p.unpack_into(&mut arena);
-        for (a, b) in t.data().iter().zip(u.data()) {
-            assert!((a - b).abs() <= a.abs() * 0.01 + 1e-6, "bf16 round {a} -> {b}");
-        }
-        assert_eq!(p.bits.len() * 2, t.len() * 4 / 2, "half the storage");
     }
 }

@@ -22,10 +22,8 @@
 //! * [`serialize`]: parameter checkpointing, the mechanism behind
 //!   NetShare's fine-tuning warm starts (Insights 3 and 4);
 //! * [`infer`]: the forward-only sampling path — frozen weight views
-//!   (no grad tape), a recycling activation [`infer::Arena`], and an
-//!   optional bf16-packed weight store behind the `infer-f32` feature;
-//!   proven bitwise-equivalent to the training forward pass at default
-//!   precision;
+//!   (no grad tape) and a recycling activation [`infer::Arena`]; proven
+//!   bitwise-equivalent to the training forward pass;
 //! * [`sanitize`]: feature-gated (`sanitize`) runtime guards — NaN/Inf and
 //!   shape checks after kernel ops, gradient-norm explosion detection,
 //!   with layer attribution via a thread-local scope stack.

@@ -25,8 +25,9 @@ fn panic_message(r: std::thread::Result<Tensor>) -> String {
 /// the forward pass, and require a panic that names the offending layer.
 #[test]
 fn injected_nan_is_caught_with_layer_attribution() {
-    // The hook is process-global; capture everything and filter by op so
-    // concurrent tests in this binary cannot confuse the assertion.
+    // The hook is process-global; capture everything and filter by op and
+    // scope so concurrent tests in this binary (one of which trips the
+    // same op at `seq[2]`) cannot confuse the assertion.
     let seen: Arc<Mutex<Vec<Incident>>> = Arc::new(Mutex::new(Vec::new()));
     let sink = Arc::clone(&seen);
     sanitize::set_hook(move |inc: &Incident| {
@@ -48,10 +49,9 @@ fn injected_nan_is_caught_with_layer_attribution() {
     let incidents = seen.lock().unwrap();
     let inc = incidents
         .iter()
-        .find(|i| i.op == "matmul_add_bias")
+        .find(|i| i.op == "matmul_add_bias" && i.scope.contains("seq[0]:Linear"))
         .expect("hook must observe the trip before the panic");
     assert_eq!(inc.kind, IncidentKind::NonFinite);
-    assert!(inc.scope.contains("seq[0]:Linear"), "scope: {}", inc.scope);
     sanitize::clear_hook();
 }
 

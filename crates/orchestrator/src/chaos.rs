@@ -31,9 +31,15 @@
 //! executing it — the in-process thread pool never fires it, since
 //! killing the only process would kill the run it is supposed to test.
 
+use crate::cancel::CancelToken;
 use crate::manifest::fnv1a64;
+use crate::store::{FsStore, ObjectStore};
 use std::io::Write;
 use std::path::Path;
+use std::time::Duration;
+
+/// How long an injected `slow-io` fault stalls a checkpoint write.
+const SLOW_IO_STALL: Duration = Duration::from_millis(300);
 
 /// The failure domain a [`ChaosEntry`] injects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -236,6 +242,47 @@ impl ChaosPlan {
     pub fn corruption_seed(&self, job: &str, attempt: u32) -> u64 {
         fnv1a64(format!("{}|{job}|{attempt}", self.seed).as_bytes())
     }
+}
+
+/// Writes a job's checkpoint `bytes` into `store` through whatever
+/// persist-phase fault `chaos` plans for `job`'s (final) `attempt`:
+/// `slow-io` stalls first (`cancel` cuts the stall short), `corrupt-flip` /
+/// `corrupt-truncate` rot the object after a clean write, and
+/// `corrupt-torn` leaves only a temp fragment. Returns the digest of the
+/// *clean* bytes — the address the object has or would have had — and
+/// whether an object landed there. It did not after a torn write:
+/// exactly what a kill between temp-write and rename leaves behind, so
+/// the caller must not record the generation and recovery quarantines
+/// the fragment.
+pub fn put_with_fault(
+    store: &FsStore,
+    bytes: &[u8],
+    chaos: Option<&ChaosPlan>,
+    job: &str,
+    attempt: u32,
+    cancel: &CancelToken,
+) -> std::io::Result<(u64, bool)> {
+    let digest = fnv1a64(bytes);
+    let class = chaos.and_then(|c| c.persist_fault(job, attempt)).map(|e| e.class);
+    match class {
+        Some(FaultClass::SlowIo) => {
+            let _ = cancel.wait_timeout(SLOW_IO_STALL);
+        }
+        Some(FaultClass::CorruptTorn) => {
+            write_torn(&store.object_path(digest), bytes)?;
+            return Ok((digest, false));
+        }
+        _ => {}
+    }
+    store.put(bytes)?;
+    if let (Some(class @ (FaultClass::CorruptFlip | FaultClass::CorruptTruncate)), Some(plan)) =
+        (class, chaos)
+    {
+        // Post-write bit rot: the object's address describes the clean
+        // bytes, so the next verified read must reject this file.
+        corrupt_file(class, &store.object_path(digest), plan.corruption_seed(job, attempt))?;
+    }
+    Ok((digest, true))
 }
 
 /// Applies an on-disk corruption class to an already-written checkpoint

@@ -46,22 +46,28 @@
 //! [`Watchdog`]; a worker that stops heartbeating (hung, SIGKILLed, or
 //! partitioned) trips the watch, and the coordinator requeues the job —
 //! bounded by `max_retries`, exactly like thread-pool attempts.
+//!
+//! Like [`crate::pool`], this module is a front-end: it schedules over
+//! the plan's [`Graph`] through a [`Frontier`], and opens, recovers and
+//! commits the run directory through [`Manifest::open`] /
+//! [`Manifest::recover`] / [`Manifest::commit`]. What is its own: the
+//! sessions, requeue-instead-of-retry, and the write-ahead
+//! [`Journal`] appended *before* each manifest commit.
 
 use crate::cancel::CancelToken;
 use crate::chaos::ChaosPlan;
-use crate::dag::{JobInputs, JobSpec, Plan};
+use crate::dag::{fail_first, Frontier, Graph, OrchestratorError};
 use crate::events::{Event, EventLog};
 use crate::journal::{Journal, JournalRecord};
-use crate::manifest::{fnv1a64, quarantine, Manifest, ManifestEntry};
-use crate::pool::{JobStats, OrchestratorError};
+use crate::manifest::{JobStats, Manifest};
 use crate::store::{FsStore, ObjectStore};
 use crate::timing::{Heartbeat, Stopwatch};
 use crate::watchdog::{WatchGuard, Watchdog, WatchdogOptions};
 use crate::wire::{self, WireError};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
@@ -216,25 +222,19 @@ pub struct DistJob {
 }
 
 /// A validated distributable job DAG (unique ids, known deps, acyclic —
-/// the same rules [`Plan::new`] enforces for closure plans).
+/// the one [`Graph`] validator closure plans go through too).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DistPlan {
     /// The jobs, in declaration order.
     pub jobs: Vec<DistJob>,
+    graph: Graph,
 }
 
 impl DistPlan {
-    /// Validates a job list into a plan, reusing the closure-DAG
-    /// validator so both execution paths reject exactly the same graphs.
+    /// Validates a job list into a plan.
     pub fn new(jobs: Vec<DistJob>) -> Result<DistPlan, String> {
-        let probe: Vec<JobSpec<'static, u8>> = jobs
-            .iter()
-            .map(|j| {
-                JobSpec::new(j.id.clone(), j.deps.iter().cloned(), |_: &JobInputs<u8>| Ok(0))
-            })
-            .collect();
-        Plan::new(probe)?;
-        Ok(DistPlan { jobs })
+        let graph = Graph::new(jobs.iter().map(|j| (j.id.as_str(), j.deps.as_slice())))?;
+        Ok(DistPlan { jobs, graph })
     }
 }
 
@@ -326,9 +326,7 @@ struct Inflight {
 
 /// Scheduler state shared by the accept loop and the session threads.
 struct CoordState {
-    ready: VecDeque<usize>,
-    /// Unmet dependency count per job.
-    remaining: Vec<usize>,
+    frontier: Frontier,
     /// Attempts started per job (next assignment uses this number).
     attempts: Vec<u32>,
     /// Executing assignments, by job index.
@@ -364,14 +362,11 @@ pub struct Coordinator {
 impl Coordinator {
     /// Binds the control listener (use port 0 for an ephemeral port).
     pub fn bind(addr: &str) -> Result<Coordinator, OrchestratorError> {
-        let listener = TcpListener::bind(addr).map_err(|e| OrchestratorError::Io {
-            path: PathBuf::from(addr),
-            message: format!("bind control listener: {e}"),
-        })?;
-        let local = listener.local_addr().map_err(|e| OrchestratorError::Io {
-            path: PathBuf::from(addr),
-            message: format!("local_addr: {e}"),
-        })?;
+        let listener = TcpListener::bind(addr)
+            .map_err(|e| OrchestratorError::io(addr, format!("bind control listener: {e}")))?;
+        let local = listener
+            .local_addr()
+            .map_err(|e| OrchestratorError::io(addr, format!("local_addr: {e}")))?;
         Ok(Coordinator { listener, local })
     }
 
@@ -405,20 +400,10 @@ fn serve_impl(
 ) -> Result<CoordReport, OrchestratorError> {
     let wall_start = Stopwatch::start();
     let n = plan.jobs.len();
-    let index: BTreeMap<&str, usize> =
-        plan.jobs.iter().enumerate().map(|(i, j)| (j.id.as_str(), i)).collect();
-    let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, j) in plan.jobs.iter().enumerate() {
-        for d in &j.deps {
-            dependents[index[d.as_str()]].push(i);
-        }
-    }
+    let journal_path = dir.join(crate::journal::JOURNAL_FILE);
 
-    let store = FsStore::open(dir).map_err(|e| OrchestratorError::Io {
-        path: dir.join(crate::store::OBJECTS_DIR),
-        message: e.to_string(),
-    })?;
-    crate::pool::quarantine_stray_temp_files(dir, events);
+    let store = FsStore::open(dir)
+        .map_err(|e| OrchestratorError::io(dir.join(crate::store::OBJECTS_DIR), e))?;
     // Workers need an address for the shared store that survives their
     // own working directory; canonicalize, falling back to the raw path.
     let store_dir = std::fs::canonicalize(dir)
@@ -426,34 +411,20 @@ fn serve_impl(
         .to_string_lossy()
         .into_owned();
 
-    // ---- manifest recovery (same rules as the thread pool) -----------
-    let mut manifest = Manifest::new(opts.run_key.clone());
+    // ---- manifest recovery -------------------------------------------
+    let mut manifest = Manifest::open(dir, &opts.run_key, events);
     let mut done = BTreeMap::new();
     let mut payloads = BTreeMap::new();
     let mut stats: Vec<Option<JobStats>> = (0..n).map(|_| None).collect();
-    if let Some(old) = Manifest::load(dir) {
-        if old.run_key == opts.run_key {
-            manifest = old;
-            if opts.resume {
-                for (i, job) in plan.jobs.iter().enumerate() {
-                    let Some((text, entry)) = recover_text(dir, &mut manifest, &job.id, events)
-                    else {
-                        continue;
-                    };
-                    stats[i] = Some(JobStats {
-                        attempts: entry.attempts,
-                        wall_seconds: entry.wall_seconds,
-                        cpu_seconds: entry.cpu_seconds,
-                        skipped: true,
-                    });
-                    done.insert(i, entry.digest);
-                    payloads.insert(i, text);
-                }
+    if opts.resume {
+        for (i, job) in plan.jobs.iter().enumerate() {
+            // Distributed payloads are opaque text to the coordinator.
+            if let Some((text, entry)) = manifest.recover(dir, &job.id, events, Ok) {
+                stats[i] = Some(entry.stats());
+                done.insert(i, entry.digest);
+                payloads.insert(i, text);
             }
         }
-        // A different run_key leaves the objects in place: they are
-        // content-addressed, so only a digest match can resurrect one
-        // (cross-run dedup) and `netshare_cli gc` sweeps the rest.
     }
 
     // ---- journal recovery (the WAL heals what the manifest missed) ---
@@ -462,20 +433,14 @@ fn serve_impl(
     // those digests, re-verifies them through the store, and repairs
     // the manifest. See [`crate::journal`].
     if !opts.resume {
-        Journal::reset(dir).map_err(|e| OrchestratorError::Io {
-            path: dir.join(crate::journal::JOURNAL_FILE),
-            message: e.to_string(),
-        })?;
+        Journal::reset(dir).map_err(|e| OrchestratorError::io(&journal_path, e))?;
     }
-    let journal = Journal::open(dir).map_err(|e| OrchestratorError::Io {
-        path: dir.join(crate::journal::JOURNAL_FILE),
-        message: e.to_string(),
-    })?;
+    let journal = Journal::open(dir).map_err(|e| OrchestratorError::io(&journal_path, e))?;
     let mut healed: Vec<Event> = Vec::new();
     if opts.resume {
         for record in Journal::replay(dir, &opts.run_key) {
             let JournalRecord::Completed { job, digest } = record else { continue };
-            let Some(&i) = index.get(job.as_str()) else { continue };
+            let Some(i) = plan.graph.index_of(&job) else { continue };
             if done.contains_key(&i) {
                 continue;
             }
@@ -483,22 +448,10 @@ fn serve_impl(
             // back to the journalled address and decode as UTF-8.
             let Ok(bytes) = store.get(digest) else { continue };
             let Ok(text) = String::from_utf8(bytes) else { continue };
-            let generation = manifest.next_generation(&job);
-            manifest.record(ManifestEntry {
-                id: job.clone(),
-                generation,
-                file: Manifest::object_file(digest),
-                digest,
-                attempts: 1,
-                wall_seconds: 0.0,
-                cpu_seconds: 0.0,
-            });
-            stats[i] = Some(JobStats {
-                attempts: 1,
-                wall_seconds: 0.0,
-                cpu_seconds: 0.0,
-                skipped: true,
-            });
+            let healed_stats =
+                JobStats { attempts: 1, wall_seconds: 0.0, cpu_seconds: 0.0, skipped: true };
+            manifest.append(&job, digest, &healed_stats);
+            stats[i] = Some(healed_stats);
             done.insert(i, digest);
             payloads.insert(i, text);
             telemetry::metrics::counter("coord.journal_recoveries").inc();
@@ -507,15 +460,9 @@ fn serve_impl(
     }
     journal
         .append(&JournalRecord::Started { run_key: opts.run_key.clone() })
-        .map_err(|e| OrchestratorError::Io {
-            path: dir.join(crate::journal::JOURNAL_FILE),
-            message: e.to_string(),
-        })?;
+        .map_err(|e| OrchestratorError::io(&journal_path, e))?;
 
-    manifest.store(dir).map_err(|e| OrchestratorError::Io {
-        path: Manifest::path(dir),
-        message: e.to_string(),
-    })?;
+    manifest.store(dir).map_err(|e| OrchestratorError::io(Manifest::path(dir), e))?;
 
     events.emit(Event::RunStarted {
         run_key: opts.run_key.clone(),
@@ -534,22 +481,9 @@ fn serve_impl(
         events.emit(ev);
     }
 
-    let mut remaining = vec![0usize; n];
-    let mut ready = VecDeque::new();
-    for (i, j) in plan.jobs.iter().enumerate() {
-        if done.contains_key(&i) {
-            continue;
-        }
-        remaining[i] =
-            j.deps.iter().filter(|d| !done.contains_key(&index[d.as_str()])).count();
-        if remaining[i] == 0 {
-            ready.push_back(i);
-        }
-    }
     let shared = CoordShared {
         state: Mutex::new(CoordState {
-            ready,
-            remaining,
+            frontier: Frontier::seed(&plan.graph, |i| done.contains_key(&i)),
             attempts: vec![0; n],
             inflight: BTreeMap::new(),
             done,
@@ -566,10 +500,9 @@ fn serve_impl(
     let manifest = Mutex::new(manifest);
     let watchdog = Watchdog::new(opts.watchdog.clone());
 
-    listener.set_nonblocking(true).map_err(|e| OrchestratorError::Io {
-        path: dir.to_path_buf(),
-        message: format!("set_nonblocking: {e}"),
-    })?;
+    listener
+        .set_nonblocking(true)
+        .map_err(|e| OrchestratorError::io(dir, format!("set_nonblocking: {e}")))?;
 
     // `kill-coord` chaos fires coordinator-side in `handle_complete`;
     // every other class is interpreted worker-side (the spec travels in
@@ -584,8 +517,8 @@ fn serve_impl(
         events,
         shared: &shared,
         manifest: &manifest,
-        dependents: &dependents,
         watchdog: &watchdog,
+        dir,
         store: &store,
         store_dir: &store_dir,
         journal: &journal,
@@ -598,7 +531,7 @@ fn serve_impl(
             sweep_tripped(&ctx);
             {
                 let st = lock_state(&shared);
-                if st.failure.is_some() || st.done.len() == n {
+                if st.failure.is_some() || st.frontier.drained() {
                     break;
                 }
             }
@@ -690,8 +623,8 @@ struct SessionCtx<'a> {
     events: &'a EventLog,
     shared: &'a CoordShared,
     manifest: &'a Mutex<Manifest>,
-    dependents: &'a [Vec<usize>],
     watchdog: &'a Watchdog,
+    dir: &'a Path,
     store: &'a FsStore,
     store_dir: &'a str,
     journal: &'a Journal,
@@ -744,17 +677,12 @@ fn requeue_locked(
             attempts,
             error: error.to_string(),
         };
-        let ev = Event::JobFailed { job: job.clone(), attempts, error: error.to_string() };
-        if st.failure.is_none() {
-            st.failure = Some(err);
-            shared.shutdown.cancel(&format!("run failed: job `{job}`: {error}"));
-        }
+        fail_first(&mut st.failure, err, &shared.shutdown, &shared.cond);
         telemetry::metrics::counter("coord.failures").inc();
-        shared.cond.notify_all();
-        return vec![ev];
+        return vec![Event::JobFailed { job: job.clone(), attempts, error: error.to_string() }];
     }
     st.requeues += 1;
-    st.ready.push_back(idx);
+    st.frontier.requeue(idx);
     telemetry::metrics::counter("coord.requeues").inc();
     shared.cond.notify_all();
     vec![Event::JobRetried {
@@ -836,8 +764,7 @@ fn session(mut sock: TcpStream, ctx: &SessionCtx<'_>) {
     // (unregistered) as soon as the job completes, fails, or the session
     // ends. A guard whose watch already tripped is inert.
     let mut guards: BTreeMap<usize, WatchGuard<'_>> = BTreeMap::new();
-    let index: BTreeMap<&str, usize> =
-        ctx.plan.jobs.iter().enumerate().map(|(i, j)| (j.id.as_str(), i)).collect();
+    let graph = &ctx.plan.graph;
 
     while let Ok(frame) = read_ctrl(&mut sock, token) {
         match frame {
@@ -850,7 +777,7 @@ fn session(mut sock: TcpStream, ctx: &SessionCtx<'_>) {
                 }
             }
             CtrlFrame::Heartbeat { job, steps } => {
-                let Some(&i) = index.get(job.as_str()) else { continue };
+                let Some(i) = graph.index_of(&job) else { continue };
                 let st = lock_state(ctx.shared);
                 if let Some(inf) = st.inflight.get(&i) {
                     if inf.worker == worker {
@@ -859,12 +786,12 @@ fn session(mut sock: TcpStream, ctx: &SessionCtx<'_>) {
                 }
             }
             CtrlFrame::Complete { job, digest, wall_seconds, cpu_seconds } => {
-                let Some(&i) = index.get(job.as_str()) else { continue };
+                let Some(i) = graph.index_of(&job) else { continue };
                 guards.remove(&i);
                 handle_complete(ctx, &worker, i, digest, wall_seconds, cpu_seconds);
             }
             CtrlFrame::Fail { job, error } => {
-                let Some(&i) = index.get(job.as_str()) else { continue };
+                let Some(i) = graph.index_of(&job) else { continue };
                 guards.remove(&i);
                 let mut out = Vec::new();
                 {
@@ -936,19 +863,19 @@ fn next_assignment<'w>(
                 CtrlFrame::Error { code: "run-failed".into(), message: err.to_string() },
                 None,
             )
-        } else if st.done.len() == ctx.plan.jobs.len() {
+        } else if st.frontier.drained() {
             (CtrlFrame::Drained, None)
-        } else if let Some(i) = st.ready.pop_front() {
+        } else if let Some(i) = st.frontier.pop() {
             let attempt = st.attempts[i];
             st.attempts[i] += 1;
             let job = &ctx.plan.jobs[i];
+            // The frontier only readies a job once every dependency is
+            // done, so each index resolves to a recorded digest.
             let deps: BTreeMap<String, u64> = job
                 .deps
                 .iter()
-                .map(|d| {
-                    let di = ctx.plan.jobs.iter().position(|j| &j.id == d).unwrap_or(usize::MAX);
-                    (d.clone(), st.done.get(&di).copied().unwrap_or(0))
-                })
+                .zip(ctx.plan.graph.deps(i))
+                .map(|(d, di)| (d.clone(), st.done[di]))
                 .collect();
             let token = CancelToken::new();
             let heartbeat = Heartbeat::new();
@@ -1032,57 +959,24 @@ fn handle_complete(
                     std::process::abort();
                 }
             }
-            // Record under the manifest lock while holding the state
+            // Commit under the manifest lock while holding the state
             // lock: coord_state ranks above manifest, and publishing
             // before persisting would let a crash orphan the result.
-            {
+            let stats = JobStats { attempts, wall_seconds, cpu_seconds, skipped: false };
+            let committed = {
                 let mut m = ctx.manifest.lock().expect("manifest lock"); // lint: allow(panic-in-lib) poisoned manifest lock is unrecoverable // lint: lock-order(orchestrator.manifest)
-                let generation = m.next_generation(job);
-                m.record(ManifestEntry {
-                    id: job.clone(),
-                    generation,
-                    file: Manifest::object_file(digest),
-                    digest,
-                    attempts,
-                    wall_seconds,
-                    cpu_seconds,
-                });
-                for stale in m.prune(job, ctx.opts.keep_generations) {
-                    if !m.jobs.iter().any(|e| e.file == stale) {
-                        if let Some(d) = crate::store::parse_object_name(
-                            Path::new(&stale)
-                                .file_name()
-                                .and_then(|n| n.to_str())
-                                .unwrap_or(""),
-                        ) {
-                            let _ = ctx.store.remove(d);
-                        }
-                    }
-                }
-                if let Err(e) = m.store(dir_of(ctx.store)) {
-                    let err = OrchestratorError::Io {
-                        path: Manifest::path(dir_of(ctx.store)),
-                        message: e.to_string(),
-                    };
-                    ctx.shared.shutdown.cancel(&format!("run failed: {err}"));
-                    if st.failure.is_none() {
-                        st.failure = Some(err);
-                    }
-                    ctx.shared.cond.notify_all();
-                    return;
-                }
+                m.commit(ctx.dir, ctx.store, job, digest, &stats, ctx.opts.keep_generations)
+            };
+            if let Err(e) = committed {
+                let err = OrchestratorError::io(Manifest::path(ctx.dir), e);
+                fail_first(&mut st.failure, err, &ctx.shared.shutdown, &ctx.shared.cond);
+                return;
             }
             st.inflight.remove(&i);
             st.done.insert(i, digest);
             st.payloads.insert(i, text);
-            st.stats[i] =
-                Some(JobStats { attempts, wall_seconds, cpu_seconds, skipped: false });
-            for &k in &ctx.dependents[i] {
-                st.remaining[k] -= 1;
-                if st.remaining[k] == 0 {
-                    st.ready.push_back(k);
-                }
-            }
+            st.stats[i] = Some(stats);
+            st.frontier.complete(i);
             telemetry::metrics::counter("coord.completions").inc();
             out.push(Event::JobFinished {
                 job: job.clone(),
@@ -1105,52 +999,6 @@ fn handle_complete(
         }
     }
     publish(ctx, out);
-}
-
-/// The run directory a store is rooted in (its `objects/` parent).
-fn dir_of(store: &FsStore) -> &Path {
-    // lint: allow(panic-in-lib) FsStore::open always roots objects/ inside a run dir
-    store.objects_dir().parent().expect("objects dir has a parent")
-}
-
-/// Resume recovery for one distributed job: digest + UTF-8 verification
-/// of the recorded object, newest generation first, quarantining every
-/// entry that fails (same rules as [`crate::pool`]'s typed recovery,
-/// minus the JSON parse — distributed payloads are opaque text to the
-/// coordinator).
-fn recover_text(
-    dir: &Path,
-    manifest: &mut Manifest,
-    id: &str,
-    events: &EventLog,
-) -> Option<(String, ManifestEntry)> {
-    let gens: Vec<ManifestEntry> = manifest.generations(id).into_iter().cloned().collect();
-    for entry in gens {
-        let reason = match std::fs::read(dir.join(&entry.file)) {
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                manifest.remove(id, entry.generation);
-                continue;
-            }
-            Err(e) => format!("unreadable payload: {e}"),
-            Ok(bytes) if fnv1a64(&bytes) != entry.digest => {
-                format!("digest mismatch (expected {:#018x})", entry.digest)
-            }
-            Ok(bytes) => match String::from_utf8(bytes) {
-                Ok(text) => return Some((text, entry)),
-                Err(e) => format!("unparseable payload: invalid UTF-8: {e}"),
-            },
-        };
-        manifest.remove(id, entry.generation);
-        if quarantine(&dir.join(&entry.file)).is_ok() {
-            telemetry::metrics::counter("orchestrator.quarantines").inc();
-            events.emit(Event::CheckpointQuarantined {
-                job: id.to_string(),
-                file: entry.file.clone(),
-                reason,
-            });
-        }
-    }
-    None
 }
 
 #[cfg(test)]

@@ -1,7 +1,10 @@
-//! Job specifications and DAG validation.
+//! Job specifications, the validated [`Graph`] both engines schedule
+//! over, the ready-[`Frontier`] they embed, and the run error they share.
 
-use std::collections::BTreeMap;
-use std::sync::Arc;
+use crate::cancel::CancelToken;
+use std::collections::{BTreeMap, VecDeque};
+use std::path::PathBuf;
+use std::sync::{Arc, Condvar};
 
 /// The boxed job body: receives the outputs of its dependencies, returns
 /// the job's payload or an error message. Must be `Send + Sync` because
@@ -61,43 +64,54 @@ impl<P> JobInputs<P> {
     }
 }
 
-/// A validated job DAG.
-pub struct Plan<'a, P> {
-    pub(crate) jobs: Vec<JobSpec<'a, P>>,
-    /// `order[k]` = index into `jobs` of the k-th job in one valid
-    /// topological order (used only for validation; execution order is
+/// The validated shape of a job DAG: ids resolved to declaration-order
+/// indices, edges in both directions. [`Plan`] and
+/// [`DistPlan`](crate::coord::DistPlan) each hold the one their
+/// constructor validated, so no scheduler resolves an id twice.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Graph {
+    index: BTreeMap<String, usize>,
+    deps: Vec<Vec<usize>>,
+    /// Shared with every [`Frontier`] seeded from this graph.
+    dependents: Arc<[Vec<usize>]>,
+    /// One valid topological order (diagnostics only; execution order is
     /// dynamic).
-    pub(crate) topo: Vec<usize>,
+    topo: Vec<usize>,
 }
 
-impl<'a, P> Plan<'a, P> {
-    /// Validates a job list into a plan: ids must be unique and non-empty,
-    /// dependencies must name existing jobs, and the graph must be acyclic.
-    pub fn new(jobs: Vec<JobSpec<'a, P>>) -> Result<Self, String> {
-        let mut index: BTreeMap<&str, usize> = BTreeMap::new();
-        for (i, j) in jobs.iter().enumerate() {
-            if j.id.is_empty() {
+impl Graph {
+    /// Validates `(id, dependency ids)` pairs: ids must be unique and
+    /// non-empty, dependencies must name existing jobs, and the graph
+    /// must be acyclic.
+    pub fn new<'a>(
+        jobs: impl IntoIterator<Item = (&'a str, &'a [String])>,
+    ) -> Result<Graph, String> {
+        let jobs: Vec<(&str, &[String])> = jobs.into_iter().collect();
+        let mut index: BTreeMap<String, usize> = BTreeMap::new();
+        for (i, (id, _)) in jobs.iter().enumerate() {
+            if id.is_empty() {
                 return Err("job id must be non-empty".into());
             }
-            if index.insert(j.id.as_str(), i).is_some() {
-                return Err(format!("duplicate job id `{}`", j.id));
+            if index.insert(id.to_string(), i).is_some() {
+                return Err(format!("duplicate job id `{id}`"));
             }
         }
-        let mut indegree = vec![0usize; jobs.len()];
+        let mut deps: Vec<Vec<usize>> = vec![Vec::new(); jobs.len()];
         let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); jobs.len()];
-        for (i, j) in jobs.iter().enumerate() {
-            for d in &j.deps {
+        for (i, (id, job_deps)) in jobs.iter().enumerate() {
+            for d in job_deps.iter() {
                 let Some(&di) = index.get(d.as_str()) else {
-                    return Err(format!("job `{}` depends on unknown job `{d}`", j.id));
+                    return Err(format!("job `{id}` depends on unknown job `{d}`"));
                 };
                 if di == i {
-                    return Err(format!("job `{}` depends on itself", j.id));
+                    return Err(format!("job `{id}` depends on itself"));
                 }
-                indegree[i] += 1;
+                deps[i].push(di);
                 dependents[di].push(i);
             }
         }
         // Kahn's algorithm; a leftover node means a cycle.
+        let mut indegree: Vec<usize> = deps.iter().map(Vec::len).collect();
         let mut ready: Vec<usize> = (0..jobs.len()).filter(|&i| indegree[i] == 0).collect();
         let mut topo = Vec::with_capacity(jobs.len());
         while let Some(i) = ready.pop() {
@@ -112,17 +126,209 @@ impl<'a, P> Plan<'a, P> {
         if topo.len() != jobs.len() {
             let stuck: Vec<&str> = (0..jobs.len())
                 .filter(|&i| indegree[i] > 0)
-                .map(|i| jobs[i].id.as_str())
+                .map(|i| jobs[i].0)
                 .collect();
             return Err(format!("job graph has a cycle involving {stuck:?}"));
         }
-        Ok(Plan { jobs, topo })
+        Ok(Graph { index, deps, dependents: dependents.into(), topo })
+    }
+
+    /// Number of jobs.
+    pub fn len(&self) -> usize {
+        self.deps.len()
+    }
+
+    /// Whether the graph has no jobs.
+    pub fn is_empty(&self) -> bool {
+        self.deps.is_empty()
+    }
+
+    /// The declaration-order index of job `id`.
+    pub fn index_of(&self, id: &str) -> Option<usize> {
+        self.index.get(id).copied()
+    }
+
+    /// Indices of job `i`'s dependencies, in the order it declared them.
+    pub fn deps(&self, i: usize) -> &[usize] {
+        &self.deps[i]
+    }
+}
+
+/// The scheduling state of one run over a [`Graph`]: which jobs may be
+/// handed out now. Pure bookkeeping — no lock, no I/O, no clock — so both
+/// engines embed it under their own scheduler lock and a test can drive
+/// it directly. A job is *out* between [`Frontier::pop`] and the
+/// [`Frontier::complete`] or [`Frontier::requeue`] that answers it.
+#[derive(Debug, Clone)]
+pub struct Frontier {
+    dependents: Arc<[Vec<usize>]>,
+    /// Unfinished dependency count per unfinished job.
+    remaining: Vec<usize>,
+    ready: VecDeque<usize>,
+    done: Vec<bool>,
+    completed: usize,
+}
+
+impl Frontier {
+    /// The frontier of a run in which every job `i` with `done(i)` is
+    /// already satisfied (resume). The done set need not be closed under
+    /// dependencies: a satisfied job whose dependency re-executes stays
+    /// satisfied.
+    pub fn seed(graph: &Graph, done: impl Fn(usize) -> bool) -> Frontier {
+        let done: Vec<bool> = (0..graph.len()).map(done).collect();
+        let remaining: Vec<usize> = graph
+            .deps
+            .iter()
+            .map(|deps| deps.iter().filter(|&&d| !done[d]).count())
+            .collect();
+        Frontier {
+            dependents: Arc::clone(&graph.dependents),
+            ready: (0..graph.len()).filter(|&i| !done[i] && remaining[i] == 0).collect(),
+            completed: done.iter().filter(|&&d| d).count(),
+            remaining,
+            done,
+        }
+    }
+
+    /// Hands out the next ready job, if any.
+    pub fn pop(&mut self) -> Option<usize> {
+        self.ready.pop_front()
+    }
+
+    /// Marks job `i` finished and readies every dependent it was the last
+    /// unfinished dependency of. Completing a finished job is a no-op.
+    pub fn complete(&mut self, i: usize) {
+        if std::mem::replace(&mut self.done[i], true) {
+            return;
+        }
+        self.completed += 1;
+        for &k in &self.dependents[i] {
+            if self.done[k] {
+                continue;
+            }
+            self.remaining[k] -= 1;
+            if self.remaining[k] == 0 {
+                self.ready.push_back(k);
+            }
+        }
+    }
+
+    /// Puts an out job back at the end of the ready queue (its attempt was
+    /// lost or failed and will be retried).
+    pub fn requeue(&mut self, i: usize) {
+        self.ready.push_back(i);
+    }
+
+    /// Whether every job is finished.
+    pub fn drained(&self) -> bool {
+        self.completed == self.done.len()
+    }
+}
+
+/// Why a run failed.
+#[derive(Debug)]
+pub enum OrchestratorError {
+    /// The job list failed validation (duplicate id, unknown dep, cycle).
+    InvalidPlan(String),
+    /// A checkpoint/manifest filesystem operation failed.
+    Io {
+        /// Offending path.
+        path: PathBuf,
+        /// OS error text.
+        message: String,
+    },
+    /// A payload failed to serialize or deserialize.
+    Codec {
+        /// Job whose payload was involved.
+        job: String,
+        /// Codec error text.
+        message: String,
+    },
+    /// A job exhausted its retries.
+    JobFailed {
+        /// Job id.
+        job: String,
+        /// Attempts executed.
+        attempts: u32,
+        /// Final failure (panic message or job error).
+        error: String,
+    },
+}
+
+impl OrchestratorError {
+    pub(crate) fn io(path: impl Into<PathBuf>, error: impl std::fmt::Display) -> Self {
+        OrchestratorError::Io { path: path.into(), message: error.to_string() }
+    }
+}
+
+impl std::fmt::Display for OrchestratorError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            OrchestratorError::InvalidPlan(m) => write!(f, "invalid job plan: {m}"),
+            OrchestratorError::Io { path, message } => {
+                write!(f, "checkpoint I/O failed at {}: {message}", path.display())
+            }
+            OrchestratorError::Codec { job, message } => {
+                write!(f, "payload codec failed for job `{job}`: {message}")
+            }
+            OrchestratorError::JobFailed { job, attempts, error } => {
+                write!(f, "job `{job}` failed after {attempts} attempt(s): {error}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for OrchestratorError {}
+
+/// Records the first hard failure of a run in `slot` (the caller holds
+/// the scheduler lock it lives under), cancels `cancel` so backoffs,
+/// injected hangs and blocked reads wake, and wakes every thread parked
+/// on `cond` so the run winds down. Later failures only re-notify.
+pub(crate) fn fail_first(
+    slot: &mut Option<OrchestratorError>,
+    err: OrchestratorError,
+    cancel: &CancelToken,
+    cond: &Condvar,
+) {
+    if slot.is_none() {
+        cancel.cancel(&format!("run failed: {err}"));
+        *slot = Some(err);
+    }
+    cond.notify_all();
+}
+
+/// The message a caught panic carried (`panic!` with a literal or a
+/// formatted string; anything else is opaque). Pass `&*payload`, not
+/// `&payload`: a `&Box<dyn Any>` would itself coerce to `&dyn Any` and
+/// the downcasts would miss.
+pub(crate) fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = panic.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = panic.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".into()
+    }
+}
+
+/// A validated job DAG.
+pub struct Plan<'a, P> {
+    pub(crate) jobs: Vec<JobSpec<'a, P>>,
+    pub(crate) graph: Graph,
+}
+
+impl<'a, P> Plan<'a, P> {
+    /// Validates a job list into a plan: ids must be unique and non-empty,
+    /// dependencies must name existing jobs, and the graph must be acyclic.
+    pub fn new(jobs: Vec<JobSpec<'a, P>>) -> Result<Self, String> {
+        let graph = Graph::new(jobs.iter().map(|j| (j.id.as_str(), j.deps.as_slice())))?;
+        Ok(Plan { jobs, graph })
     }
 
     /// Job ids in one valid topological order (for diagnostics; execution
     /// order is dynamic, driven by dependency completion).
     pub fn topo_order(&self) -> impl Iterator<Item = &str> {
-        self.topo.iter().map(|&i| self.jobs[i].id.as_str())
+        self.graph.topo.iter().map(|&i| self.jobs[i].id.as_str())
     }
 
     /// Number of jobs in the plan.
@@ -166,7 +372,7 @@ mod tests {
         .unwrap();
         assert_eq!(p.len(), 4);
         // `a` must precede everything in the topological order.
-        let pos = |id: &str| p.topo.iter().position(|&i| p.jobs[i].id == id).unwrap();
+        let pos = |id: &str| p.topo_order().position(|j| j == id).unwrap();
         assert!(pos("a") < pos("b") && pos("a") < pos("c") && pos("b") < pos("d"));
     }
 

@@ -9,7 +9,8 @@
 //!
 //! * **Job DAG** ([`JobSpec`], [`Plan`]): jobs are named closures with
 //!   explicit dependencies; the plan is validated (unique ids, known deps,
-//!   acyclic) before anything runs.
+//!   acyclic) before anything runs, and keeps what validation resolved as
+//!   a [`Graph`] of indices.
 //! * **Bounded worker pool** ([`run`]): `workers` scoped threads pull ready
 //!   jobs from a shared queue; completion unlocks dependents. Job outputs
 //!   are pure functions of their inputs, so results are identical at any
@@ -48,6 +49,22 @@
 //!   a SIGKILLed worker's jobs are detected (dead socket or stale
 //!   heartbeat) and requeued, and the final artifacts are bitwise
 //!   identical to a single-process run.
+//!
+//! ## Two front-ends, one engine underneath
+//!
+//! [`pool`] (scoped threads pulling closures) and [`coord`] (TCP sessions
+//! handing out specs) differ only in how work reaches an executor and in
+//! what a failed attempt costs. Everything below that exists once:
+//!
+//! | step | where | used by |
+//! |---|---|---|
+//! | validated graph, ready-[`Frontier`] | [`dag`] | both |
+//! | open / recover / commit a run directory | [`Manifest::open`], [`Manifest::recover`], [`Manifest::commit`] | both |
+//! | persist-phase faults (`slow-io`, `corrupt-*`) | [`chaos::put_with_fault`] | pool, worker |
+//! | first hard failure: record, cancel, notify | `dag::fail_first` | both |
+//! | attempt faults (`panic` / `transient` / `hang`) | per engine | the pool really panics inside `catch_unwind`; a worker sends `Fail` |
+//! | retry policy | per engine | the pool retries in-thread with backoff; the coordinator requeues |
+//! | write-ahead journal | [`journal`] | coordinator only |
 
 #![warn(missing_docs)]
 
@@ -74,11 +91,11 @@ pub use netfault::{NetFaultClass, NetFaultPlan, NETFAULT_GRAMMAR};
 pub use coord::{
     sim_plan, CoordOptions, CoordReport, Coordinator, CtrlFrame, DistJob, DistPlan, COORD_VERSION,
 };
-pub use dag::{JobInputs, JobSpec, Plan};
+pub use dag::{Frontier, Graph, JobInputs, JobSpec, OrchestratorError, Plan};
 pub use events::{Event, EventLog};
 pub use journal::{Journal, JournalRecord};
-pub use manifest::{atomic_write, fnv1a64, quarantine, Manifest, ManifestEntry};
-pub use pool::{run, JobStats, OrchestratorError, RunOptions, RunReport};
+pub use manifest::{atomic_write, fnv1a64, quarantine, JobStats, Manifest, ManifestEntry};
+pub use pool::{run, RunOptions, RunReport};
 pub use store::{FsStore, GcReport, ObjectStore, PutOutcome};
 pub use timing::{measure, thread_cpu_seconds, Heartbeat};
 pub use watchdog::{WatchGuard, Watchdog, WatchdogOptions};

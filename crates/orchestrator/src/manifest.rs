@@ -31,7 +31,16 @@
 //! bad file is [`quarantine`]d (atomic rename to `<file>.quarantine`) and
 //! recovery falls back to the next-newest verified generation instead of
 //! aborting the run.
+//!
+//! Both engines ([`crate::pool`] and [`crate::coord`]) go through the same
+//! three steps here, so the crash-safety rules of a run directory are
+//! decided once: [`Manifest::open`] (what is swept, when history is
+//! adopted), [`Manifest::recover`] (what is quarantined), and
+//! [`Manifest::commit`] (when a generation becomes visible, when an
+//! object may be deleted).
 
+use crate::events::{Event, EventLog};
+use crate::store::ObjectStore;
 use serde::{Deserialize, Serialize};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -61,6 +70,32 @@ pub struct ManifestEntry {
     pub wall_seconds: f64,
     /// CPU seconds of the original execution.
     pub cpu_seconds: f64,
+}
+
+impl ManifestEntry {
+    /// The accounting a resumed run reports for a job this entry satisfied.
+    pub fn stats(&self) -> JobStats {
+        JobStats {
+            attempts: self.attempts,
+            wall_seconds: self.wall_seconds,
+            cpu_seconds: self.cpu_seconds,
+            skipped: true,
+        }
+    }
+}
+
+/// Per-job execution accounting.
+#[derive(Debug, Clone, PartialEq)]
+pub struct JobStats {
+    /// Attempts executed (1 = first try succeeded). For skipped jobs, the
+    /// attempts recorded when the job originally ran.
+    pub attempts: u32,
+    /// Wall seconds across attempts (manifest value for skipped jobs).
+    pub wall_seconds: f64,
+    /// CPU seconds across attempts (manifest value for skipped jobs).
+    pub cpu_seconds: f64,
+    /// Whether the manifest satisfied this job without execution.
+    pub skipped: bool,
 }
 
 /// The completed-job registry of a run directory.
@@ -105,6 +140,112 @@ impl Manifest {
         (m.version == MANIFEST_VERSION).then_some(m)
     }
 
+    /// Opens a run directory for a run under `run_key`. Torn temp files
+    /// from an interrupted atomic write are quarantined up front, on fresh
+    /// and resumed runs alike: nothing may ever mistake half a payload for
+    /// a checkpoint. A manifest written under the same key is adopted with
+    /// its generation history (training is deterministic under one
+    /// `run_key`, so old generations remain valid fallbacks even when this
+    /// run re-executes every job). Under a different key the old run's
+    /// *references* are void and the result is empty, but its objects
+    /// stay: they are content-addressed, so the new run can only ever
+    /// trust one after a digest match (cross-run dedup), and anything left
+    /// unreferenced is exactly what `netshare_cli gc` sweeps.
+    pub fn open(dir: &Path, run_key: &str, events: &EventLog) -> Manifest {
+        quarantine_stray_temp_files(dir, events);
+        match Manifest::load(dir) {
+            Some(old) if old.run_key == run_key => old,
+            _ => Manifest::new(run_key),
+        }
+    }
+
+    /// Resume recovery for one job: walks its recorded generations newest
+    /// first, quarantining every generation that fails verification
+    /// (digest mismatch, invalid UTF-8, or a payload `decode` rejects),
+    /// and returns the first good one. Bad entries are dropped from the
+    /// manifest so they are never consulted again.
+    pub fn recover<T>(
+        &mut self,
+        dir: &Path,
+        id: &str,
+        events: &EventLog,
+        decode: impl Fn(String) -> Result<T, String>,
+    ) -> Option<(T, ManifestEntry)> {
+        let gens: Vec<ManifestEntry> = self.generations(id).into_iter().cloned().collect();
+        for entry in gens {
+            // Read raw bytes: a flipped byte can leave the file invalid
+            // UTF-8, which must still count as corruption (quarantine),
+            // not absence.
+            let reason = match std::fs::read(dir.join(&entry.file)) {
+                Err(e) if e.kind() == io::ErrorKind::NotFound => {
+                    // Nothing on disk to quarantine; just forget the entry.
+                    self.remove(id, entry.generation);
+                    continue;
+                }
+                Err(e) => format!("unreadable payload: {e}"),
+                Ok(bytes) if fnv1a64(&bytes) != entry.digest => {
+                    format!("digest mismatch (expected {:#018x})", entry.digest)
+                }
+                Ok(bytes) => match String::from_utf8(bytes) {
+                    Err(e) => format!("unparseable payload: invalid UTF-8: {e}"),
+                    Ok(text) => match decode(text) {
+                        Ok(payload) => return Some((payload, entry)),
+                        Err(e) => format!("unparseable payload: {e}"),
+                    },
+                },
+            };
+            self.remove(id, entry.generation);
+            if quarantine(&dir.join(&entry.file)).is_ok() {
+                telemetry::metrics::counter("orchestrator.quarantines").inc();
+                events.emit(Event::CheckpointQuarantined {
+                    job: id.to_string(),
+                    file: entry.file.clone(),
+                    reason,
+                });
+            }
+        }
+        None
+    }
+
+    /// Appends the next generation of `id`, referencing the object at
+    /// `digest` (which must already be fully in the store).
+    pub fn append(&mut self, id: &str, digest: u64, stats: &JobStats) {
+        self.record(ManifestEntry {
+            id: id.to_string(),
+            generation: self.next_generation(id),
+            file: Manifest::object_file(digest),
+            digest,
+            attempts: stats.attempts,
+            wall_seconds: stats.wall_seconds,
+            cpu_seconds: stats.cpu_seconds,
+        });
+    }
+
+    /// Commits one completion: appends the next generation of `id`, prunes
+    /// its history to the newest `keep`, and persists the manifest into
+    /// `dir`. A pruned generation's object is deleted from `store` (the
+    /// one `dir` was opened with) only once no surviving entry of any job
+    /// references its digest — identical payloads dedup to one object.
+    /// Pruned generations were verified when written, so this is plain
+    /// deletion, not quarantine.
+    pub fn commit(
+        &mut self,
+        dir: &Path,
+        store: &impl ObjectStore,
+        id: &str,
+        digest: u64,
+        stats: &JobStats,
+        keep: usize,
+    ) -> io::Result<()> {
+        self.append(id, digest, stats);
+        for stale in self.prune(id, keep) {
+            if !self.jobs.iter().any(|e| e.digest == stale.digest) {
+                let _ = store.remove(stale.digest);
+            }
+        }
+        self.store(dir)
+    }
+
     /// Atomically persists the manifest into `dir`.
     pub fn store(&self, dir: &Path) -> io::Result<()> {
         let text = serde_json::to_string_pretty(self)
@@ -144,23 +285,18 @@ impl Manifest {
     }
 
     /// Keeps only the newest `keep` generations of `id`, returning the
-    /// relative payload files of the dropped ones. `keep` is clamped to
-    /// at least 1. With content addressing a file may back *several*
-    /// entries (dedup), so the caller must check no surviving entry still
-    /// references a returned file before deleting it — or leave deletion
-    /// to the GC sweep entirely.
-    pub fn prune(&mut self, id: &str, keep: usize) -> Vec<String> {
-        let keep = keep.max(1);
-        let stale: Vec<(u64, String)> = self
-            .generations(id)
-            .into_iter()
-            .skip(keep)
-            .map(|e| (e.generation, e.file.clone()))
-            .collect();
-        for (generation, _) in &stale {
-            self.remove(id, *generation);
+    /// dropped entries (newest first). `keep` is clamped to at least 1.
+    /// With content addressing an object may back *several* entries
+    /// (dedup), so the caller must check no surviving entry still
+    /// references a returned digest before deleting it (as
+    /// [`Manifest::commit`] does) — or leave deletion to the GC sweep.
+    pub fn prune(&mut self, id: &str, keep: usize) -> Vec<ManifestEntry> {
+        let stale: Vec<ManifestEntry> =
+            self.generations(id).into_iter().skip(keep.max(1)).cloned().collect();
+        for e in &stale {
+            self.remove(id, e.generation);
         }
-        stale.into_iter().map(|(_, f)| f).collect()
+        stale
     }
 
     /// Reads and verifies one recorded generation: the file must exist and
@@ -193,6 +329,33 @@ pub fn quarantine(path: &Path) -> io::Result<PathBuf> {
     let dest = path.with_file_name(format!("{file_name}.quarantine"));
     std::fs::rename(path, &dest)?;
     Ok(dest)
+}
+
+/// Quarantines leftover `.tmp.` files from interrupted atomic writes in
+/// the run directory, its object store, and the pre-v3 `jobs/` payload
+/// directory (best-effort) — the last still patrolled so a run directory
+/// carried forward from the path-named layout cannot hide a torn
+/// fragment there.
+fn quarantine_stray_temp_files(dir: &Path, events: &EventLog) {
+    for sub in ["", crate::store::OBJECTS_DIR, "jobs"] {
+        let scan = if sub.is_empty() { dir.to_path_buf() } else { dir.join(sub) };
+        let Ok(rd) = std::fs::read_dir(&scan) else { continue };
+        for e in rd.flatten() {
+            let name = e.file_name().to_string_lossy().into_owned();
+            if !name.contains(".tmp.") || name.ends_with(".quarantine") {
+                continue;
+            }
+            let rel = if sub.is_empty() { name.clone() } else { format!("{sub}/{name}") };
+            if quarantine(&e.path()).is_ok() {
+                telemetry::metrics::counter("orchestrator.quarantines").inc();
+                events.emit(Event::CheckpointQuarantined {
+                    job: String::new(),
+                    file: rel,
+                    reason: "torn temp file from an interrupted write".into(),
+                });
+            }
+        }
+    }
 }
 
 /// Writes `bytes` to `path` atomically: a unique temp file in the same
@@ -301,7 +464,7 @@ mod tests {
             m.record(entry("a", g, g));
         }
         m.record(entry("b", 1, 7));
-        let stale = m.prune("a", 2);
+        let stale: Vec<String> = m.prune("a", 2).into_iter().map(|e| e.file).collect();
         assert_eq!(
             stale,
             vec![

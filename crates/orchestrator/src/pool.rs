@@ -10,22 +10,25 @@
 //! of job inputs, which makes results identical at any worker count — the
 //! scheduler only decides *when*, never *what*.
 //!
-//! Checkpoints are generational: each completion appends a new verified
-//! generation, recovery walks generations newest-first, and a corrupt
-//! file is quarantined (renamed to `*.quarantine`) instead of aborting
-//! the run. Fault injection is a structured [`ChaosPlan`] covering panic,
-//! transient-error, hang, slow-I/O, and corruption fault classes.
+//! This module is the in-process *front-end* only: scoped threads
+//! pulling closures, real panics, retry-in-thread with backoff. What it
+//! schedules over ([`crate::dag::Graph`], [`crate::dag::Frontier`]), how
+//! a run directory is opened, recovered and committed
+//! ([`Manifest::open`] / [`Manifest::recover`] / [`Manifest::commit`]),
+//! and how persist-phase chaos faults strike a checkpoint write
+//! ([`chaos::put_with_fault`]) are shared with the process coordinator
+//! in [`crate::coord`].
 
 use crate::cancel::CancelToken;
 use crate::chaos::{self, ChaosPlan, FaultClass};
-use crate::dag::{JobInputs, Plan};
+use crate::dag::{fail_first, panic_message, Frontier, JobInputs, OrchestratorError, Plan};
 use crate::events::{Event, EventLog};
-use crate::manifest::{fnv1a64, quarantine, Manifest, ManifestEntry};
-use crate::store::{FsStore, ObjectStore};
+use crate::manifest::{fnv1a64, JobStats, Manifest};
+use crate::store::FsStore;
 use crate::timing::{measure, Heartbeat, Stopwatch};
 use crate::watchdog::{Watchdog, WatchdogOptions};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
@@ -79,69 +82,6 @@ impl Default for RunOptions {
     }
 }
 
-/// Why a run failed.
-#[derive(Debug)]
-pub enum OrchestratorError {
-    /// The job list failed validation (duplicate id, unknown dep, cycle).
-    InvalidPlan(String),
-    /// A checkpoint/manifest filesystem operation failed.
-    Io {
-        /// Offending path.
-        path: PathBuf,
-        /// OS error text.
-        message: String,
-    },
-    /// A payload failed to serialize or deserialize.
-    Codec {
-        /// Job whose payload was involved.
-        job: String,
-        /// Codec error text.
-        message: String,
-    },
-    /// A job exhausted its retries.
-    JobFailed {
-        /// Job id.
-        job: String,
-        /// Attempts executed.
-        attempts: u32,
-        /// Final failure (panic message or job error).
-        error: String,
-    },
-}
-
-impl std::fmt::Display for OrchestratorError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            OrchestratorError::InvalidPlan(m) => write!(f, "invalid job plan: {m}"),
-            OrchestratorError::Io { path, message } => {
-                write!(f, "checkpoint I/O failed at {}: {message}", path.display())
-            }
-            OrchestratorError::Codec { job, message } => {
-                write!(f, "payload codec failed for job `{job}`: {message}")
-            }
-            OrchestratorError::JobFailed { job, attempts, error } => {
-                write!(f, "job `{job}` failed after {attempts} attempt(s): {error}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for OrchestratorError {}
-
-/// Per-job execution accounting.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JobStats {
-    /// Attempts executed (1 = first try succeeded). For skipped jobs, the
-    /// attempts recorded when the job originally ran.
-    pub attempts: u32,
-    /// Wall seconds across attempts (manifest value for skipped jobs).
-    pub wall_seconds: f64,
-    /// CPU seconds across attempts (manifest value for skipped jobs).
-    pub cpu_seconds: f64,
-    /// Whether the manifest satisfied this job without execution.
-    pub skipped: bool,
-}
-
 /// The result of a successful run.
 pub struct RunReport<P> {
     /// Every job's payload, keyed by job id.
@@ -160,13 +100,11 @@ pub struct RunReport<P> {
 
 /// Scheduler bookkeeping shared by the workers.
 struct SchedState<P> {
-    ready: VecDeque<usize>,
-    /// Unmet dependency count per job.
-    remaining: Vec<usize>,
+    frontier: Frontier,
     /// Published outputs (resumed and executed), by job index.
     outputs: BTreeMap<usize, Arc<P>>,
-    /// Stats of jobs executed this run, by job index.
-    executed: Vec<Option<JobStats>>,
+    /// Stats of resumed and executed jobs, by job index.
+    stats: Vec<Option<JobStats>>,
     /// First hard failure; set once, cancels all pending work.
     failure: Option<OrchestratorError>,
 }
@@ -194,77 +132,36 @@ where
 {
     let wall_start = Stopwatch::start();
     let n = plan.jobs.len();
-    let index: BTreeMap<&str, usize> = plan
-        .jobs
-        .iter()
-        .enumerate()
-        .map(|(i, j)| (j.id.as_str(), i))
-        .collect();
-    let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, j) in plan.jobs.iter().enumerate() {
-        for d in &j.deps {
-            dependents[index[d.as_str()]].push(i);
-        }
-    }
 
-    // ---- manifest recovery -------------------------------------------
-    let mut manifest = Manifest::new(opts.run_key.clone());
-    let mut resumed: BTreeMap<usize, Arc<P>> = BTreeMap::new();
-    let mut resumed_stats: BTreeMap<String, JobStats> = BTreeMap::new();
-    let store = match &opts.checkpoint_dir {
-        Some(dir) => Some(FsStore::open(dir).map_err(|e| OrchestratorError::Io {
-            path: dir.join(crate::store::OBJECTS_DIR),
-            message: e.to_string(),
-        })?),
+    // ---- run-directory recovery --------------------------------------
+    let run_dir = match opts.checkpoint_dir.as_deref() {
+        Some(dir) => Some((
+            dir,
+            FsStore::open(dir)
+                .map_err(|e| OrchestratorError::io(dir.join(crate::store::OBJECTS_DIR), e))?,
+        )),
         None => None,
     };
-    if let Some(dir) = &opts.checkpoint_dir {
-        // Torn temp files from an interrupted atomic write are quarantined
-        // up front, on fresh and resumed runs alike: nothing may ever
-        // mistake half a payload for a checkpoint.
-        quarantine_stray_temp_files(dir, events);
-        match Manifest::load(dir) {
-            Some(old) if old.run_key == opts.run_key => {
-                // Same configuration fingerprint: adopt the generation
-                // history (training is deterministic under one run_key, so
-                // old generations remain valid fallbacks even when this
-                // run re-executes every job).
-                manifest = old;
-                if opts.resume {
-                    for (i, job) in plan.jobs.iter().enumerate() {
-                        let Some((payload, entry)) =
-                            recover_job::<P>(dir, &mut manifest, &job.id, events)
-                        else {
-                            continue;
-                        };
-                        resumed_stats.insert(
-                            job.id.clone(),
-                            JobStats {
-                                attempts: entry.attempts,
-                                wall_seconds: entry.wall_seconds,
-                                cpu_seconds: entry.cpu_seconds,
-                                skipped: true,
-                            },
-                        );
-                        resumed.insert(i, Arc::new(payload));
-                    }
+    let mut manifest = match &run_dir {
+        Some((dir, _)) => Manifest::open(dir, &opts.run_key, events),
+        None => Manifest::new(opts.run_key.clone()),
+    };
+    let mut resumed: BTreeMap<usize, Arc<P>> = BTreeMap::new();
+    let mut stats: Vec<Option<JobStats>> = (0..n).map(|_| None).collect();
+    if let Some((dir, _)) = &run_dir {
+        if opts.resume {
+            let decode =
+                |text: String| serde_json::from_str::<P>(&text).map_err(|e| e.to_string());
+            for (i, job) in plan.jobs.iter().enumerate() {
+                if let Some((payload, entry)) = manifest.recover(dir, &job.id, events, decode) {
+                    stats[i] = Some(entry.stats());
+                    resumed.insert(i, Arc::new(payload));
                 }
             }
-            Some(_) => {
-                // Different configuration: the old run's *references* are
-                // void, but its objects stay — they are content-addressed,
-                // so the new run can only ever trust one after a digest
-                // match (cross-run dedup), and anything left unreferenced
-                // is exactly what `netshare_cli gc` sweeps.
-            }
-            None => {}
         }
         // Persist immediately: a fresh run truncates any stale manifest so
         // a later resume can never mix runs.
-        manifest.store(dir).map_err(|e| OrchestratorError::Io {
-            path: Manifest::path(dir),
-            message: e.to_string(),
-        })?;
+        manifest.store(dir).map_err(|e| OrchestratorError::io(Manifest::path(dir), e))?;
     }
 
     let pending = n - resumed.len();
@@ -287,28 +184,11 @@ where
         }
     }
 
-    // ---- scheduling state --------------------------------------------
-    let mut remaining = vec![0usize; n];
-    let mut ready = VecDeque::new();
-    for (i, j) in plan.jobs.iter().enumerate() {
-        if resumed.contains_key(&i) {
-            continue;
-        }
-        remaining[i] = j
-            .deps
-            .iter()
-            .filter(|d| !resumed.contains_key(&index[d.as_str()]))
-            .count();
-        if remaining[i] == 0 {
-            ready.push_back(i);
-        }
-    }
     let shared = Shared {
         state: Mutex::new(SchedState {
-            ready,
-            remaining,
+            frontier: Frontier::seed(&plan.graph, |i| resumed.contains_key(&i)),
             outputs: resumed,
-            executed: (0..n).map(|_| None).collect(),
+            stats,
             failure: None,
         }),
         cond: Condvar::new(),
@@ -326,8 +206,8 @@ where
                 .map(|_| {
                     s.spawn(|| {
                         worker_loop(
-                            plan, opts, events, &shared, &manifest, &dependents, &watchdog,
-                            store.as_ref(),
+                            plan, opts, events, &shared, &manifest, &watchdog,
+                            run_dir.as_ref(),
                         )
                     })
                 })
@@ -352,12 +232,12 @@ where
         return Err(err);
     }
     let mut outputs = BTreeMap::new();
-    let mut stats = resumed_stats;
+    let mut stats = BTreeMap::new();
     for (i, job) in plan.jobs.iter().enumerate() {
         // lint: allow(panic-in-lib) failure was None, so every job published an output
         let p = st.outputs.remove(&i).expect("completed run has every output");
         outputs.insert(job.id.clone(), p);
-        if let Some(js) = st.executed[i].take() {
+        if let Some(js) = st.stats[i].take() {
             stats.insert(job.id.clone(), js);
         }
     }
@@ -381,102 +261,19 @@ where
     Ok(report)
 }
 
-/// Quarantines leftover `.tmp.` files from interrupted atomic writes in
-/// the run directory and its `jobs/` subdirectory (best-effort). Shared
-/// with the process coordinator ([`crate::coord`]), whose recovery path
-/// patrols the same directories.
-pub(crate) fn quarantine_stray_temp_files(dir: &Path, events: &EventLog) {
-    // "jobs" is the pre-v3 payload directory: still patrolled so a run
-    // directory carried forward from the path-named layout cannot hide a
-    // torn fragment there.
-    for sub in ["", crate::store::OBJECTS_DIR, "jobs"] {
-        let scan = if sub.is_empty() { dir.to_path_buf() } else { dir.join(sub) };
-        let Ok(rd) = std::fs::read_dir(&scan) else { continue };
-        for e in rd.flatten() {
-            let name = e.file_name().to_string_lossy().into_owned();
-            if !name.contains(".tmp.") || name.ends_with(".quarantine") {
-                continue;
-            }
-            let rel = if sub.is_empty() { name.clone() } else { format!("{sub}/{name}") };
-            if quarantine(&e.path()).is_ok() {
-                telemetry::metrics::counter("orchestrator.quarantines").inc();
-                events.emit(Event::CheckpointQuarantined {
-                    job: String::new(),
-                    file: rel,
-                    reason: "torn temp file from an interrupted write".into(),
-                });
-            }
-        }
-    }
-}
-
-/// Resume recovery for one job: walks its recorded generations newest
-/// first, quarantining every generation that fails verification (missing
-/// digest match or unparseable payload), and returns the first good one.
-/// Bad entries are dropped from the manifest so they are never consulted
-/// again.
-fn recover_job<P: Deserialize>(
-    dir: &Path,
-    manifest: &mut Manifest,
-    id: &str,
-    events: &EventLog,
-) -> Option<(P, ManifestEntry)> {
-    let gens: Vec<ManifestEntry> = manifest.generations(id).into_iter().cloned().collect();
-    for entry in gens {
-        // Read raw bytes: a flipped byte can leave the file invalid UTF-8,
-        // which must still count as corruption (quarantine), not absence.
-        let reason = match std::fs::read(dir.join(&entry.file)) {
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                // Nothing on disk to quarantine; just forget the entry.
-                manifest.remove(id, entry.generation);
-                continue;
-            }
-            Err(e) => format!("unreadable payload: {e}"),
-            Ok(bytes) if fnv1a64(&bytes) != entry.digest => {
-                format!("digest mismatch (expected {:#018x})", entry.digest)
-            }
-            Ok(bytes) => match std::str::from_utf8(&bytes) {
-                Err(e) => format!("unparseable payload: invalid UTF-8: {e}"),
-                Ok(text) => match serde_json::from_str::<P>(text) {
-                    Ok(payload) => return Some((payload, entry)),
-                    Err(e) => format!("unparseable payload: {e}"),
-                },
-            },
-        };
-        manifest.remove(id, entry.generation);
-        if quarantine(&dir.join(&entry.file)).is_ok() {
-            telemetry::metrics::counter("orchestrator.quarantines").inc();
-            events.emit(Event::CheckpointQuarantined {
-                job: id.to_string(),
-                file: entry.file.clone(),
-                reason,
-            });
-        }
-    }
-    None
-}
-
 /// One worker: pull ready jobs until the run completes or hard-fails.
-#[allow(clippy::too_many_arguments)]
 fn worker_loop<P>(
     plan: &Plan<'_, P>,
     opts: &RunOptions,
     events: &EventLog,
     shared: &Shared<P>,
     manifest: &Mutex<Manifest>,
-    dependents: &[Vec<usize>],
     watchdog: &Watchdog,
-    store: Option<&FsStore>,
+    run_dir: Option<&(&Path, FsStore)>,
 ) where
     P: Serialize + Deserialize + Send + Sync,
 {
-    let index: BTreeMap<&str, usize> = plan
-        .jobs
-        .iter()
-        .enumerate()
-        .map(|(i, j)| (j.id.as_str(), i))
-        .collect();
-    let persist_ctx = opts.checkpoint_dir.as_deref().zip(store).map(|(dir, store)| PersistCtx {
+    let persist_ctx = run_dir.map(|(dir, store)| PersistCtx {
         dir,
         store,
         manifest,
@@ -489,10 +286,10 @@ fn worker_loop<P>(
         let job_idx = {
             let mut st = lock(&shared.state, "scheduler state"); // lint: lock-order(orchestrator.sched_state)
             loop {
-                if st.failure.is_some() || st.outputs.len() == plan.jobs.len() {
+                if st.failure.is_some() || st.frontier.drained() {
                     return;
                 }
-                if let Some(i) = st.ready.pop_front() {
+                if let Some(i) = st.frontier.pop() {
                     break i;
                 }
                 let (guard, _timeout) = shared
@@ -510,7 +307,8 @@ fn worker_loop<P>(
             let st = lock(&shared.state, "scheduler state"); // lint: lock-order(orchestrator.sched_state)
             job.deps
                 .iter()
-                .map(|d| (d.clone(), Arc::clone(&st.outputs[&index[d.as_str()]])))
+                .zip(plan.graph.deps(job_idx))
+                .map(|(d, di)| (d.clone(), Arc::clone(&st.outputs[di])))
                 .collect()
         };
 
@@ -519,10 +317,16 @@ fn worker_loop<P>(
         });
         match outcome {
             Ok((payload, attempts)) => {
+                let stats = JobStats {
+                    attempts,
+                    wall_seconds: wall,
+                    cpu_seconds: cpu,
+                    skipped: false,
+                };
                 // Persist *before* publishing: the manifest only ever
                 // references payloads that are fully on disk.
                 if let Some(ctx) = &persist_ctx {
-                    if let Err(err) = persist(ctx, &job.id, &payload, attempts, wall, cpu) {
+                    if let Err(err) = persist(ctx, &job.id, &payload, &stats) {
                         fail_run(shared, err);
                         return;
                     }
@@ -541,18 +345,8 @@ fn worker_loop<P>(
                 });
                 let mut st = lock(&shared.state, "scheduler state"); // lint: lock-order(orchestrator.sched_state)
                 st.outputs.insert(job_idx, Arc::new(payload));
-                st.executed[job_idx] = Some(JobStats {
-                    attempts,
-                    wall_seconds: wall,
-                    cpu_seconds: cpu,
-                    skipped: false,
-                });
-                for &k in &dependents[job_idx] {
-                    st.remaining[k] -= 1;
-                    if st.remaining[k] == 0 {
-                        st.ready.push_back(k);
-                    }
-                }
+                st.stats[job_idx] = Some(stats);
+                st.frontier.complete(job_idx);
                 shared.cond.notify_all();
             }
             Err((error, attempts)) => {
@@ -650,8 +444,6 @@ where
                 (job.run)(&inputs)
             })) {
                 Ok(r) => r,
-                // `&*panic`, not `&panic`: a `&Box<dyn Any>` would itself
-                // coerce to `&dyn Any` and the downcast would miss.
                 Err(panic) => Err(format!("panic: {}", panic_message(&*panic))),
             }
         };
@@ -684,16 +476,6 @@ fn backoff_for(base: Duration, attempt: u32) -> Duration {
     base.saturating_mul(1u32 << attempt.min(6)).min(Duration::from_secs(2))
 }
 
-fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".into()
-    }
-}
-
 /// Locks a scheduler mutex. A poisoned lock means a worker panicked
 /// *outside* `catch_unwind` — scheduler state may be torn, and no retry
 /// policy can repair it, so propagating the panic is the only safe move.
@@ -701,16 +483,11 @@ fn lock<'a, T>(m: &'a Mutex<T>, what: &'static str) -> std::sync::MutexGuard<'a,
     m.lock().expect(what) // lint: allow(panic-in-lib) poisoned scheduler lock is unrecoverable
 }
 
-/// Records the first hard failure, cancels the run token (waking every
-/// backoff and injected hang), and wakes every worker so the run winds
-/// down (pending jobs are cancelled; running jobs finish and persist).
+/// Fails the run (see [`fail_first`]): pending jobs are cancelled; running
+/// jobs finish and persist.
 fn fail_run<P>(shared: &Shared<P>, err: OrchestratorError) {
     let mut st = lock(&shared.state, "scheduler state"); // lint: lock-order(orchestrator.sched_state)
-    if st.failure.is_none() {
-        shared.run_cancel.cancel(&format!("run failed: {err}"));
-        st.failure = Some(err);
-    }
-    shared.cond.notify_all();
+    fail_first(&mut st.failure, err, &shared.run_cancel, &shared.cond);
 }
 
 /// Everything the checkpoint-persistence path needs, bundled per worker.
@@ -723,19 +500,14 @@ struct PersistCtx<'a> {
     keep: usize,
 }
 
-/// Serializes a payload, writes it into the content-addressed store, and
-/// re-persists the manifest with a new generation entry referencing the
-/// object's digest. Prunes generations beyond the keep window — deleting
-/// a pruned object only when no surviving entry still references it
-/// (dedup means one object can back several generations). Persist-phase
-/// chaos faults (slow-io / corrupt-*) strike here.
+/// Serializes a payload, writes it into the content-addressed store
+/// (through any persist-phase chaos fault planned for the job), and
+/// commits a new manifest generation referencing the object's digest.
 fn persist<P: Serialize>(
     ctx: &PersistCtx<'_>,
     id: &str,
     payload: &P,
-    attempts: u32,
-    wall_seconds: f64,
-    cpu_seconds: f64,
+    stats: &JobStats,
 ) -> Result<(), OrchestratorError> {
     let text = serde_json::to_string(payload).map_err(|e| OrchestratorError::Codec {
         job: id.to_string(),
@@ -744,68 +516,24 @@ fn persist<P: Serialize>(
     telemetry::metrics::counter("orchestrator.checkpoints").inc();
     telemetry::metrics::histogram("orchestrator.checkpoint_bytes", &telemetry::metrics::BYTES_EDGES)
         .record(text.len() as f64);
-    let final_attempt = attempts.saturating_sub(1);
-    let fault = ctx.chaos.and_then(|c| c.persist_fault(id, final_attempt));
-    let fault_class = fault.map(|e| e.class);
-    if fault_class == Some(FaultClass::SlowIo) {
-        // Injected slow I/O: an interruptible stall before the write.
-        let _ = ctx.run_cancel.wait_timeout(Duration::from_millis(300));
-    }
-    let digest = fnv1a64(text.as_bytes());
-    let file = Manifest::object_file(digest);
-    let path = ctx.store.object_path(digest);
-    if fault_class == Some(FaultClass::CorruptTorn) {
-        // Torn write: only a partial temp file lands and the manifest
-        // never learns about this generation — exactly what a kill
-        // between temp-write and rename leaves behind. The run keeps the
-        // in-memory payload; recovery quarantines the fragment.
-        return chaos::write_torn(&path, text.as_bytes()).map_err(|e| OrchestratorError::Io {
-            path,
-            message: e.to_string(),
-        });
-    }
-    ctx.store.put(text.as_bytes()).map_err(|e| OrchestratorError::Io {
-        path: path.clone(),
-        message: e.to_string(),
-    })?;
-    if matches!(
-        fault_class,
-        Some(FaultClass::CorruptFlip) | Some(FaultClass::CorruptTruncate)
-    ) {
-        // Post-write bit rot: the object's address describes the clean
-        // bytes, so the next load must detect and quarantine this file.
-        if let (Some(class), Some(plan)) = (fault_class, ctx.chaos) {
-            chaos::corrupt_file(class, &path, plan.corruption_seed(id, final_attempt)).map_err(
-                |e| OrchestratorError::Io {
-                    path: path.clone(),
-                    message: e.to_string(),
-                },
-            )?;
-        }
+    let final_attempt = stats.attempts.saturating_sub(1);
+    let (digest, landed) = chaos::put_with_fault(
+        ctx.store,
+        text.as_bytes(),
+        ctx.chaos,
+        id,
+        final_attempt,
+        ctx.run_cancel,
+    )
+    .map_err(|e| OrchestratorError::io(ctx.store.object_path(fnv1a64(text.as_bytes())), e))?;
+    if !landed {
+        // Torn write: the run keeps the in-memory payload, the manifest
+        // never learns about this generation.
+        return Ok(());
     }
     let mut m = lock(ctx.manifest, "manifest lock"); // lint: lock-order(orchestrator.manifest)
-    let generation = m.next_generation(id);
-    m.record(ManifestEntry {
-        id: id.to_string(),
-        generation,
-        file,
-        digest,
-        attempts,
-        wall_seconds,
-        cpu_seconds,
-    });
-    for stale in m.prune(id, ctx.keep) {
-        // Pruned generations were verified when written; plain deletion,
-        // not quarantine — but only once no surviving entry shares the
-        // object (identical payloads dedup to one file).
-        if !m.jobs.iter().any(|e| e.file == stale) {
-            let _ = std::fs::remove_file(ctx.dir.join(stale));
-        }
-    }
-    m.store(ctx.dir).map_err(|e| OrchestratorError::Io {
-        path: Manifest::path(ctx.dir),
-        message: e.to_string(),
-    })
+    m.commit(ctx.dir, ctx.store, id, digest, stats, ctx.keep)
+        .map_err(|e| OrchestratorError::io(Manifest::path(ctx.dir), e))
 }
 
 #[cfg(test)]

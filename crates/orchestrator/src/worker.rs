@@ -19,7 +19,8 @@
 //! Chaos faults travel *with the work*: the coordinator forwards its
 //! fault spec in `CoordHello` and the worker applies attempt faults
 //! (panic/transient/hang → `Fail` frames), persist faults (slow-io and
-//! the corrupt-* classes strike the object bytes so the coordinator's
+//! the corrupt-* classes strike the object bytes through the same
+//! [`put_with_fault`] the thread pool persists with, so the coordinator's
 //! digest verification must catch them), and the process fault
 //! (`kill-worker` → [`std::process::abort`], no cleanup, simulating
 //! SIGKILL/OOM-kill of a worker box).
@@ -36,8 +37,9 @@
 
 use crate::backoff::Backoff;
 use crate::cancel::CancelToken;
-use crate::chaos::{corrupt_file, write_torn, ChaosPlan, FaultClass};
+use crate::chaos::{put_with_fault, ChaosPlan, FaultClass};
 use crate::coord::{read_ctrl, send_ctrl, CtrlError, CtrlFrame, COORD_VERSION};
+use crate::dag::panic_message;
 use crate::manifest::fnv1a64;
 use crate::store::{FsStore, ObjectStore};
 use crate::timing::{measure, Heartbeat};
@@ -476,55 +478,16 @@ fn execute_assignment(
     let payload = match result {
         Ok(Ok(text)) => text,
         Ok(Err(e)) => return fail(sock, report, e),
-        Err(p) => {
-            let msg = p
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| p.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "executor panicked".to_string());
-            return fail(sock, report, format!("panicked: {msg}"));
-        }
+        Err(p) => return fail(sock, report, format!("panicked: {}", panic_message(&*p))),
     };
 
     // Persist-phase chaos strikes the object bytes themselves; the
     // coordinator's digest verification must catch every corrupt class
-    // and requeue (the next attempt's put() heals the rotten object).
-    let digest = crate::manifest::fnv1a64(payload.as_bytes());
-    if let Some(entry) = chaos.and_then(|p| p.persist_fault(job, attempt)) {
-        match entry.class {
-            FaultClass::SlowIo => {
-                let _ = token.wait_timeout(Duration::from_millis(200));
-            }
-            FaultClass::CorruptTorn => {
-                // The "process" dies mid-write: only a temp fragment
-                // lands, the object never exists at its address.
-                write_torn(&store.object_path(digest), payload.as_bytes())
-                    .map_err(|e| format!("torn write: {e}"))?;
-                telemetry::metrics::counter("worker.completions").inc();
-                report.completed += 1;
-                return send_ctrl(
-                    sock,
-                    &CtrlFrame::Complete { job: job.to_string(), digest, wall_seconds, cpu_seconds },
-                    token,
-                );
-            }
-            FaultClass::CorruptFlip | FaultClass::CorruptTruncate => {
-                store.put(payload.as_bytes()).map_err(|e| format!("persist: {e}"))?;
-                let seed = chaos.map(|p| p.corruption_seed(job, attempt)).unwrap_or(0);
-                corrupt_file(entry.class, &store.object_path(digest), seed)
-                    .map_err(|e| format!("corrupt: {e}"))?;
-                telemetry::metrics::counter("worker.completions").inc();
-                report.completed += 1;
-                return send_ctrl(
-                    sock,
-                    &CtrlFrame::Complete { job: job.to_string(), digest, wall_seconds, cpu_seconds },
-                    token,
-                );
-            }
-            _ => {}
-        }
-    }
-    store.put(payload.as_bytes()).map_err(|e| format!("persist: {e}"))?;
+    // and requeue (the next attempt's put() heals the rotten object). A
+    // torn write is reported like any other: the "process" died mid-write,
+    // so the object never exists at the address it claims.
+    let (digest, _landed) = put_with_fault(store, payload.as_bytes(), chaos, job, attempt, token)
+        .map_err(|e| format!("persist: {e}"))?;
     telemetry::metrics::counter("worker.completions").inc();
     report.completed += 1;
     send_ctrl(

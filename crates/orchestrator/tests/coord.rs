@@ -329,3 +329,60 @@ fn a_fresh_run_resets_the_journal_and_records_the_schedule() {
     assert!(!Journal::replay(&dir, "b").is_empty());
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn a_children_first_diamond_gets_every_dependency_digest() {
+    // `sim_plan` is a single-root fan-out declared root-first. Here the
+    // join is declared before the jobs it consumes and has two of them,
+    // so every `Assign.deps` entry must come from the plan's resolved
+    // graph, not from declaration luck. The executor reports the digest
+    // of each dependency payload the worker fetched for it by address.
+    let dir = tmp_dir("diamond");
+    let job = |id: &str, deps: &[&str]| DistJob {
+        id: id.into(),
+        deps: deps.iter().map(|s| s.to_string()).collect(),
+        spec: r#"{"kind":"dep-probe"}"#.into(),
+    };
+    let plan = DistPlan::new(vec![
+        job("join", &["right", "left"]),
+        job("left", &["root"]),
+        job("right", &["root"]),
+        job("root", &[]),
+    ])
+    .unwrap();
+    let mut registry = ExecutorRegistry::new();
+    registry.register(
+        "dep-probe",
+        Box::new(|ctx| {
+            let seen: Vec<String> = ctx
+                .deps
+                .iter()
+                .map(|(id, text)| format!("{id}={:016x}", orchestrator::fnv1a64(text.as_bytes())))
+                .collect();
+            Ok(format!("{}<-[{}]", ctx.job, seen.join(",")))
+        }),
+    );
+
+    let coord = Coordinator::bind("127.0.0.1:0").unwrap();
+    let addr = coord.local_addr().to_string();
+    let report = std::thread::scope(|s| {
+        let worker = s.spawn(|| {
+            let wopts = WorkerOptions {
+                worker_id: "w0".into(),
+                connect_timeout: Duration::from_secs(5),
+                ..WorkerOptions::default()
+            };
+            run_worker(&addr, &wopts, &registry, &CancelToken::new())
+        });
+        let report = coord.serve(&dir, &plan, &CoordOptions::default(), &EventLog::new());
+        worker.join().unwrap().unwrap();
+        report.unwrap()
+    });
+
+    let d = |job: &str| format!("{job}={:016x}", report.digests[job]);
+    assert_eq!(report.payloads["root"], "root<-[]");
+    assert_eq!(report.payloads["left"], format!("left<-[{}]", d("root")));
+    assert_eq!(report.payloads["right"], format!("right<-[{}]", d("root")));
+    assert_eq!(report.payloads["join"], format!("join<-[{},{}]", d("left"), d("right")));
+    std::fs::remove_dir_all(&dir).ok();
+}

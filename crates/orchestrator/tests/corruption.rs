@@ -2,11 +2,18 @@
 //! disk must resolve to (a) the bad file quarantined, (b) a
 //! `CheckpointQuarantined` event, and (c) the job recovered from the
 //! next-newest verified generation — never a crash, never silent trust.
+//! The second half runs one damage table through both engines and
+//! requires the same aftermath from each.
 
+use orchestrator::coord::{CoordOptions, Coordinator, DistJob, DistPlan};
+use orchestrator::worker::{run_worker, ExecutorRegistry, WorkerOptions};
 use orchestrator::{
-    fnv1a64, run, Event, EventLog, JobSpec, Manifest, Plan, RunOptions,
+    fnv1a64, run, CancelToken, Event, EventLog, FsStore, JobSpec, Manifest, ObjectStore, Plan,
+    RunOptions,
 };
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
+use std::time::Duration;
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("orch-corrupt-{tag}-{}", std::process::id()));
@@ -198,4 +205,331 @@ fn resume_after_quarantine_matches_an_uninterrupted_run() {
     assert_eq!(second, "v1");
     assert!(quarantines.is_empty(), "quarantine happens exactly once");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+// ---- both engines recover the same damaged directory the same way ------
+//
+// One two-job plan (`b` consumes `a`) with `String` payloads, executed by
+// the thread pool through closures and by the coordinator through an
+// executor that emits the same JSON text — so both engines address the
+// same objects and a run directory written by one is a valid resume
+// target for the other.
+
+/// What a job computes from its own `text` and its dependencies' values
+/// (by dependency id), in either engine.
+fn body(text: &str, inputs: &BTreeMap<String, String>) -> String {
+    let inputs: Vec<String> = inputs.iter().map(|(id, v)| format!("{id}={v}")).collect();
+    format!("{text}({})", inputs.join(","))
+}
+
+/// `(id, dependency ids)` of the parity plans; `Texts` gives each job's
+/// own contribution so reruns can change a payload.
+type Shape = [(&'static str, &'static [&'static str])];
+type Texts = BTreeMap<String, String>;
+
+fn texts(pairs: &[(&str, &str)]) -> Texts {
+    pairs.iter().map(|(id, t)| (id.to_string(), t.to_string())).collect()
+}
+
+/// `(final digests, jobs executed, events)` of one run.
+type RunOutcome = (BTreeMap<String, u64>, BTreeSet<String>, Vec<Event>);
+
+fn pool_run(dir: &Path, shape: &Shape, texts: &Texts, opts: &RunOptions) -> RunOutcome {
+    let jobs = shape
+        .iter()
+        .map(|&(id, deps)| {
+            JobSpec::new(id, deps.iter().copied(), move |inp: &orchestrator::JobInputs<String>| {
+                let inputs: Result<BTreeMap<String, String>, String> =
+                    deps.iter().map(|d| Ok((d.to_string(), inp.dep(d)?.clone()))).collect();
+                Ok(body(&texts[id], &inputs?))
+            })
+        })
+        .collect();
+    let events = EventLog::new();
+    let opts = RunOptions { checkpoint_dir: Some(dir.to_path_buf()), ..opts.clone() };
+    let report = run(&Plan::new(jobs).unwrap(), &opts, &events).unwrap();
+    let digests = report
+        .outputs
+        .iter()
+        .map(|(id, p)| (id.clone(), fnv1a64(serde_json::to_string(p.as_ref()).unwrap().as_bytes())))
+        .collect();
+    let executed =
+        report.stats.iter().filter(|(_, s)| !s.skipped).map(|(id, _)| id.clone()).collect();
+    (digests, executed, events.events())
+}
+
+fn coord_run(dir: &Path, shape: &Shape, texts: &Texts, opts: &CoordOptions) -> RunOutcome {
+    let jobs = shape
+        .iter()
+        .map(|&(id, deps)| DistJob {
+            id: id.into(),
+            deps: deps.iter().map(|d| d.to_string()).collect(),
+            spec: r#"{"kind":"parity"}"#.into(),
+        })
+        .collect();
+    let plan = DistPlan::new(jobs).unwrap();
+    let mut registry = ExecutorRegistry::new();
+    let texts = texts.clone();
+    registry.register(
+        "parity",
+        Box::new(move |ctx| {
+            // Dependency payloads are the JSON text the pool would have
+            // deserialized into `String`s; the result is the JSON text
+            // the pool would have serialized.
+            let inputs: Result<BTreeMap<String, String>, String> = ctx
+                .deps
+                .iter()
+                .map(|(d, json)| Ok((d.clone(), serde_json::from_str(json).map_err(|e| e.to_string())?)))
+                .collect();
+            serde_json::to_string(&body(&texts[ctx.job], &inputs?)).map_err(|e| e.to_string())
+        }),
+    );
+    let events = EventLog::new();
+    let coord = Coordinator::bind("127.0.0.1:0").unwrap();
+    let addr = coord.local_addr().to_string();
+    // A resume that skips every job returns before the worker ever
+    // connects; the token stops it dialing a coordinator that is gone.
+    let run_over = CancelToken::new();
+    let report = std::thread::scope(|s| {
+        let worker = s.spawn(|| {
+            let wopts = WorkerOptions {
+                worker_id: "w0".into(),
+                connect_timeout: Duration::from_secs(5),
+                ..WorkerOptions::default()
+            };
+            run_worker(&addr, &wopts, &registry, &run_over)
+        });
+        let report = coord.serve(dir, &plan, opts, &events).unwrap();
+        run_over.cancel("run over");
+        let _ = worker.join().unwrap();
+        report
+    });
+    let executed =
+        report.stats.iter().filter(|(_, s)| !s.skipped).map(|(id, _)| id.clone()).collect();
+    (report.digests, executed, events.events())
+}
+
+/// Everything recovery leaves behind that the two engines must agree on.
+#[derive(Debug, PartialEq)]
+struct Aftermath {
+    digests: BTreeMap<String, u64>,
+    executed: BTreeSet<String>,
+    /// `*.quarantine` files, relative to the run directory.
+    quarantined: BTreeSet<String>,
+    /// `(file, reason)` of every `CheckpointQuarantined`, sorted.
+    announced: Vec<(String, String)>,
+    /// Surviving `job@generation → digest` refs, sorted.
+    refs: Vec<(String, u64, u64)>,
+}
+
+fn aftermath(dir: &Path, (digests, executed, events): RunOutcome) -> Aftermath {
+    let mut quarantined = BTreeSet::new();
+    for sub in ["", "objects", "jobs"] {
+        let Ok(rd) = std::fs::read_dir(dir.join(sub)) else { continue };
+        for e in rd.flatten() {
+            let name = e.file_name().to_string_lossy().into_owned();
+            if name.ends_with(".quarantine") {
+                quarantined.insert(format!("{sub}/{name}"));
+            }
+        }
+    }
+    let mut announced: Vec<(String, String)> = events
+        .into_iter()
+        .filter_map(|e| match e {
+            Event::CheckpointQuarantined { file, reason, .. } => Some((file, reason)),
+            _ => None,
+        })
+        .collect();
+    announced.sort();
+    let mut refs: Vec<(String, u64, u64)> = Manifest::load(dir)
+        .unwrap()
+        .jobs
+        .into_iter()
+        .map(|e| (e.id, e.generation, e.digest))
+        .collect();
+    refs.sort();
+    Aftermath { digests, executed, quarantined, announced, refs }
+}
+
+fn copy_dir(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for e in std::fs::read_dir(from).unwrap().flatten() {
+        if e.path().is_dir() {
+            copy_dir(&e.path(), &to.join(e.file_name()));
+        } else {
+            std::fs::copy(e.path(), to.join(e.file_name())).unwrap();
+        }
+    }
+}
+
+const CHAIN: &Shape = &[("b", &["a"]), ("a", &[])];
+
+/// One way a run directory can be damaged between a run and its resume.
+struct Damage {
+    name: &'static str,
+    /// Mutates the directory; gets the object file of job `a`.
+    apply: fn(&Path, &Path),
+    /// Run key of the resume (the directory was written under "cfg").
+    resume_key: &'static str,
+    /// Jobs the resume must re-execute.
+    reruns: &'static [&'static str],
+    /// `reason` fragments of the quarantines it must announce.
+    reasons: &'static [&'static str],
+}
+
+const DAMAGE: &[Damage] = &[
+    Damage {
+        name: "flipped-byte",
+        apply: |_, obj| {
+            let mut bytes = std::fs::read(obj).unwrap();
+            bytes[1] ^= 0x01;
+            std::fs::write(obj, bytes).unwrap();
+        },
+        resume_key: "cfg",
+        reruns: &["a"],
+        reasons: &["digest mismatch"],
+    },
+    Damage {
+        name: "truncation",
+        apply: |_, obj| {
+            let bytes = std::fs::read(obj).unwrap();
+            std::fs::write(obj, &bytes[..bytes.len() / 2]).unwrap();
+        },
+        resume_key: "cfg",
+        reruns: &["a"],
+        reasons: &["digest mismatch"],
+    },
+    Damage {
+        // Same length, and the manifest digest forged to match: only the
+        // UTF-8 check stands between these bytes and a resumed payload.
+        name: "invalid-utf8",
+        apply: |dir, obj| {
+            let mut bytes = std::fs::read(obj).unwrap();
+            bytes[1] = 0xFF;
+            std::fs::write(obj, &bytes).unwrap();
+            let mut m = Manifest::load(dir).unwrap();
+            for e in m.jobs.iter_mut().filter(|e| e.id == "a") {
+                e.digest = fnv1a64(&bytes);
+            }
+            m.store(dir).unwrap();
+        },
+        resume_key: "cfg",
+        reruns: &["a"],
+        reasons: &["unparseable payload: invalid UTF-8"],
+    },
+    Damage {
+        name: "missing-object",
+        apply: |_, obj| std::fs::remove_file(obj).unwrap(),
+        resume_key: "cfg",
+        reruns: &["a"],
+        reasons: &[],
+    },
+    Damage {
+        name: "stray-temp-files",
+        apply: |dir, _| {
+            std::fs::create_dir_all(dir.join("jobs")).unwrap();
+            for at in [".manifest.json.tmp.77", "objects/.00000000000000aa.json.tmp.77", "jobs/.a.json.tmp.77"] {
+                std::fs::write(dir.join(at), b"\"hal").unwrap();
+            }
+        },
+        resume_key: "cfg",
+        reruns: &[],
+        reasons: &["torn temp file", "torn temp file", "torn temp file"],
+    },
+    Damage {
+        name: "wrong-run-key",
+        apply: |_, _| {},
+        resume_key: "other-cfg",
+        reruns: &["a", "b"],
+        reasons: &[],
+    },
+];
+
+#[test]
+fn both_engines_recover_the_same_damaged_directory_the_same_way() {
+    let texts = texts(&[("a", "A"), ("b", "B")]);
+    let clean = tmp_dir("parity-clean");
+    let fresh = RunOptions { run_key: "cfg".into(), ..Default::default() };
+    let (baseline, ran, _) = pool_run(&clean, CHAIN, &texts, &fresh);
+    assert_eq!(ran.len(), 2);
+    let obj_a = Manifest::load(&clean).unwrap().entry("a").unwrap().file.clone();
+
+    for damage in DAMAGE {
+        let via_pool = tmp_dir(&format!("parity-{}-pool", damage.name));
+        let via_coord = tmp_dir(&format!("parity-{}-coord", damage.name));
+        for dir in [&via_pool, &via_coord] {
+            copy_dir(&clean, dir);
+            (damage.apply)(dir, &dir.join(&obj_a));
+        }
+        let key = damage.resume_key.to_string();
+        let pool = aftermath(
+            &via_pool,
+            pool_run(
+                &via_pool,
+                CHAIN,
+                &texts,
+                &RunOptions { run_key: key.clone(), resume: true, ..Default::default() },
+            ),
+        );
+        let coord = aftermath(
+            &via_coord,
+            coord_run(
+                &via_coord,
+                CHAIN,
+                &texts,
+                &CoordOptions { run_key: key, resume: true, ..Default::default() },
+            ),
+        );
+        assert_eq!(pool, coord, "{}: the engines disagree", damage.name);
+
+        let reruns: BTreeSet<String> = damage.reruns.iter().map(|s| s.to_string()).collect();
+        assert_eq!(pool.executed, reruns, "{}", damage.name);
+        assert_eq!(pool.digests, baseline, "{}: the run ends on the baseline digests", damage.name);
+        assert_eq!(pool.announced.len(), damage.reasons.len(), "{}: {:?}", damage.name, pool.announced);
+        for ((_, reason), want) in pool.announced.iter().zip(damage.reasons) {
+            assert!(reason.contains(want), "{}: {reason}", damage.name);
+        }
+        assert_eq!(pool.quarantined.len(), damage.reasons.len(), "{}", damage.name);
+        for dir in [&via_pool, &via_coord] {
+            std::fs::remove_dir_all(dir).ok();
+        }
+    }
+    std::fs::remove_dir_all(&clean).ok();
+}
+
+#[test]
+fn neither_engine_deletes_a_pruned_object_another_ref_still_needs() {
+    // `x` and `y` produce the same bytes, so one object backs both refs.
+    // With one kept generation, every completion prunes its predecessor;
+    // the shared object may only disappear with its *last* reference.
+    const PAIR: &Shape = &[("x", &[]), ("y", &[])];
+    type Engine = fn(&Path, &Texts) -> BTreeMap<String, u64>;
+    let engines: [(&str, Engine); 2] = [
+        ("pool", |dir, texts| {
+            let opts = RunOptions { run_key: "cfg".into(), keep_generations: 1, ..Default::default() };
+            pool_run(dir, PAIR, texts, &opts).0
+        }),
+        ("coord", |dir, texts| {
+            let opts = CoordOptions { run_key: "cfg".into(), keep_generations: 1, ..Default::default() };
+            coord_run(dir, PAIR, texts, &opts).0
+        }),
+    ];
+    for (name, engine) in engines {
+        let dir = tmp_dir(&format!("shared-{name}"));
+        let store = FsStore::open(&dir).unwrap();
+        let first = engine(&dir, &texts(&[("x", "same"), ("y", "same")]));
+        let shared = first["x"];
+        assert_eq!(first["y"], shared, "{name}: identical payloads share an address");
+
+        let second = engine(&dir, &texts(&[("x", "changed"), ("y", "same")]));
+        assert_ne!(second["x"], shared);
+        assert!(store.get(shared).is_ok(), "{name}: `y` still references the pruned object");
+
+        engine(&dir, &texts(&[("x", "changed"), ("y", "moved-on")]));
+        assert!(!store.contains(shared), "{name}: the last reference is gone, so is the object");
+        let live: BTreeSet<u64> =
+            Manifest::load(&dir).unwrap().jobs.iter().map(|e| e.digest).collect();
+        assert_eq!(store.list().unwrap(), live.into_iter().collect::<Vec<_>>(), "{name}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
