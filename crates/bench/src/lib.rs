@@ -1,9 +1,8 @@
 //! # bench
 //!
-//! Experiment harness: one binary per paper table/figure (in `src/bin/`),
-//! plus Criterion micro-benchmarks (in `benches/`). This library holds the
-//! shared plumbing: experiment scaling, the model zoo, and result
-//! formatting/persistence.
+//! Experiment runners: one binary per paper table/figure (in `src/bin/`).
+//! This library holds the shared plumbing: experiment scaling, the model
+//! zoo, and result formatting/persistence.
 //!
 //! Every runner prints the same rows/series its figure reports and writes
 //! a JSON copy under `results/`. Scale knobs come from the environment so
@@ -102,7 +101,7 @@ impl FlowSynthesizer for NetShareFlow {
 
 /// NetShare wrapped to the packet interface.
 pub struct NetSharePacket {
-    model: NetShare,
+    model: NetShare<netshare::packetcodec::PacketCodec>,
     label: &'static str,
 }
 

@@ -73,7 +73,9 @@
 //! `reset`, `garbage-bytes`, as `class:count` joined by `;`). Malformed
 //! specs are usage errors (exit 2) that cite the grammar.
 
-use netshare::{postprocess, DpOptions, NetShare, NetShareConfig};
+use netshare::flowcodec::FlowCodec;
+use netshare::packetcodec::PacketCodec;
+use netshare::{postprocess, DpOptions, NetShare, NetShareConfig, TraceCodec};
 use std::process::ExitCode;
 
 struct Options {
@@ -415,6 +417,16 @@ fn classify(e: netshare::PipelineError) -> RunError {
     }
 }
 
+/// The middle of a synth run, the same for either kind of trace: fit,
+/// report the DP guarantee, generate `--n` (default: as many as read).
+fn synthesize<C: TraceCodec>(real: &C::Trace, opts: &Options) -> Result<C::Trace, RunError> {
+    let mut model = NetShare::<C>::fit(real, &opts.cfg).map_err(classify)?;
+    if let Some(eps) = model.epsilon() {
+        eprintln!("DP guarantee: (ε = {eps:.2}, δ = 1e-5)");
+    }
+    Ok(model.generate(opts.n.unwrap_or(C::records(real).len())))
+}
+
 fn run(mode: &str, input: &str, output: &str, opts: &Options) -> Result<(), RunError> {
     match mode {
         "synth-flows" => {
@@ -422,12 +434,7 @@ fn run(mode: &str, input: &str, output: &str, opts: &Options) -> Result<(), RunE
             let real = nettrace::netflow::read_netflow_csv(&csv)
                 .map_err(|e| RunError::Runtime(format!("parse {input}: {e}")))?;
             eprintln!("read {} flow records from {input}", real.len());
-            let mut model =
-                NetShare::fit_flows(&real, &opts.cfg).map_err(classify)?;
-            if let Some(eps) = model.epsilon() {
-                eprintln!("DP guarantee: (ε = {eps:.2}, δ = 1e-5)");
-            }
-            let mut synth = model.generate_flows(opts.n.unwrap_or(real.len()));
+            let mut synth = synthesize::<FlowCodec>(&real, opts)?;
             if opts.private_ips {
                 postprocess::transform_ips_flow(
                     &mut synth,
@@ -445,12 +452,7 @@ fn run(mode: &str, input: &str, output: &str, opts: &Options) -> Result<(), RunE
             let real =
                 nettrace::pcap::read_pcap(&bytes).map_err(|e| RunError::Runtime(format!("parse {input}: {e}")))?;
             eprintln!("read {} packets from {input}", real.len());
-            let mut model =
-                NetShare::fit_packets(&real, &opts.cfg).map_err(classify)?;
-            if let Some(eps) = model.epsilon() {
-                eprintln!("DP guarantee: (ε = {eps:.2}, δ = 1e-5)");
-            }
-            let mut synth = model.generate_packets(opts.n.unwrap_or(real.len()));
+            let mut synth = synthesize::<PacketCodec>(&real, opts)?;
             if opts.private_ips {
                 postprocess::transform_ips_packet(
                     &mut synth,

@@ -25,6 +25,20 @@ pub struct FlowGroup<T> {
     pub presence: Vec<bool>,
 }
 
+impl<T> FlowGroup<T> {
+    /// Appends the flow tags to a metadata row: the start flag, then one
+    /// presence bit per chunk. With tags disabled (the Insight-3
+    /// ablation) the same columns are written as zeros.
+    pub(crate) fn push_tags(&self, enabled: bool, meta: &mut Vec<f32>) {
+        if enabled {
+            meta.push(if self.starts_here { 1.0 } else { 0.0 });
+            meta.extend(self.presence.iter().map(|&p| if p { 1.0 } else { 0.0 }));
+        } else {
+            meta.resize(meta.len() + 1 + self.presence.len(), 0.0);
+        }
+    }
+}
+
 /// A chunked trace: per-chunk groups plus the chunk time bounds.
 #[derive(Debug, Clone)]
 pub struct Chunked<T> {

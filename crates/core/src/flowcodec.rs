@@ -11,11 +11,17 @@
 //! discriminator's direct supervision (record-level labels collapse to
 //! the majority class at CPU training scale).
 
-use crate::chunking::FlowGroup;
+use crate::chunking::{chunk_flows, Chunked, FlowGroup};
+use crate::config::NetShareConfig;
+use crate::pipeline::TraceCodec;
 use crate::tuplecodec::TupleCodec;
 use doppelganger::{FeatureSpec, Segment};
 use fieldcodec::ContinuousCodec;
-use nettrace::{AttackType, FlowRecord, FlowTrace, TrafficLabel};
+use nettrace::{
+    aggregate_flows, AggregationConfig, AttackType, FlowRecord, FlowTrace, PacketTrace,
+    TrafficLabel,
+};
+use std::borrow::Cow;
 
 /// Number of continuous record fields: start fraction, duration, packets,
 /// bytes.
@@ -53,27 +59,6 @@ impl FlowCodec {
         }
     }
 
-    /// Metadata layout: tuple segments (bit IPs continuous, hybrid
-    /// port/protocol categoricals + embeddings) + label one-hot (labeled
-    /// datasets) + flow-tag bits.
-    pub fn meta_spec(&self) -> FeatureSpec {
-        let mut segs = self.tuples.segments();
-        if self.with_labels {
-            segs.push(Segment::Categorical {
-                dim: TrafficLabel::NUM_CLASSES,
-            });
-        }
-        segs.push(Segment::Continuous {
-            dim: 1 + self.n_chunks,
-        });
-        FeatureSpec::new(segs)
-    }
-
-    /// Record layout: 4 continuous fields.
-    pub fn record_spec(&self) -> FeatureSpec {
-        FeatureSpec::new(vec![Segment::Continuous { dim: RECORD_CONT }])
-    }
-
     /// Encodes one chunked group into `(metadata, record sequence)`.
     /// Record times are normalized relative to the chunk bounds.
     pub fn encode_group(
@@ -94,14 +79,7 @@ impl FlowCodec {
             onehot[cls] = 1.0;
             meta.extend(onehot);
         }
-        if self.tags_enabled {
-            meta.push(if group.starts_here { 1.0 } else { 0.0 });
-            for &p in &group.presence {
-                meta.push(if p { 1.0 } else { 0.0 });
-            }
-        } else {
-            meta.resize(meta.len() + 1 + self.n_chunks, 0.0);
-        }
+        group.push_tags(self.tags_enabled, &mut meta);
 
         let chunk_len = (bounds.1 - bounds.0).max(1e-9);
         let records = group
@@ -160,10 +138,78 @@ impl FlowCodec {
     }
 }
 
+impl TraceCodec for FlowCodec {
+    type Record = FlowRecord;
+    type Trace = FlowTrace;
+    const KIND: &'static str = "flows";
+
+    fn records(trace: &FlowTrace) -> &[FlowRecord] {
+        &trace.flows
+    }
+
+    /// Remerged in start-time order.
+    fn assemble(records: Vec<FlowRecord>, n: usize) -> FlowTrace {
+        let mut trace = FlowTrace::from_records(records);
+        trace.truncate(n);
+        trace
+    }
+
+    fn from_packets(public: &PacketTrace) -> Cow<'_, FlowTrace> {
+        Cow::Owned(aggregate_flows(public, AggregationConfig::default()))
+    }
+
+    fn fit(trace: &FlowTrace, tuples: TupleCodec, cfg: &NetShareConfig) -> Self {
+        let mut codec = FlowCodec::fit(trace, tuples, cfg.n_chunks, cfg.with_labels);
+        codec.tags_enabled = cfg.use_flow_tags;
+        codec
+    }
+
+    fn chunk(trace: &FlowTrace, m: usize) -> Chunked<FlowRecord> {
+        chunk_flows(trace, m)
+    }
+
+    /// Tuple segments (bit IPs continuous, hybrid port/protocol
+    /// categoricals + embeddings) + label one-hot (labeled datasets) +
+    /// flow-tag bits.
+    fn meta_spec(&self) -> FeatureSpec {
+        let mut segs = self.tuples.segments();
+        if self.with_labels {
+            segs.push(Segment::Categorical {
+                dim: TrafficLabel::NUM_CLASSES,
+            });
+        }
+        segs.push(Segment::Continuous {
+            dim: 1 + self.n_chunks,
+        });
+        FeatureSpec::new(segs)
+    }
+
+    /// 4 continuous fields.
+    fn record_spec(&self) -> FeatureSpec {
+        FeatureSpec::new(vec![Segment::Continuous { dim: RECORD_CONT }])
+    }
+
+    fn encode_group(
+        &self,
+        group: &FlowGroup<FlowRecord>,
+        bounds: (f64, f64),
+    ) -> (Vec<f32>, Vec<Vec<f32>>) {
+        FlowCodec::encode_group(self, group, bounds)
+    }
+
+    fn decode_sample(
+        &self,
+        meta: &[f32],
+        records: &[Vec<f32>],
+        bounds: (f64, f64),
+    ) -> Vec<FlowRecord> {
+        FlowCodec::decode_sample(self, meta, records, bounds)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chunking::chunk_flows;
     use nettrace::{FiveTuple, Protocol};
     use trace_synth::public::ip2vec_public_corpus;
 

@@ -20,6 +20,13 @@
 //!    extensions (IP-range transformation, attribute retraining) —
 //!    [`postprocess`].
 //!
+//! NetFlow and PCAP traces go through the *same* pipeline: [`NetShare`]
+//! is generic over a [`TraceCodec`] ([`flowcodec::FlowCodec`] or
+//! [`packetcodec::PacketCodec`]) and its fit and generate bodies are
+//! written once. `fit_flows`/`generate_flows` and
+//! `fit_packets`/`generate_packets` are the per-kind entry points, and
+//! the kind is in the type, so mixing them up does not compile.
+//!
 //! The quickest way in is [`NetShare`] in [`pipeline`]:
 //!
 //! ```no_run
@@ -44,7 +51,7 @@ pub mod tuplecodec;
 // (the serving daemon loads artifacts without depending on this crate).
 pub use doppelganger::{ArtifactBundle, ModelArtifact};
 pub use config::{DpOptions, DpPretrainSource, NetShareConfig, OrchestratorOptions};
-pub use pipeline::{parse_divergence_spec, NetShare, PipelineError, SamplePath};
+pub use pipeline::{parse_divergence_spec, NetShare, PipelineError, TraceCodec};
 
 // Re-exported so downstream code can inspect [`NetShare::events`] and the
 // on-disk run directory without naming the orchestrator crate directly.

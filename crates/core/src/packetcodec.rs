@@ -6,11 +6,14 @@
 //! timestamp, size, TTL, and TOS; checksum is regenerated in
 //! post-processing and options are absent from all modeled traces.
 
-use crate::chunking::FlowGroup;
+use crate::chunking::{chunk_packets, Chunked, FlowGroup};
+use crate::config::NetShareConfig;
+use crate::pipeline::TraceCodec;
 use crate::tuplecodec::TupleCodec;
 use doppelganger::{FeatureSpec, Segment};
 use fieldcodec::ContinuousCodec;
 use nettrace::{PacketRecord, PacketTrace};
+use std::borrow::Cow;
 
 /// Record fields: arrival fraction, size, TTL, TOS.
 const RECORD_CONT: usize = 4;
@@ -25,21 +28,44 @@ pub struct PacketCodec {
     pub tags_enabled: bool,
 }
 
-impl PacketCodec {
-    /// Fits the size range on `trace` (pass a public trace in DP mode).
-    pub fn fit(trace: &PacketTrace, tuples: TupleCodec, n_chunks: usize) -> Self {
+impl TraceCodec for PacketCodec {
+    type Record = PacketRecord;
+    type Trace = PacketTrace;
+    const KIND: &'static str = "packets";
+
+    fn records(trace: &PacketTrace) -> &[PacketRecord] {
+        &trace.packets
+    }
+
+    /// Remerged by raw timestamp.
+    fn assemble(records: Vec<PacketRecord>, n: usize) -> PacketTrace {
+        let mut trace = PacketTrace::from_records(records);
+        trace.truncate(n);
+        trace
+    }
+
+    fn from_packets(public: &PacketTrace) -> Cow<'_, PacketTrace> {
+        Cow::Borrowed(public)
+    }
+
+    /// Fits the size range on `trace`.
+    fn fit(trace: &PacketTrace, tuples: TupleCodec, cfg: &NetShareConfig) -> Self {
         let sizes: Vec<f64> = trace.packets.iter().map(|p| p.packet_len as f64).collect();
         PacketCodec {
             tuples,
             size: ContinuousCodec::fit(&sizes, true),
-            n_chunks,
-            tags_enabled: true,
+            n_chunks: cfg.n_chunks,
+            tags_enabled: cfg.use_flow_tags,
         }
     }
 
-    /// Metadata layout: tuple segments (bit IPs continuous, hybrid
-    /// port/protocol categoricals + embeddings) + flow-tag bits.
-    pub fn meta_spec(&self) -> FeatureSpec {
+    fn chunk(trace: &PacketTrace, m: usize) -> Chunked<PacketRecord> {
+        chunk_packets(trace, m)
+    }
+
+    /// Tuple segments (bit IPs continuous, hybrid port/protocol
+    /// categoricals + embeddings) + flow-tag bits.
+    fn meta_spec(&self) -> FeatureSpec {
         let mut segs = self.tuples.segments();
         segs.push(Segment::Continuous {
             dim: 1 + self.n_chunks,
@@ -47,27 +73,19 @@ impl PacketCodec {
         FeatureSpec::new(segs)
     }
 
-    /// Record layout: 4 continuous fields.
-    pub fn record_spec(&self) -> FeatureSpec {
+    /// 4 continuous fields.
+    fn record_spec(&self) -> FeatureSpec {
         FeatureSpec::continuous(RECORD_CONT)
     }
 
-    /// Encodes one chunked group.
-    pub fn encode_group(
+    fn encode_group(
         &self,
         group: &FlowGroup<PacketRecord>,
         bounds: (f64, f64),
     ) -> (Vec<f32>, Vec<Vec<f32>>) {
         let mut meta = Vec::with_capacity(self.meta_spec().dim());
         self.tuples.encode_into(&group.tuple, &mut meta);
-        if self.tags_enabled {
-            meta.push(if group.starts_here { 1.0 } else { 0.0 });
-            for &p in &group.presence {
-                meta.push(if p { 1.0 } else { 0.0 });
-            }
-        } else {
-            meta.resize(meta.len() + 1 + self.n_chunks, 0.0);
-        }
+        group.push_tags(self.tags_enabled, &mut meta);
         let chunk_len = (bounds.1 - bounds.0).max(1e-9);
         let records = group
             .items
@@ -84,10 +102,9 @@ impl PacketCodec {
         (meta, records)
     }
 
-    /// Decodes one generated sample into packets inside the chunk bounds.
     /// Sizes are floored at the protocol minimum (a derived-field
     /// correction, like the regenerated checksum).
-    pub fn decode_sample(
+    fn decode_sample(
         &self,
         meta: &[f32],
         records: &[Vec<f32>],
@@ -117,14 +134,15 @@ impl PacketCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chunking::chunk_packets;
     use nettrace::{FiveTuple, Protocol};
     use trace_synth::public::ip2vec_public_corpus;
 
     fn codec() -> (PacketCodec, PacketTrace) {
         let tuples = TupleCodec::fit_public(&ip2vec_public_corpus(1_500, 6), 8, 4);
         let trace = sample_trace();
-        (PacketCodec::fit(&trace, tuples, 3), trace)
+        let mut cfg = NetShareConfig::fast();
+        cfg.n_chunks = 3;
+        (PacketCodec::fit(&trace, tuples, &cfg), trace)
     }
 
     fn sample_trace() -> PacketTrace {

@@ -1,18 +1,27 @@
 //! The end-to-end NetShare pipeline (paper Fig. 9).
+//!
+//! Once a trace is merged and split into per-five-tuple time series,
+//! NetFlow and PCAP are the same learning problem (Insight 1), so there
+//! is one pipeline here and two kinds of trace: [`NetShare::fit`] and
+//! [`NetShare::generate`] are written once over a [`TraceCodec`], and
+//! [`FlowCodec`] / [`PacketCodec`] supply what differs — the record
+//! fields, the container, and how records are chunked and encoded.
 
 use crate::ModelArtifact;
-use crate::chunking::{chunk_flows, chunk_packets, Chunked};
+use crate::chunking::{Chunked, FlowGroup};
 use crate::config::NetShareConfig;
 use crate::flowcodec::FlowCodec;
 use crate::packetcodec::PacketCodec;
 use crate::tuplecodec::TupleCodec;
-use doppelganger::{DgConfig, DoppelGanger, SentinelConfig, TimeSeriesDataset, TrainControl};
-use nettrace::{aggregate_flows, AggregationConfig, FlowTrace, PacketTrace};
+use doppelganger::{
+    DgConfig, DoppelGanger, FeatureSpec, SentinelConfig, TimeSeriesDataset, TrainControl,
+};
+use nettrace::{FlowTrace, PacketTrace};
 use orchestrator::{
     ChaosPlan, Event, EventLog, JobInputs, JobSpec, OrchestratorError, Plan, RunOptions,
     WatchdogOptions,
 };
-use rand::prelude::*;
+use std::borrow::Cow;
 use std::fmt;
 use std::path::PathBuf;
 
@@ -76,38 +85,74 @@ impl From<OrchestratorError> for PipelineError {
     }
 }
 
-enum Codec {
-    Flow(FlowCodec),
-    Packet(PacketCodec),
-}
+/// One kind of header trace, as the pipeline sees it: the record and
+/// container types, and the kind-specific steps between a trace and the
+/// `(metadata, record sequence)` samples DoppelGANger trains on.
+/// Implemented by [`FlowCodec`] and [`PacketCodec`]; the kind is a type
+/// parameter of [`NetShare`], so a model fit on packets has no
+/// `generate_flows` to call. (`Sync`: the pre-training job encodes
+/// through a shared reference on a pool worker.)
+pub trait TraceCodec: Sized + Sync {
+    /// One time-series element (a flow record or a packet).
+    type Record;
+    /// The trace container.
+    type Trace: Clone;
+    /// Suffix of the `fit_*` / `generate_*[n]` span names.
+    const KIND: &'static str;
 
-/// Which sampler the generation loops draw from.
-///
-/// At default precision the two paths are **bitwise-equal** (the
-/// `infer_equiv` suite proves it), so this is purely a speed knob; the
-/// reference path survives as the oracle the fast path is checked
-/// against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SamplePath {
-    /// The training-graph sampler (`DoppelGanger::sample`): rebuilds
-    /// activations per call. Kept as the equivalence oracle.
-    Reference,
-    /// The frozen arena-backed sampler (`DoppelGanger::sample_fast`):
-    /// no gradient caches, recycled activations. The default.
-    Fast,
+    /// The trace's records, in order.
+    fn records(trace: &Self::Trace) -> &[Self::Record];
+    /// Remerges generated records into a time-sorted trace of at most
+    /// `n` records (the post-processing step).
+    fn assemble(records: Vec<Self::Record>, n: usize) -> Self::Trace;
+    /// A public packet corpus as this kind of trace.
+    fn from_packets(public: &PacketTrace) -> Cow<'_, Self::Trace>;
+    /// Fits the continuous-field ranges on `trace` (private data in the
+    /// non-DP pipeline, a public trace in DP mode).
+    fn fit(trace: &Self::Trace, tuples: TupleCodec, cfg: &NetShareConfig) -> Self;
+    /// Slices `trace` into `m` fixed-time chunks of per-tuple groups.
+    fn chunk(trace: &Self::Trace, m: usize) -> Chunked<Self::Record>;
+    /// Metadata layout.
+    fn meta_spec(&self) -> FeatureSpec;
+    /// Record layout.
+    fn record_spec(&self) -> FeatureSpec;
+    /// Encodes one chunked group into `(metadata, record sequence)`,
+    /// record times relative to the chunk bounds.
+    fn encode_group(
+        &self,
+        group: &FlowGroup<Self::Record>,
+        bounds: (f64, f64),
+    ) -> (Vec<f32>, Vec<Vec<f32>>);
+    /// Decodes one generated sample into records placed inside the
+    /// chunk bounds.
+    fn decode_sample(
+        &self,
+        meta: &[f32],
+        records: &[Vec<f32>],
+        bounds: (f64, f64),
+    ) -> Vec<Self::Record>;
 }
 
 /// A fitted NetShare model: one DoppelGANger per chunk, plus the codec and
 /// chunk geometry needed to decode generated samples back into a trace.
-pub struct NetShare {
+///
+/// The codec type fixes the trace kind; asking a packet model for flows
+/// does not compile:
+///
+/// ```compile_fail
+/// use netshare::{NetShare, NetShareConfig};
+/// let real = trace_synth::generate_packets(trace_synth::DatasetKind::Caida, 500, 1);
+/// let mut model = NetShare::fit_packets(&real, &NetShareConfig::fast()).unwrap();
+/// model.generate_flows(1);
+/// ```
+pub struct NetShare<C = FlowCodec> {
     cfg: NetShareConfig,
-    codec: Codec,
+    codec: C,
     /// Per-chunk models (`None` for chunks with no training data).
     models: Vec<Option<DoppelGanger>>,
     bounds: Vec<(f64, f64)>,
     /// Real record/packet counts per chunk (drives proportional sampling).
     chunk_counts: Vec<usize>,
-    rng: StdRng,
     /// Wall-clock seconds of the fit call (parallel chunks overlap).
     pub wall_seconds: f64,
     /// Summed per-chunk training seconds — the "total CPU hours" axis of
@@ -122,10 +167,10 @@ pub struct NetShare {
     events: Vec<Event>,
 }
 
-/// What [`NetShare::train_chunks`] hands back to the fit entry points:
-/// per-chunk models (`None` for empty chunks), summed per-chunk CPU
-/// seconds, wall seconds, per-chunk DP sampling rates, and the
-/// orchestrator event stream.
+/// What [`train_chunks`] hands back to [`NetShare::fit`]: per-chunk
+/// models (`None` for empty chunks), summed per-chunk CPU seconds, wall
+/// seconds, per-chunk DP sampling rates, and the orchestrator event
+/// stream.
 type ChunkTraining = (
     Vec<Option<DoppelGanger>>,
     f64,
@@ -134,46 +179,84 @@ type ChunkTraining = (
     Vec<Event>,
 );
 
-impl NetShare {
+impl NetShare<FlowCodec> {
     /// Fits on a flow-header trace (the NetFlow pipeline).
-    pub fn fit_flows(trace: &FlowTrace, cfg: &NetShareConfig) -> Result<NetShare, PipelineError> {
-        if trace.is_empty() {
+    pub fn fit_flows(trace: &FlowTrace, cfg: &NetShareConfig) -> Result<Self, PipelineError> {
+        Self::fit(trace, cfg)
+    }
+
+    /// Fits on per-epoch flow traces by first merging them (Insight 1).
+    pub fn fit_flow_epochs(
+        epochs: &[FlowTrace],
+        cfg: &NetShareConfig,
+    ) -> Result<Self, PipelineError> {
+        Self::fit(&nettrace::epoch::merge_flow_epochs(epochs), cfg)
+    }
+
+    /// [`NetShare::generate`]: about `n` flow records in start-time order.
+    pub fn generate_flows(&mut self, n: usize) -> FlowTrace {
+        self.generate(n)
+    }
+}
+
+impl NetShare<PacketCodec> {
+    /// Fits on a packet-header trace (the PCAP pipeline).
+    pub fn fit_packets(trace: &PacketTrace, cfg: &NetShareConfig) -> Result<Self, PipelineError> {
+        Self::fit(trace, cfg)
+    }
+
+    /// [`NetShare::generate`]: about `n` packets in timestamp order.
+    pub fn generate_packets(&mut self, n: usize) -> PacketTrace {
+        self.generate(n)
+    }
+}
+
+/// Encodes every group of the chunks in `which` into one training
+/// dataset, record times relative to each group's own chunk.
+fn encode_chunks<C: TraceCodec>(
+    codec: &C,
+    chunked: &Chunked<C::Record>,
+    which: std::ops::Range<usize>,
+    max_seq_len: usize,
+) -> TimeSeriesDataset {
+    let (meta, seqs) = which
+        .flat_map(|ci| {
+            let bounds = chunked.bounds[ci];
+            chunked.chunks[ci].iter().map(move |g| codec.encode_group(g, bounds))
+        })
+        .unzip();
+    TimeSeriesDataset::new(meta, seqs, max_seq_len)
+}
+
+impl<C: TraceCodec> NetShare<C> {
+    /// Fits on a trace of the codec's kind: public IP2Vec dictionary,
+    /// codec ranges, fixed-time chunking, then one DoppelGANger per
+    /// chunk — a seed model and parallel fine-tunes, run as a job DAG
+    /// on the orchestrator.
+    pub fn fit(trace: &C::Trace, cfg: &NetShareConfig) -> Result<Self, PipelineError> {
+        if C::records(trace).is_empty() {
             return Err(PipelineError::EmptyTrace);
         }
-        let _span = telemetry::span!("fit_flows");
+        let _span = telemetry::span!("fit_{}", C::KIND);
         let public_pkts =
             trace_synth::public::ip2vec_public_corpus(cfg.ip2vec_public_packets, cfg.seed ^ 0xab);
         let tuples = TupleCodec::fit_public(&public_pkts, cfg.embed_dim, cfg.seed ^ 0xcd);
         // In DP mode, normalization ranges must not depend on private data.
-        let mut codec = if cfg.dp.is_some() {
-            let public_flows = aggregate_flows(&public_pkts, AggregationConfig::default());
-            FlowCodec::fit(&public_flows, tuples, cfg.n_chunks, cfg.with_labels)
+        let codec = if cfg.dp.is_some() {
+            C::fit(&C::from_packets(&public_pkts), tuples, cfg)
         } else {
-            FlowCodec::fit(trace, tuples, cfg.n_chunks, cfg.with_labels)
+            C::fit(trace, tuples, cfg)
         };
-        codec.tags_enabled = cfg.use_flow_tags;
 
-        let chunked = chunk_flows(trace, cfg.n_chunks);
-        let datasets: Vec<Option<TimeSeriesDataset>> = chunked
-            .chunks
-            .iter()
-            .enumerate()
-            .map(|(ci, groups)| {
-                if groups.is_empty() {
-                    return None;
-                }
-                let mut meta = Vec::with_capacity(groups.len());
-                let mut seqs = Vec::with_capacity(groups.len());
-                for g in groups {
-                    let (m, s) = codec.encode_group(g, chunked.bounds[ci]);
-                    meta.push(m);
-                    seqs.push(s);
-                }
-                Some(TimeSeriesDataset::new(meta, seqs, cfg.max_seq_len))
+        let chunked = C::chunk(trace, cfg.n_chunks);
+        let datasets: Vec<Option<TimeSeriesDataset>> = (0..chunked.chunks.len())
+            .map(|ci| {
+                (!chunked.chunks[ci].is_empty())
+                    .then(|| encode_chunks(&codec, &chunked, ci..ci + 1, cfg.max_seq_len))
             })
             .collect();
 
-        let (models, cpu_seconds, wall_seconds, dp_rates, events) = Self::train_chunks(
+        let (models, cpu_seconds, wall_seconds, dp_rates, events) = train_chunks(
             cfg,
             codec.meta_spec(),
             codec.record_spec(),
@@ -182,27 +265,16 @@ impl NetShare {
                 // Public pre-training dataset for DP mode: the chosen
                 // public trace run through the same encode path.
                 let src = pretrain_packets(cfg, &public_pkts);
-                let public_flows = aggregate_flows(&src, AggregationConfig::default());
-                let pc = chunk_flows(&public_flows, cfg.n_chunks);
-                let mut meta = Vec::new();
-                let mut seqs = Vec::new();
-                for (ci, groups) in pc.chunks.iter().enumerate() {
-                    for g in groups {
-                        let (m, s) = codec.encode_group(g, pc.bounds[ci]);
-                        meta.push(m);
-                        seqs.push(s);
-                    }
-                }
-                TimeSeriesDataset::new(meta, seqs, cfg.max_seq_len)
+                let pc = C::chunk(&C::from_packets(&src), cfg.n_chunks);
+                encode_chunks(&codec, &pc, 0..pc.chunks.len(), cfg.max_seq_len)
             },
         )?;
 
         Ok(NetShare {
-            rng: StdRng::seed_from_u64(cfg.seed ^ 0xef),
-            codec: Codec::Flow(codec),
+            codec,
             models,
-            bounds: chunked.bounds.clone(),
             chunk_counts: chunk_item_counts(&chunked),
+            bounds: chunked.bounds,
             wall_seconds,
             cpu_seconds,
             dp_rates,
@@ -211,478 +283,16 @@ impl NetShare {
         })
     }
 
-    /// Fits on per-epoch flow traces by first merging them (Insight 1).
-    pub fn fit_flow_epochs(
-        epochs: &[FlowTrace],
-        cfg: &NetShareConfig,
-    ) -> Result<NetShare, PipelineError> {
-        let merged = nettrace::epoch::merge_flow_epochs(epochs);
-        NetShare::fit_flows(&merged, cfg)
-    }
-
-    /// Fits on a packet-header trace (the PCAP pipeline).
-    pub fn fit_packets(
-        trace: &PacketTrace,
-        cfg: &NetShareConfig,
-    ) -> Result<NetShare, PipelineError> {
-        if trace.is_empty() {
-            return Err(PipelineError::EmptyTrace);
-        }
-        let _span = telemetry::span!("fit_packets");
-        let public_pkts =
-            trace_synth::public::ip2vec_public_corpus(cfg.ip2vec_public_packets, cfg.seed ^ 0xab);
-        let tuples = TupleCodec::fit_public(&public_pkts, cfg.embed_dim, cfg.seed ^ 0xcd);
-        let mut codec = if cfg.dp.is_some() {
-            PacketCodec::fit(&public_pkts, tuples, cfg.n_chunks)
-        } else {
-            PacketCodec::fit(trace, tuples, cfg.n_chunks)
-        };
-        codec.tags_enabled = cfg.use_flow_tags;
-
-        let chunked = chunk_packets(trace, cfg.n_chunks);
-        let datasets: Vec<Option<TimeSeriesDataset>> = chunked
-            .chunks
-            .iter()
-            .enumerate()
-            .map(|(ci, groups)| {
-                if groups.is_empty() {
-                    return None;
-                }
-                let mut meta = Vec::with_capacity(groups.len());
-                let mut seqs = Vec::with_capacity(groups.len());
-                for g in groups {
-                    let (m, s) = codec.encode_group(g, chunked.bounds[ci]);
-                    meta.push(m);
-                    seqs.push(s);
-                }
-                Some(TimeSeriesDataset::new(meta, seqs, cfg.max_seq_len))
-            })
-            .collect();
-
-        let (models, cpu_seconds, wall_seconds, dp_rates, events) = Self::train_chunks(
-            cfg,
-            codec.meta_spec(),
-            codec.record_spec(),
-            &datasets,
-            || {
-                let src = pretrain_packets(cfg, &public_pkts);
-                let pc = chunk_packets(&src, cfg.n_chunks);
-                let mut meta = Vec::new();
-                let mut seqs = Vec::new();
-                for (ci, groups) in pc.chunks.iter().enumerate() {
-                    for g in groups {
-                        let (m, s) = codec.encode_group(g, pc.bounds[ci]);
-                        meta.push(m);
-                        seqs.push(s);
-                    }
-                }
-                TimeSeriesDataset::new(meta, seqs, cfg.max_seq_len)
-            },
-        )?;
-
-        Ok(NetShare {
-            rng: StdRng::seed_from_u64(cfg.seed ^ 0xef),
-            codec: Codec::Packet(codec),
-            models,
-            bounds: chunked.bounds.clone(),
-            chunk_counts: chunk_item_counts(&chunked),
-            wall_seconds,
-            cpu_seconds,
-            dp_rates,
-            events,
-            cfg: cfg.clone(),
-        })
-    }
-
-    /// Shared chunk-training logic, run as a job DAG on the orchestrator
-    /// (mirroring the paper's Ray topology): one `pretrain` job — seed
-    /// chunk at full depth, or public pre-training in DP mode — and one
-    /// `chunk-<i>` fine-tune job per non-empty chunk, each depending on
-    /// the pretrain artifact.
+    /// Generates a synthetic trace of approximately `n` records, each
+    /// chunk model contributing in proportion to the real chunk's size.
     ///
-    /// Jobs communicate through [`ModelArtifact`]s (parameters + sampler
-    /// RNG state), and the final models are rebuilt *from artifacts* on
-    /// both the live and the resumed path, so the result is bitwise
-    /// identical at any worker count and across kill/resume.
-    fn train_chunks(
-        cfg: &NetShareConfig,
-        meta_spec: doppelganger::FeatureSpec,
-        record_spec: doppelganger::FeatureSpec,
-        datasets: &[Option<TimeSeriesDataset>],
-        build_public: impl Fn() -> TimeSeriesDataset + Send + Sync,
-    ) -> Result<ChunkTraining, PipelineError> {
-        // The pretrained model every chunk fine-tunes from. No data at all
-        // (every chunk empty) means nothing to train.
-        let Some(seed_idx) = datasets.iter().position(|d| d.is_some()) else {
-            let none: Vec<Option<DoppelGanger>> = datasets.iter().map(|_| None).collect();
-            return Ok((none, 0.0, 0.0, Vec::new(), Vec::new()));
-        };
-        let seed_data = datasets[seed_idx]
-            .as_ref()
-            .expect("seed_idx points at a non-empty chunk"); // lint: allow(panic-in-lib) seed_idx was selected from the non-empty chunks (lint: allow(panic-in-lib) seed_idx was selected from the non-empty chunks)
-
-        let base_dg = |steps: usize, seed: u64, dp: Option<nnet::dpsgd::DpSgdConfig>| {
-            let mut dg = DgConfig::small(meta_spec.clone(), record_spec.clone(), cfg.max_seq_len);
-            dg.gen_steps = steps;
-            dg.batch_size = cfg.batch_size;
-            // DP fine-tuning uses a reduced learning rate so the noisy
-            // gradients refine (rather than overwrite) the pre-trained
-            // weights — the mechanism behind the Insight-4 gains.
-            dg.lr = if dp.is_some() { cfg.lr * 0.3 } else { cfg.lr };
-            dg.n_critic = cfg.n_critic;
-            dg.weight_clip = cfg.weight_clip;
-            dg.aux_weight = cfg.aux_weight;
-            dg.seed = seed;
-            dg.dp = dp;
-            dg
-        };
-        // Steps are specified for the *whole* trace and scaled to each
-        // chunk's share of the data (training effort ∝ data seen, like the
-        // epoch-based training in the paper). This is what makes chunking
-        // cheaper in total CPU: the seed chunk gets full-depth training on
-        // 1/M of the data and every other chunk only a short fine-tune.
-        let total_items: usize = datasets
-            .iter()
-            .flatten()
-            .map(|d| d.len())
-            .sum::<usize>()
-            .max(1);
-
-        let orch = &cfg.orchestrator;
-        // Injection specs are validated up front: a typo in a chaos knob
-        // must abort the run with exit-code-2 semantics, not silently
-        // train without the fault the CI run was counting on.
-        let chaos = orch
-            .fault_spec
-            .as_deref()
-            .map(ChaosPlan::parse)
-            .transpose()
-            .map_err(PipelineError::Config)?;
-        let divergence = orch
-            .divergence_spec
-            .as_deref()
-            .map(parse_divergence_spec)
-            .transpose()
-            .map_err(PipelineError::Config)?;
-        let mut events = EventLog::new();
-        if std::env::var("NETSHARE_DEBUG_STEPS").is_ok() {
-            events = events.with_stderr();
-        }
-        if let Some(dir) = &orch.checkpoint_dir {
-            std::fs::create_dir_all(dir).map_err(|e| PipelineError::Checkpoint {
-                path: dir.clone(),
-                message: e.to_string(),
-            })?;
-            let path = dir.join("events.jsonl");
-            events = events.with_file(&path).map_err(|e| PipelineError::Checkpoint {
-                path,
-                message: e.to_string(),
-            })?;
-        }
-        let events = std::sync::Arc::new(events);
-        // This run's taps on the two process-global observers, removed
-        // again on every way out of this function: left installed, they
-        // would keep every later span in the process flowing into this
-        // run's (finished) event stream. Both observers are
-        // last-writer-wins, so of two runs sharing a process the one that
-        // returns first ends the tap for both.
-        struct GlobalTaps;
-        impl Drop for GlobalTaps {
-            fn drop(&mut self) {
-                telemetry::span::clear_span_sink();
-                #[cfg(feature = "sanitize")]
-                nnet::sanitize::clear_hook();
-            }
-        }
-        let _taps = GlobalTaps;
-        // With the sanitizer compiled in, route its trips into this run's
-        // event stream: the hook fires on the tripping worker thread just
-        // before the fatal panic, so the layer-attributed diagnostic is on
-        // disk before the orchestrator's panic recovery files the generic
-        // JobRetried/JobFailed.
-        #[cfg(feature = "sanitize")]
-        {
-            let sink = std::sync::Arc::clone(&events);
-            nnet::sanitize::set_hook(move |inc: &nnet::sanitize::Incident| {
-                sink.emit(Event::SanitizerTripped {
-                    scope: inc.scope.clone(),
-                    op: inc.op.clone(),
-                    kind: inc.kind.name().to_string(),
-                    detail: inc.detail.clone(),
-                });
-            });
-        }
-
-        // Bridge telemetry spans into the same JSONL stream. With the
-        // `telemetry` feature off this installs nothing (the sink setter is
-        // a no-op and spans never fire).
-        {
-            let sink = std::sync::Arc::clone(&events);
-            telemetry::span::set_span_sink(move |sp: &telemetry::span::SpanEvent| {
-                sink.emit(Event::Span {
-                    path: sp.path.clone(),
-                    start_us: sp.start_ns / 1_000,
-                    duration_us: sp.duration_ns / 1_000,
-                    depth: sp.depth,
-                });
-            });
-        }
-
-        let scaled = |job: &str, steps: usize, len: usize| -> usize {
-            let v = ((steps as f64 * len as f64 / total_items as f64).ceil() as usize).max(5);
-            events.emit(Event::ScaledSteps {
-                job: job.to_string(),
-                requested: steps as u64,
-                scaled: v as u64,
-                items: len as u64,
-                total_items: total_items as u64,
-            });
-            v
-        };
-        let emit_losses = |job: &str, model: &DoppelGanger| {
-            events.emit(Event::Losses {
-                job: job.to_string(),
-                d_loss: model.stats.d_loss.last().copied().unwrap_or(0.0) as f64,
-                g_loss: model.stats.g_loss.last().copied().unwrap_or(0.0) as f64,
-                critic_steps: model.stats.critic_steps,
-                gen_steps: model.stats.g_loss.len() as u64,
-            });
-        };
-
-        // Cooperative training controls: the cancel probe surfaces
-        // watchdog / run-failure cancellations between generator steps,
-        // and the observer feeds the watchdog heartbeat (and the
-        // `train.steps_per_sec` gauge).
-        let control_from = |inp: &JobInputs<ModelArtifact>| -> TrainControl {
-            let token = inp.cancel.clone();
-            let heartbeat = inp.heartbeat.clone();
-            TrainControl {
-                cancel: Some(std::sync::Arc::new(move || token.reason())),
-                observer: Some(std::sync::Arc::new(move |steps| heartbeat.beat(steps))),
-            }
-        };
-        let divergence = &divergence;
-        // All training runs under the divergence sentinel; a healthy run
-        // is bitwise-identical to plain `train_steps`, so the pool's
-        // determinism guarantees are untouched.
-        let train_guarded = |model: &mut DoppelGanger,
-                             data: &TimeSeriesDataset,
-                             steps: usize,
-                             job: &str,
-                             inp: &JobInputs<ModelArtifact>,
-                             dp: bool|
-         -> Result<(), String> {
-            let mut scfg = SentinelConfig::default();
-            if let Some(budget) = orch.rollback_budget {
-                scfg.rollback_budget = budget;
-            }
-            if dp {
-                // A rollback would replay DP-SGD steps the accountant has
-                // already charged (its state is not snapshotted), so DP
-                // jobs get no budget: divergence fails the attempt loudly.
-                scfg.rollback_budget = 0;
-            } else if let Some((dj, at)) = divergence {
-                if dj == job {
-                    scfg.inject_non_finite_at = Some(*at);
-                }
-            }
-            let rollbacks = model
-                .train_steps_sentinel(data, steps, &scfg, &control_from(inp))
-                .map_err(|e| e.to_string())?;
-            for (i, rb) in rollbacks.iter().enumerate() {
-                events.emit(Event::SentinelRollback {
-                    job: job.to_string(),
-                    step: rb.step,
-                    reason: rb.reason.clone(),
-                    rollback: (i + 1) as u32,
-                    lr: rb.lr as f64,
-                });
-            }
-            Ok(())
-        };
-
-        // --- the job DAG --------------------------------------------------
-        let base_dg = &base_dg;
-        let scaled = &scaled;
-        let emit_losses = &emit_losses;
-        let build_public = &build_public;
-        let train_guarded = &train_guarded;
-        let mut jobs: Vec<JobSpec<'_, ModelArtifact>> = Vec::with_capacity(datasets.len() + 1);
-        jobs.push(JobSpec::new(
-            "pretrain",
-            Vec::<String>::new(),
-            move |inp: &JobInputs<ModelArtifact>| {
-                let _span = telemetry::span!("pretrain");
-                let mut model = DoppelGanger::new(base_dg(0, cfg.seed ^ 0x91, None));
-                match cfg.dp {
-                    Some(dp_opts) => {
-                        // DP: pre-train (non-privately) on public data.
-                        let public = build_public();
-                        train_guarded(
-                            &mut model,
-                            &public,
-                            dp_opts.public_pretrain_steps,
-                            "pretrain",
-                            inp,
-                            false,
-                        )?;
-                    }
-                    None => {
-                        // Non-DP: seed chunk trains from scratch at full
-                        // depth (scaled to its data share).
-                        train_guarded(
-                            &mut model,
-                            seed_data,
-                            scaled("pretrain", cfg.seed_steps, seed_data.len()),
-                            "pretrain",
-                            inp,
-                            false,
-                        )?;
-                    }
-                }
-                emit_losses("pretrain", &model);
-                Ok(ModelArtifact::capture(&model, None))
-            },
-        ));
-        for (ci, data) in datasets.iter().enumerate() {
-            let Some(data) = data.as_ref() else { continue };
-            let id = format!("chunk-{ci}");
-            jobs.push(JobSpec::new(
-                id.clone(),
-                ["pretrain"],
-                move |inp: &JobInputs<ModelArtifact>| {
-                    let _span = telemetry::span!("chunk[{ci}]/fine_tune");
-                    let seed_model = inp
-                        .dep("pretrain")?
-                        .rebuild(base_dg(0, cfg.seed ^ 0x91, None))?;
-                    let (model, rate) = match cfg.dp {
-                        Some(dp_opts) => {
-                            // Every chunk (including the first) DP
-                            // fine-tunes from the public model.
-                            let mut m = DoppelGanger::from_pretrained(
-                                base_dg(0, cfg.seed ^ (ci as u64) << 8, Some(dp_opts.dpsgd())),
-                                &seed_model,
-                            );
-                            train_guarded(
-                                &mut m,
-                                data,
-                                scaled(&id, cfg.finetune_steps, data.len()),
-                                &id,
-                                inp,
-                                true,
-                            )?;
-                            let q = (cfg.batch_size as f64 / data.len() as f64).min(1.0);
-                            let steps = m.dp_steps();
-                            (m, Some((q, steps)))
-                        }
-                        None if ci == seed_idx => {
-                            // The seed model *is* this chunk's model.
-                            // (Cloning is avoided by retraining 0 extra
-                            // steps from its artifact.)
-                            let mut m = DoppelGanger::from_pretrained(
-                                base_dg(0, cfg.seed ^ 0x91, None),
-                                &seed_model,
-                            );
-                            train_guarded(&mut m, data, 0, &id, inp, false)?;
-                            (m, None)
-                        }
-                        None => {
-                            let mut m = DoppelGanger::from_pretrained(
-                                base_dg(0, cfg.seed ^ (ci as u64) << 8, None),
-                                &seed_model,
-                            );
-                            train_guarded(
-                                &mut m,
-                                data,
-                                scaled(&id, cfg.finetune_steps, data.len()),
-                                &id,
-                                inp,
-                                false,
-                            )?;
-                            (m, None)
-                        }
-                    };
-                    emit_losses(&id, &model);
-                    Ok(ModelArtifact::capture(&model, rate))
-                },
-            ));
-        }
-        let plan = Plan::new(jobs).map_err(PipelineError::Orchestrator)?;
-
-        let defaults = RunOptions::default();
-        let opts = RunOptions {
-            workers: orch.workers,
-            max_retries: orch.max_retries.unwrap_or(defaults.max_retries),
-            checkpoint_dir: orch.checkpoint_dir.clone(),
-            resume: orch.resume,
-            run_key: run_key(cfg, &meta_spec, &record_spec, datasets),
-            chaos,
-            keep_generations: orch.keep_generations.unwrap_or(defaults.keep_generations),
-            watchdog: WatchdogOptions {
-                max_job_secs: orch.max_job_secs,
-                ..WatchdogOptions::default()
-            },
-            ..defaults
-        };
-        let report = orchestrator::run(&plan, &opts, &events)?;
-
-        // --- rebuild models from artifacts --------------------------------
-        let mut models = Vec::with_capacity(datasets.len());
-        let mut dp_rates = Vec::new();
-        for (ci, data) in datasets.iter().enumerate() {
-            if data.is_none() {
-                models.push(None);
-                continue;
-            }
-            let artifact = report
-                .outputs
-                .get(&format!("chunk-{ci}"))
-                .ok_or_else(|| PipelineError::Orchestrator(format!("missing chunk-{ci} output")))?;
-            let dg_cfg = match cfg.dp {
-                Some(dp_opts) => base_dg(0, cfg.seed ^ (ci as u64) << 8, Some(dp_opts.dpsgd())),
-                None if ci == seed_idx => base_dg(0, cfg.seed ^ 0x91, None),
-                None => base_dg(0, cfg.seed ^ (ci as u64) << 8, None),
-            };
-            let model = artifact.rebuild(dg_cfg).map_err(PipelineError::Orchestrator)?;
-            if let Some(rate) = artifact.dp_rate {
-                dp_rates.push(rate);
-            }
-            models.push(Some(model));
-        }
-        Ok((
-            models,
-            report.cpu_seconds,
-            report.wall_seconds,
-            dp_rates,
-            events.events(),
-        ))
-    }
-
-    /// Generates a synthetic flow trace of approximately `n` records,
-    /// remerged in start-time order (the post-processing step).
-    ///
-    /// Draws from the frozen arena-backed sampler ([`SamplePath::Fast`]),
-    /// whose output is bitwise-equal to the reference path (proven by the
-    /// `infer_equiv` suite), so traces are byte-identical either way.
-    ///
-    /// # Panics
-    /// Panics if the model was fit on packets.
-    pub fn generate_flows(&mut self, n: usize) -> FlowTrace {
-        self.generate_flows_via(n, SamplePath::Fast)
-    }
-
-    /// [`Self::generate_flows`] with an explicit sampler choice.
-    ///
-    /// # Panics
-    /// Panics if the model was fit on packets.
-    pub fn generate_flows_via(&mut self, n: usize, path: SamplePath) -> FlowTrace {
-        let _span = telemetry::span!("generate_flows[{n}]");
-        let codec = match &self.codec {
-            Codec::Flow(c) => c,
-            Codec::Packet(_) => panic!("model was fit on packets; call generate_packets"), // lint: allow(panic-in-lib) documented contract panic (see doc comment) (lint: allow(panic-in-lib) documented contract panic (see doc comment))
-        };
+    /// Draws from the frozen arena-backed sampler
+    /// ([`DoppelGanger::sample_fast`]), which the `infer_equiv` suite
+    /// holds bitwise-equal to the training-graph sampler.
+    pub fn generate(&mut self, n: usize) -> C::Trace {
+        let _span = telemetry::span!("generate_{}[{n}]", C::KIND);
         let total: usize = self.chunk_counts.iter().sum::<usize>().max(1);
-        let mut flows = Vec::with_capacity(n);
+        let mut records = Vec::with_capacity(n);
         for ci in 0..self.models.len() {
             let want = (n as f64 * self.chunk_counts[ci] as f64 / total as f64).round() as usize;
             let Some(model) = self.models[ci].as_mut() else {
@@ -692,70 +302,14 @@ impl NetShare {
             let mut got = 0usize;
             while got < want {
                 let take = ((want - got) / 2 + 1).clamp(1, 64);
-                let batch = match path {
-                    SamplePath::Reference => model.sample(take),
-                    SamplePath::Fast => model.sample_fast(take),
-                };
-                for s in batch {
-                    let recs = codec.decode_sample(&s.meta, &s.records, bounds);
+                for s in model.sample_fast(take) {
+                    let recs = self.codec.decode_sample(&s.meta, &s.records, bounds);
                     got += recs.len();
-                    flows.extend(recs);
+                    records.extend(recs);
                 }
             }
         }
-        let mut trace = FlowTrace::from_records(flows);
-        trace.truncate(n);
-        trace
-    }
-
-    /// Generates a synthetic packet trace of approximately `n` packets,
-    /// remerged by raw timestamp.
-    ///
-    /// Draws from the frozen arena-backed sampler ([`SamplePath::Fast`]);
-    /// see [`Self::generate_flows`] for the equivalence guarantee.
-    ///
-    /// # Panics
-    /// Panics if the model was fit on flows.
-    pub fn generate_packets(&mut self, n: usize) -> PacketTrace {
-        self.generate_packets_via(n, SamplePath::Fast)
-    }
-
-    /// [`Self::generate_packets`] with an explicit sampler choice.
-    ///
-    /// # Panics
-    /// Panics if the model was fit on flows.
-    pub fn generate_packets_via(&mut self, n: usize, path: SamplePath) -> PacketTrace {
-        let _span = telemetry::span!("generate_packets[{n}]");
-        let codec = match &self.codec {
-            Codec::Packet(c) => c,
-            Codec::Flow(_) => panic!("model was fit on flows; call generate_flows"), // lint: allow(panic-in-lib) documented contract panic (see doc comment) (lint: allow(panic-in-lib) documented contract panic (see doc comment))
-        };
-        let total: usize = self.chunk_counts.iter().sum::<usize>().max(1);
-        let mut packets = Vec::with_capacity(n);
-        for ci in 0..self.models.len() {
-            let want = (n as f64 * self.chunk_counts[ci] as f64 / total as f64).round() as usize;
-            let Some(model) = self.models[ci].as_mut() else {
-                continue;
-            };
-            let bounds = self.bounds[ci];
-            let mut got = 0usize;
-            while got < want {
-                let take = ((want - got) / 2 + 1).clamp(1, 64);
-                let batch = match path {
-                    SamplePath::Reference => model.sample(take),
-                    SamplePath::Fast => model.sample_fast(take),
-                };
-                for s in batch {
-                    let recs = codec.decode_sample(&s.meta, &s.records, bounds);
-                    got += recs.len();
-                    packets.extend(recs);
-                }
-            }
-        }
-        let mut trace = PacketTrace::from_records(packets);
-        trace.truncate(n);
-        let _ = &self.rng; // reserved for future stochastic post-processing
-        trace
+        C::assemble(records, n)
     }
 
     /// The (ε, δ) privacy guarantee of the fitted model, `None` when DP is
@@ -784,6 +338,327 @@ impl NetShare {
     pub fn events(&self) -> &[Event] {
         &self.events
     }
+}
+
+/// Chunk training — kind-agnostic: specs and encoded datasets in, models
+/// out — run as a job DAG on the orchestrator (mirroring the paper's Ray
+/// topology): one `pretrain` job — seed chunk at full depth, or public
+/// pre-training in DP mode — and one `chunk-<i>` fine-tune job per
+/// non-empty chunk, each depending on the pretrain artifact.
+///
+/// Jobs communicate through [`ModelArtifact`]s (parameters + sampler
+/// RNG state), and the final models are rebuilt *from artifacts* on
+/// both the live and the resumed path, so the result is bitwise
+/// identical at any worker count and across kill/resume.
+fn train_chunks(
+    cfg: &NetShareConfig,
+    meta_spec: FeatureSpec,
+    record_spec: FeatureSpec,
+    datasets: &[Option<TimeSeriesDataset>],
+    build_public: impl Fn() -> TimeSeriesDataset + Send + Sync,
+) -> Result<ChunkTraining, PipelineError> {
+    // The pretrained model every chunk fine-tunes from. No data at all
+    // (every chunk empty) means nothing to train.
+    let Some(seed_idx) = datasets.iter().position(|d| d.is_some()) else {
+        let none: Vec<Option<DoppelGanger>> = datasets.iter().map(|_| None).collect();
+        return Ok((none, 0.0, 0.0, Vec::new(), Vec::new()));
+    };
+    let seed_data = datasets[seed_idx]
+        .as_ref()
+        .expect("seed_idx points at a non-empty chunk"); // lint: allow(panic-in-lib) seed_idx was selected from the non-empty chunks
+
+    let base_dg = |steps: usize, seed: u64, dp: Option<nnet::dpsgd::DpSgdConfig>| {
+        let mut dg = DgConfig::small(meta_spec.clone(), record_spec.clone(), cfg.max_seq_len);
+        dg.gen_steps = steps;
+        dg.batch_size = cfg.batch_size;
+        // DP fine-tuning uses a reduced learning rate so the noisy
+        // gradients refine (rather than overwrite) the pre-trained
+        // weights — the mechanism behind the Insight-4 gains.
+        dg.lr = if dp.is_some() { cfg.lr * 0.3 } else { cfg.lr };
+        dg.n_critic = cfg.n_critic;
+        dg.weight_clip = cfg.weight_clip;
+        dg.aux_weight = cfg.aux_weight;
+        dg.seed = seed;
+        dg.dp = dp;
+        dg
+    };
+    // The config chunk `ci`'s model is trained under and later rebuilt
+    // from its artifact with. Non-DP, the seed model *is* the seed
+    // chunk's model, so that chunk keeps the pretrain seed.
+    let chunk_dg = |ci: usize| match cfg.dp {
+        None if ci == seed_idx => base_dg(0, cfg.seed ^ 0x91, None),
+        dp => base_dg(0, cfg.seed ^ (ci as u64) << 8, dp.map(|d| d.dpsgd())),
+    };
+    // Steps are specified for the *whole* trace and scaled to each
+    // chunk's share of the data (training effort ∝ data seen, like the
+    // epoch-based training in the paper). This is what makes chunking
+    // cheaper in total CPU: the seed chunk gets full-depth training on
+    // 1/M of the data and every other chunk only a short fine-tune.
+    let total_items: usize = datasets
+        .iter()
+        .flatten()
+        .map(|d| d.len())
+        .sum::<usize>()
+        .max(1);
+
+    let orch = &cfg.orchestrator;
+    // Injection specs are validated up front: a typo in a chaos knob
+    // must abort the run with exit-code-2 semantics, not silently
+    // train without the fault the CI run was counting on.
+    let chaos = orch
+        .fault_spec
+        .as_deref()
+        .map(ChaosPlan::parse)
+        .transpose()
+        .map_err(PipelineError::Config)?;
+    let divergence = orch
+        .divergence_spec
+        .as_deref()
+        .map(parse_divergence_spec)
+        .transpose()
+        .map_err(PipelineError::Config)?;
+    let mut events = EventLog::new();
+    if std::env::var("NETSHARE_DEBUG_STEPS").is_ok() {
+        events = events.with_stderr();
+    }
+    if let Some(dir) = &orch.checkpoint_dir {
+        std::fs::create_dir_all(dir).map_err(|e| PipelineError::Checkpoint {
+            path: dir.clone(),
+            message: e.to_string(),
+        })?;
+        let path = dir.join("events.jsonl");
+        events = events.with_file(&path).map_err(|e| PipelineError::Checkpoint {
+            path,
+            message: e.to_string(),
+        })?;
+    }
+    let events = std::sync::Arc::new(events);
+    // This run's taps on the two process-global observers, removed
+    // again on every way out of this function: left installed, they
+    // would keep every later span in the process flowing into this
+    // run's (finished) event stream. Both observers are
+    // last-writer-wins, so of two runs sharing a process the one that
+    // returns first ends the tap for both.
+    struct GlobalTaps;
+    impl Drop for GlobalTaps {
+        fn drop(&mut self) {
+            telemetry::span::clear_span_sink();
+            #[cfg(feature = "sanitize")]
+            nnet::sanitize::clear_hook();
+        }
+    }
+    let _taps = GlobalTaps;
+    // With the sanitizer compiled in, route its trips into this run's
+    // event stream: the hook fires on the tripping worker thread just
+    // before the fatal panic, so the layer-attributed diagnostic is on
+    // disk before the orchestrator's panic recovery files the generic
+    // JobRetried/JobFailed.
+    #[cfg(feature = "sanitize")]
+    {
+        let sink = std::sync::Arc::clone(&events);
+        nnet::sanitize::set_hook(move |inc: &nnet::sanitize::Incident| {
+            sink.emit(Event::SanitizerTripped {
+                scope: inc.scope.clone(),
+                op: inc.op.clone(),
+                kind: inc.kind.name().to_string(),
+                detail: inc.detail.clone(),
+            });
+        });
+    }
+
+    // Bridge telemetry spans into the same JSONL stream. With the
+    // `telemetry` feature off this installs nothing (the sink setter is
+    // a no-op and spans never fire).
+    {
+        let sink = std::sync::Arc::clone(&events);
+        telemetry::span::set_span_sink(move |sp: &telemetry::span::SpanEvent| {
+            sink.emit(Event::Span {
+                path: sp.path.clone(),
+                start_us: sp.start_ns / 1_000,
+                duration_us: sp.duration_ns / 1_000,
+                depth: sp.depth,
+            });
+        });
+    }
+
+    let scaled = |job: &str, steps: usize, len: usize| -> usize {
+        let v = ((steps as f64 * len as f64 / total_items as f64).ceil() as usize).max(5);
+        events.emit(Event::ScaledSteps {
+            job: job.to_string(),
+            requested: steps as u64,
+            scaled: v as u64,
+            items: len as u64,
+            total_items: total_items as u64,
+        });
+        v
+    };
+    let emit_losses = |job: &str, model: &DoppelGanger| {
+        events.emit(Event::Losses {
+            job: job.to_string(),
+            d_loss: model.stats.d_loss.last().copied().unwrap_or(0.0) as f64,
+            g_loss: model.stats.g_loss.last().copied().unwrap_or(0.0) as f64,
+            critic_steps: model.stats.critic_steps,
+            gen_steps: model.stats.g_loss.len() as u64,
+        });
+    };
+
+    // Cooperative training controls: the cancel probe surfaces
+    // watchdog / run-failure cancellations between generator steps,
+    // and the observer feeds the watchdog heartbeat (and the
+    // `train.steps_per_sec` gauge).
+    let control_from = |inp: &JobInputs<ModelArtifact>| -> TrainControl {
+        let token = inp.cancel.clone();
+        let heartbeat = inp.heartbeat.clone();
+        TrainControl {
+            cancel: Some(std::sync::Arc::new(move || token.reason())),
+            observer: Some(std::sync::Arc::new(move |steps| heartbeat.beat(steps))),
+        }
+    };
+    let divergence = &divergence;
+    // All training runs under the divergence sentinel; a healthy run
+    // is bitwise-identical to plain `train_steps`, so the pool's
+    // determinism guarantees are untouched.
+    let train_guarded = |model: &mut DoppelGanger,
+                         data: &TimeSeriesDataset,
+                         steps: usize,
+                         job: &str,
+                         inp: &JobInputs<ModelArtifact>,
+                         dp: bool|
+     -> Result<(), String> {
+        let mut scfg = SentinelConfig::default();
+        if let Some(budget) = orch.rollback_budget {
+            scfg.rollback_budget = budget;
+        }
+        if dp {
+            // A rollback would replay DP-SGD steps the accountant has
+            // already charged (its state is not snapshotted), so DP
+            // jobs get no budget: divergence fails the attempt loudly.
+            scfg.rollback_budget = 0;
+        } else if let Some((dj, at)) = divergence {
+            if dj == job {
+                scfg.inject_non_finite_at = Some(*at);
+            }
+        }
+        let rollbacks = model
+            .train_steps_sentinel(data, steps, &scfg, &control_from(inp))
+            .map_err(|e| e.to_string())?;
+        for (i, rb) in rollbacks.iter().enumerate() {
+            events.emit(Event::SentinelRollback {
+                job: job.to_string(),
+                step: rb.step,
+                reason: rb.reason.clone(),
+                rollback: (i + 1) as u32,
+                lr: rb.lr as f64,
+            });
+        }
+        Ok(())
+    };
+
+    // --- the job DAG --------------------------------------------------
+    let base_dg = &base_dg;
+    let chunk_dg = &chunk_dg;
+    let scaled = &scaled;
+    let emit_losses = &emit_losses;
+    let build_public = &build_public;
+    let train_guarded = &train_guarded;
+    let mut jobs: Vec<JobSpec<'_, ModelArtifact>> = Vec::with_capacity(datasets.len() + 1);
+    jobs.push(JobSpec::new(
+        "pretrain",
+        Vec::<String>::new(),
+        move |inp: &JobInputs<ModelArtifact>| {
+            let _span = telemetry::span!("pretrain");
+            let mut model = DoppelGanger::new(base_dg(0, cfg.seed ^ 0x91, None));
+            // DP: pre-train (non-privately) on public data. Non-DP: the
+            // seed chunk trains from scratch at full depth (scaled to
+            // its data share).
+            let public;
+            let (data, steps) = match cfg.dp {
+                Some(dp_opts) => {
+                    public = build_public();
+                    (&public, dp_opts.public_pretrain_steps)
+                }
+                None => (seed_data, scaled("pretrain", cfg.seed_steps, seed_data.len())),
+            };
+            train_guarded(&mut model, data, steps, "pretrain", inp, false)?;
+            emit_losses("pretrain", &model);
+            Ok(ModelArtifact::capture(&model, None))
+        },
+    ));
+    for (ci, data) in datasets.iter().enumerate() {
+        let Some(data) = data.as_ref() else { continue };
+        let id = format!("chunk-{ci}");
+        jobs.push(JobSpec::new(
+            id.clone(),
+            ["pretrain"],
+            move |inp: &JobInputs<ModelArtifact>| {
+                let _span = telemetry::span!("chunk[{ci}]/fine_tune");
+                let seed_model = inp
+                    .dep("pretrain")?
+                    .rebuild(base_dg(0, cfg.seed ^ 0x91, None))?;
+                // Non-DP, the seed model *is* the seed chunk's model: it
+                // retrains 0 extra steps from the artifact (no clone).
+                // Every other chunk — under DP all of them, from the
+                // public model — fine-tunes for its share of the steps.
+                let mut model = DoppelGanger::from_pretrained(chunk_dg(ci), &seed_model);
+                let steps = if cfg.dp.is_none() && ci == seed_idx {
+                    0
+                } else {
+                    scaled(&id, cfg.finetune_steps, data.len())
+                };
+                train_guarded(&mut model, data, steps, &id, inp, cfg.dp.is_some())?;
+                let rate = cfg.dp.map(|_| {
+                    let q = (cfg.batch_size as f64 / data.len() as f64).min(1.0);
+                    (q, model.dp_steps())
+                });
+                emit_losses(&id, &model);
+                Ok(ModelArtifact::capture(&model, rate))
+            },
+        ));
+    }
+    let plan = Plan::new(jobs).map_err(PipelineError::Orchestrator)?;
+
+    let defaults = RunOptions::default();
+    let opts = RunOptions {
+        workers: orch.workers,
+        max_retries: orch.max_retries.unwrap_or(defaults.max_retries),
+        checkpoint_dir: orch.checkpoint_dir.clone(),
+        resume: orch.resume,
+        run_key: run_key(cfg, &meta_spec, &record_spec, datasets),
+        chaos,
+        keep_generations: orch.keep_generations.unwrap_or(defaults.keep_generations),
+        watchdog: WatchdogOptions {
+            max_job_secs: orch.max_job_secs,
+            ..WatchdogOptions::default()
+        },
+        ..defaults
+    };
+    let report = orchestrator::run(&plan, &opts, &events)?;
+
+    // --- rebuild models from artifacts --------------------------------
+    let mut models = Vec::with_capacity(datasets.len());
+    let mut dp_rates = Vec::new();
+    for (ci, data) in datasets.iter().enumerate() {
+        if data.is_none() {
+            models.push(None);
+            continue;
+        }
+        let artifact = report
+            .outputs
+            .get(&format!("chunk-{ci}"))
+            .ok_or_else(|| PipelineError::Orchestrator(format!("missing chunk-{ci} output")))?;
+        let model = artifact.rebuild(chunk_dg(ci)).map_err(PipelineError::Orchestrator)?;
+        if let Some(rate) = artifact.dp_rate {
+            dp_rates.push(rate);
+        }
+        models.push(Some(model));
+    }
+    Ok((
+        models,
+        report.cpu_seconds,
+        report.wall_seconds,
+        dp_rates,
+        events.events(),
+    ))
 }
 
 /// Selects the DP pre-training packet source per the configured
@@ -825,8 +700,8 @@ pub fn parse_divergence_spec(spec: &str) -> Result<(String, u64), String> {
 /// changes the weights, so its checkpoints must not leak into clean runs.
 fn run_key(
     cfg: &NetShareConfig,
-    meta_spec: &doppelganger::FeatureSpec,
-    record_spec: &doppelganger::FeatureSpec,
+    meta_spec: &FeatureSpec,
+    record_spec: &FeatureSpec,
     datasets: &[Option<TimeSeriesDataset>],
 ) -> String {
     let lens: Vec<usize> = datasets

@@ -12,9 +12,9 @@
 //! * codec vocabularies are built in first-seen or sorted order, never
 //!   by `HashMap` iteration order.
 
-use netshare::config::NetShareConfig;
-use netshare::pipeline::{NetShare, SamplePath};
-use trace_synth::{generate_flows as synth_flows, DatasetKind};
+use netshare::config::{DpOptions, NetShareConfig};
+use netshare::pipeline::NetShare;
+use trace_synth::{generate_flows as synth_flows, generate_packets as synth_packets, DatasetKind};
 
 fn tiny_cfg(seed: u64) -> NetShareConfig {
     let mut cfg = NetShareConfig::fast();
@@ -51,29 +51,58 @@ fn same_seed_same_trace_across_fits_under_rayon() {
 }
 
 #[test]
-fn fast_sample_path_is_byte_identical_under_rayon() {
-    // The default generation path routes through the frozen arena-backed
-    // sampler. Golden gate: with rayon threads forced on, the fast path
-    // must produce the exact trace the reference path produces — and the
-    // same bytes a single-threaded pool produces, since thread count must
-    // never leak into sampling.
-    std::env::set_var("RAYON_NUM_THREADS", "4");
-    let real = synth_flows(DatasetKind::Ugr16, 400, 17);
-
-    let run_via = |path: SamplePath| {
-        let mut model = NetShare::fit_flows(&real, &tiny_cfg(42)).unwrap();
-        model.generate_flows_via(150, path)
+fn same_seed_same_packet_trace_across_fits() {
+    let real = synth_packets(DatasetKind::Caida, 400, 17);
+    let run = |seed: u64| {
+        let mut model = NetShare::fit_packets(&real, &tiny_cfg(seed)).unwrap();
+        model.generate_packets(150)
     };
+    let a = run(42);
+    assert_eq!(a, run(42), "two packet fits with the same cfg.seed must agree");
+    assert_ne!(a, run(43), "a different seed must change the output");
+}
 
-    let reference = run_via(SamplePath::Reference);
-    let fast = run_via(SamplePath::Fast);
-    assert_eq!(
-        reference, fast,
-        "sample_fast must be byte-identical to the reference sampler"
-    );
+/// fnv1a64 over the `Debug` line of every record, in trace order.
+fn digest<R: std::fmt::Debug>(records: &[R]) -> u64 {
+    let text: String = records.iter().map(|r| format!("{r:?}\n")).collect();
+    orchestrator::fnv1a64(text.as_bytes())
+}
 
-    // Re-running the fast path in the same (multi-threaded) process must
-    // reproduce itself exactly — the arena holds no cross-run state.
-    let fast_again = run_via(SamplePath::Fast);
-    assert_eq!(fast, fast_again, "fast path must be self-reproducible");
+#[test]
+fn generated_traces_match_pinned_digests() {
+    // Goldens read from the two separate flow and packet pipelines this
+    // one replaced: any change to RNG draw order, seed salts, batch
+    // sizing or decode shows up here, for every kind × DP pairing.
+    let flows = synth_flows(DatasetKind::Ugr16, 400, 17);
+    let packets = synth_packets(DatasetKind::Caida, 400, 17);
+    let dp_cfg = || {
+        let mut cfg = tiny_cfg(42);
+        cfg.dp = Some(DpOptions {
+            noise_multiplier: 1.0,
+            clip_norm: 1.0,
+            delta: 1e-5,
+            public_pretrain_steps: 6,
+            pretrain_source: Default::default(),
+        });
+        cfg
+    };
+    let flow_digest = |cfg: &NetShareConfig, n: usize| {
+        digest(&NetShare::fit_flows(&flows, cfg).unwrap().generate_flows(n).flows)
+    };
+    let packet_digest = |cfg: &NetShareConfig, n: usize| {
+        digest(&NetShare::fit_packets(&packets, cfg).unwrap().generate_packets(n).packets)
+    };
+    let got = [
+        flow_digest(&tiny_cfg(42), 150),
+        packet_digest(&tiny_cfg(42), 150),
+        flow_digest(&dp_cfg(), 100),
+        packet_digest(&dp_cfg(), 100),
+    ];
+    let pinned = [
+        0x58f20b9b190eb413u64,
+        0x902a60dfd1ddc07f,
+        0xa8457af75c28e952,
+        0xcb257bebf0a6df4e,
+    ];
+    assert_eq!(got, pinned, "flows, packets, DP flows, DP packets: got {got:#018x?}");
 }

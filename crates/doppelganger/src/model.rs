@@ -269,9 +269,10 @@ impl Parameterized for DgGenerator {
 /// grad tape, no per-step caches. [`FrozenGenerator::generate`] is
 /// bitwise-equivalent to [`DgGenerator::generate`] for the same weights
 /// and RNG state (pinned by `tests/infer_equiv.rs`) while performing
-/// zero steady-state allocations per timestep, and it advances all
-/// `batch` flows per GRU step — the multi-stream amortization behind
-/// the `sample_fast` speedup.
+/// zero steady-state allocations per timestep. Like the training-graph
+/// generator it advances all `batch` flows per GRU step, and at paper
+/// shape the two sample at the same rate (nsbench
+/// `doppelganger.fast_over_train_ratio` ≈ 1.0).
 pub struct FrozenGenerator<'a> {
     meta_net: FrozenSequential<'a>,
     rnn: FrozenGru<'a>,

@@ -513,44 +513,19 @@ impl DoppelGanger {
     /// (`nnet::infer`): no grad bookkeeping, arena-recycled activations,
     /// and `batch_size` flows advanced per GRU step. Bitwise-identical
     /// output to [`DoppelGanger::sample`] for the same weights and RNG
-    /// state (pinned by `tests/infer_equiv.rs`), several times faster.
+    /// state (pinned by `tests/infer_equiv.rs`). This is
+    /// [`DoppelGanger::sample_cursor`] drained in one call.
     pub fn sample_fast(&mut self, n: usize) -> Vec<GeneratedSample> {
-        self.sample_fast_with(n, self.cfg.batch_size.max(1))
-    }
-
-    /// [`DoppelGanger::sample_fast`] with an explicit stream count (the
-    /// number of flows generated per GRU forward pass). Only
-    /// `streams == cfg.batch_size.max(1)` reproduces
-    /// [`DoppelGanger::sample`] bitwise — a different chunking consumes
-    /// noise in a different order. Larger stream counts amortize each
-    /// weight-matrix traversal over more flows.
-    pub fn sample_fast_with(&mut self, n: usize, streams: usize) -> Vec<GeneratedSample> {
         let _span = telemetry::span!("sample_fast[{n}]");
-        let streams = streams.max(1);
-        let record_dim = self.gen.record_dim();
-        let max_len = self.cfg.max_len;
-        let frozen = match self.gen.freeze() {
-            Ok(f) => f,
-            // Unreachable for generators built by DgGenerator::new (no
-            // conv nodes); the reference path is equivalent anyway.
-            Err(_) => return self.sample(n),
+        // Err is unreachable for generators built by DgGenerator::new (no
+        // conv nodes); the reference path is equivalent anyway.
+        let Ok(mut cursor) = self.sample_cursor(n) else {
+            return self.sample(n);
         };
         let mut out = Vec::with_capacity(n);
-        while out.len() < n {
-            let take = (n - out.len()).min(streams);
-            let batch = frozen.generate(take, &mut self.rng, &mut self.arena);
-            decode_batch(
-                &self.cfg.meta_spec,
-                &self.cfg.record_spec,
-                record_dim,
-                max_len,
-                &batch,
-                take,
-                &mut self.rng,
-                &mut out,
-            );
+        while let Some(batch) = cursor.next_batch() {
+            out.extend(batch);
         }
-        telemetry::metrics::counter("infer.samples").add(n as u64);
         self.arena.publish_metrics();
         out
     }
@@ -562,8 +537,8 @@ impl DoppelGanger {
     /// transmission instead of materializing the whole trace. The
     /// concatenation of every batch is **bitwise-identical** to one
     /// [`DoppelGanger::sample_fast`]`(total)` call from the same model
-    /// state — the cursor is that method's loop, suspended between
-    /// iterations (pinned by `tests/cursor_equiv.rs`).
+    /// state — that method is this cursor's loop run to the end
+    /// (pinned by `tests/cursor_equiv.rs`).
     ///
     /// Fails (like [`DgGenerator::freeze`]) only for generators holding
     /// conv nodes, which [`DoppelGanger::new`] never builds.
@@ -586,8 +561,9 @@ impl DoppelGanger {
     }
 }
 
-/// A suspended [`DoppelGanger::sample_fast`] loop: yields the same
-/// sample stream batch-by-batch (see [`DoppelGanger::sample_cursor`]).
+/// The [`DoppelGanger::sample_fast`] loop, suspended between batches:
+/// yields the same sample stream batch-by-batch (see
+/// [`DoppelGanger::sample_cursor`]).
 /// Dropping the cursor mid-stream leaves the model's RNG wherever the
 /// last produced batch left it, exactly as an offline run truncated at
 /// the same batch boundary would.

@@ -38,8 +38,9 @@
 //! a worker cannot launder a torn or rotten result past the same
 //! verification that guards resume. Jobs are deterministic, so a stale
 //! `Complete` from a worker whose attempt was already requeued is
-//! harmless: the digest either matches the recorded one (dedup) or the
-//! job is already done and the frame is dropped.
+//! harmless: the digest either matches the recorded one (dedup), or the
+//! job is already done, or the object fails verification — and then the
+//! frame is dropped without touching the attempt that now owns the job.
 //!
 //! Failure handling reuses the single-process machinery: each assignment
 //! gets a [`CancelToken`] + [`Heartbeat`] registered with the
@@ -644,6 +645,14 @@ fn lock_state(shared: &CoordShared) -> std::sync::MutexGuard<'_, CoordState> {
     shared.state.lock().expect("coordinator state") // lint: lock-order(orchestrator.coord_state)
 }
 
+/// Whether `worker` still holds the live attempt of job `i`: the
+/// assignment has not moved on (watchdog trip, lost session) and no
+/// attempt's result has landed. Only then may its `Fail`, or a
+/// `Complete` that does not verify, requeue the job.
+fn owns_attempt(st: &CoordState, i: usize, worker: &str) -> bool {
+    !st.done.contains_key(&i) && st.inflight.get(&i).is_some_and(|inf| inf.worker == worker)
+}
+
 /// Emits scheduler events, journalling every retried attempt first so
 /// `--resume` replay sees the abandonment even if the event sink is a
 /// buffer that dies with the process.
@@ -796,11 +805,7 @@ fn session(mut sock: TcpStream, ctx: &SessionCtx<'_>) {
                 let mut out = Vec::new();
                 {
                     let mut st = lock_state(ctx.shared);
-                    let owned = st
-                        .inflight
-                        .get(&i)
-                        .is_some_and(|inf| inf.worker == worker);
-                    if owned && !st.done.contains_key(&i) {
+                    if owns_attempt(&st, i, &worker) {
                         st.inflight.remove(&i);
                         out = requeue_locked(&mut st, ctx.plan, ctx.opts, i, &error, ctx.shared);
                     }
@@ -910,8 +915,9 @@ fn next_assignment<'w>(
 
 /// Handles a `Complete`: re-reads the object from the store (digest
 /// verification is the trust boundary), records the manifest generation,
-/// and unlocks dependents. A duplicate or stale `Complete` is dropped;
-/// a missing/corrupt object counts as a failed attempt.
+/// and unlocks dependents. A duplicate `Complete` is dropped; a
+/// missing/corrupt object counts as a failed attempt when the sender
+/// still owns the assignment, and is dropped as stale when it does not.
 fn handle_complete(
     ctx: &SessionCtx<'_>,
     worker: &str,
@@ -988,11 +994,13 @@ fn handle_complete(
         }
         Err(e) => {
             let mut st = lock_state(ctx.shared);
-            let owned =
-                st.inflight.get(&i).is_some_and(|inf| inf.worker == worker);
-            if owned {
-                st.inflight.remove(&i);
+            if !owns_attempt(&st, i, worker) {
+                // Not this sender's job to fail: requeueing it would run
+                // it twice and burn one of its attempts.
+                telemetry::metrics::counter("coord.stale_completes").inc();
+                return;
             }
+            st.inflight.remove(&i);
             let error =
                 format!("result object {digest:#018x} failed verification: {e}");
             out = requeue_locked(&mut st, ctx.plan, ctx.opts, i, &error, ctx.shared);

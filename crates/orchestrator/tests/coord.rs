@@ -254,6 +254,103 @@ fn version_mismatch_is_rejected_at_the_handshake() {
 }
 
 #[test]
+fn a_stale_corrupt_complete_does_not_requeue_a_job_its_sender_lost() {
+    use orchestrator::coord::{read_ctrl, send_ctrl, CtrlFrame};
+    use orchestrator::{wire, WatchdogOptions};
+
+    let dir = tmp_dir("stale-complete");
+    let plan = sim_plan(0, 16, 1); // one job: `pretrain`
+    // Heartbeat staleness rather than a wall deadline: it trips A (which
+    // beats once, then goes quiet) and can never trip B (which never
+    // beats), however slowly this test is scheduled.
+    let opts = CoordOptions {
+        watchdog: WatchdogOptions {
+            heartbeat_timeout_secs: Some(0.15),
+            poll: Duration::from_millis(10),
+            ..WatchdogOptions::default()
+        },
+        // Ends as soon as both sockets below are dropped.
+        drain: Duration::from_secs(10),
+        ..Default::default()
+    };
+    let events = EventLog::new();
+    let coord = Coordinator::bind("127.0.0.1:0").unwrap();
+    let addr = coord.local_addr();
+    let token = CancelToken::new();
+    let join = |name: &str| {
+        let mut sock = std::net::TcpStream::connect(addr).unwrap();
+        wire::configure(&sock).unwrap();
+        let hello = CtrlFrame::WorkerHello { version: 1, worker: name.into() };
+        send_ctrl(&mut sock, &hello, &token).unwrap();
+        let reply = read_ctrl(&mut sock, &token).unwrap();
+        assert!(matches!(reply, CtrlFrame::CoordHello { .. }), "{reply:?}");
+        sock
+    };
+    let claim = |sock: &mut std::net::TcpStream| {
+        send_ctrl(sock, &CtrlFrame::Claim, &token).unwrap();
+        read_ctrl(sock, &token).unwrap()
+    };
+    let complete = |sock: &mut std::net::TcpStream, digest: u64| {
+        let frame = CtrlFrame::Complete {
+            job: "pretrain".into(),
+            digest,
+            wall_seconds: 0.0,
+            cpu_seconds: 0.0,
+        };
+        send_ctrl(sock, &frame, &token).unwrap();
+    };
+
+    let report = std::thread::scope(|s| {
+        let serve = s.spawn(|| coord.serve(&dir, &plan, &opts, &events));
+
+        // A takes the job, beats once, and goes quiet until the watchdog
+        // trips its attempt and the sweep requeues the job.
+        let mut a = join("a");
+        let first = claim(&mut a);
+        assert!(matches!(first, CtrlFrame::Assign { attempt: 0, .. }), "{first:?}");
+        send_ctrl(&mut a, &CtrlFrame::Heartbeat { job: "pretrain".into(), steps: 1 }, &token)
+            .unwrap();
+
+        // B polls until the requeued job is handed to it.
+        let mut b = join("b");
+        let second = loop {
+            match claim(&mut b) {
+                CtrlFrame::Wait { .. } => std::thread::sleep(Duration::from_millis(10)),
+                other => break other,
+            }
+        };
+        assert!(matches!(second, CtrlFrame::Assign { attempt: 1, .. }), "{second:?}");
+
+        // A's late Complete names an object the store does not hold. Its
+        // next Claim is answered after that Complete was handled: the job
+        // is B's, so there is nothing to hand out — not a third Assign.
+        complete(&mut a, 0xdead_beef);
+        let after = claim(&mut a);
+        assert!(matches!(after, CtrlFrame::Wait { .. }), "{after:?}");
+
+        // B's result finishes the run.
+        let digest = FsStore::open(&dir).unwrap().put(b"b's payload").unwrap().digest;
+        complete(&mut b, digest);
+        assert_eq!(claim(&mut b), CtrlFrame::Drained);
+        drop((a, b));
+        serve.join().unwrap().unwrap()
+    });
+
+    assert_eq!(report.payloads["pretrain"], "b's payload");
+    assert_eq!(report.requeues, 1, "the trip, and nothing else");
+    let retried: Vec<_> = events
+        .events()
+        .into_iter()
+        .filter(|e| matches!(e, Event::JobRetried { .. }))
+        .collect();
+    assert!(
+        matches!(&retried[..], [Event::JobRetried { error, .. }] if error.contains("heartbeat stale")),
+        "{retried:?}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn dist_plan_spec_validation_matches_the_closure_path() {
     let job = |id: &str, deps: &[&str]| DistJob {
         id: id.into(),

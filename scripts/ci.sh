@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
-# Tier-1 gate: release build, root test suite, bench compile check, static
-# analysis (clippy + netshare-lint), rustdoc at -D warnings, the
+# Full gate: release build, the whole workspace's test suites (tier-1's
+# `cargo test -q` runs the root package's four integration files only),
+# static analysis (clippy + netshare-lint), rustdoc at -D warnings, the
 # sanitize-feature and telemetry-off test suites, and an orchestrator
 # fault-injection smoke test through the CLI (which also checks the
 # --metrics-out telemetry snapshot), then the serve, scale, serve-chaos
 # and nsbench gates below.
 #
 #   scripts/ci.sh        # run the full gate
-#   scripts/ci.sh bench  # run benchmarks and emit BENCH_<host>_<date>.json
 #   scripts/ci.sh chaos  # fault-matrix smoke through the CLI
 #   scripts/ci.sh serve  # netshared daemon + pull-client serving smoke
 #   scripts/ci.sh scale  # coordinator + worker processes + kill-worker + gc
@@ -17,24 +17,6 @@
 # Run from anywhere; operates on the repo root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-
-# Bench trajectory mode: run every benchmark with the criterion shim's
-# NETSHARE_BENCH_LOG tap, then assemble the per-group medians/throughputs
-# into BENCH_<host>_<date>.json (schema netshare-bench-v1; see
-# EXPERIMENTS.md "Benchmark trajectories"). Host and date are captured
-# here in the shell — bench_report itself never reads the ambient clock.
-if [[ "${1:-}" == "bench" ]]; then
-  bench_log="$(mktemp)"
-  trap 'rm -f "$bench_log"' EXIT
-  host="$(hostname -s 2>/dev/null || echo unknown-host)"
-  date_tag="$(date +%Y%m%d)"
-  NETSHARE_BENCH_LOG="$bench_log" cargo bench -p bench
-  out="BENCH_${host}_${date_tag}.json"
-  cargo run -q --release -p bench --bin bench_report -- \
-    "$bench_log" "$host" "$date_tag" > "$out"
-  echo "bench trajectory written to $out"
-  exit 0
-fi
 
 # Chaos smoke matrix: drive every injectable fault class through the real
 # CLI. Every invocation runs under an outer `timeout`, so a hang bug fails
@@ -365,11 +347,12 @@ if [[ "${1:-}" == "nsbench" ]]; then
   exit 0
 fi
 
-# --workspace so member bins (netshare_cli, netshare-lint, bench_report)
-# are rebuilt too — the root package alone would leave them stale.
+# --workspace so member bins (netshare_cli, netshare-lint) are rebuilt
+# too — the root package alone would leave them stale — and so every
+# member's unit, integration and doc tests run, not the root package's
+# four files.
 cargo build --release --workspace
-cargo test -q
-cargo bench -p bench --no-run
+cargo test -q --workspace
 
 # Static analysis gate: the workspace must be clippy-clean at -D warnings
 # and deny-clean under the in-tree linter's cross-module passes
@@ -416,12 +399,6 @@ cargo test -q -p nnet --features sanitize
 # The dispatch test's metrics half (no `gemm.us.parallel` series) only
 # compiles with nnet's own telemetry on, which no other gate gives it.
 cargo test -q -p nnet --features telemetry --test dispatch
-
-# Inference-path gate: the frozen arena-backed sampler must stay
-# bitwise-equal to the training-graph sampler (the contract `sample_fast`
-# ships under).
-cargo test -q -p doppelganger --test infer_equiv
-echo "infer: equivalence suite green"
 
 # Telemetry-off gate: building the instrumented crates in isolation keeps
 # the workspace-default `telemetry` feature out of the graph, proving the
