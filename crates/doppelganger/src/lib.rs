@@ -40,4 +40,4 @@ pub use data::TimeSeriesDataset;
 pub use sentinel::{Rollback, SentinelConfig, TrainAbort, TrainControl};
 pub use model::{DgDiscriminators, DgGenerator, FrozenGenerator, GeneratedBatch};
 pub use spec::{FeatureSpec, Segment};
-pub use train::{DgConfig, DgLoss, DoppelGanger, GeneratedSample, SampleCursor, TrainStats};
+pub use train::{CursorMark, DgConfig, DgLoss, DoppelGanger, GeneratedSample, SampleCursor, TrainStats};

@@ -580,15 +580,66 @@ pub struct SampleCursor<'a> {
     produced: usize,
 }
 
+/// Everything a [`SampleCursor`] carries across a batch boundary: every
+/// batch starts from fresh noise and a zero hidden state, so the sampler
+/// RNG and the sample count are the whole state. Only
+/// [`SampleCursor::mark`] makes one; it is meaningful only to cursors of
+/// the same artifact (same weights, same starting RNG).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CursorMark {
+    produced: usize,
+    rng: [u64; 4],
+}
+
+impl CursorMark {
+    /// Samples the marked cursor had produced.
+    pub fn produced(&self) -> usize {
+        self.produced
+    }
+}
+
 impl SampleCursor<'_> {
     /// Samples not yet produced.
     pub fn remaining(&self) -> usize {
         self.remaining
     }
 
-    /// Samples produced so far.
+    /// Samples produced so far (after a [`SampleCursor::seek`], the
+    /// skipped prefix included).
     pub fn produced(&self) -> usize {
         self.produced
+    }
+
+    /// The cursor's position, for [`SampleCursor::seek`]. Batches are
+    /// `remaining.min(batch_size)` samples, so only the last one depends
+    /// on the cursor's `total`: a mark taken while every batch so far was
+    /// full is valid for any cursor of the artifact with
+    /// `total >= produced`.
+    pub fn mark(&self) -> CursorMark {
+        CursorMark { produced: self.produced, rng: self.rng.state() }
+    }
+
+    /// Jumps to `mark`: [`SampleCursor::next_batch`] then yields exactly
+    /// what an uninterrupted cursor yields from that boundary on, and
+    /// [`SampleCursor::produced`] counts the skipped samples. Refuses
+    /// (leaving the cursor as it was) a mark beyond this cursor's total
+    /// or off a full-batch boundary, which no uninterrupted cursor of
+    /// this total passes through.
+    pub fn seek(&mut self, mark: CursorMark) -> Result<(), String> {
+        let total = self.produced + self.remaining;
+        if mark.produced > total {
+            return Err(format!("mark at sample {} is past the cursor's total {total}", mark.produced));
+        }
+        if !mark.produced.is_multiple_of(self.streams) {
+            return Err(format!(
+                "mark at sample {} is not on a boundary of {}-sample batches",
+                mark.produced, self.streams
+            ));
+        }
+        *self.rng = StdRng::from_state(mark.rng);
+        self.produced = mark.produced;
+        self.remaining = total - mark.produced;
+        Ok(())
     }
 
     /// Generates and decodes the next batch (at most `cfg.batch_size`

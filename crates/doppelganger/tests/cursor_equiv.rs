@@ -87,3 +87,63 @@ fn zero_total_cursor_is_immediately_done() {
     drop(cursor);
     assert_eq!(model.rng_state(), before, "no samples, no RNG consumption");
 }
+
+#[test]
+fn seek_to_a_mark_is_the_uninterrupted_suffix() {
+    let mut offline = DoppelGanger::new(toy_cfg());
+    let want = offline.sample_fast(23);
+    let mut longer = DoppelGanger::new(toy_cfg());
+    let want_longer = longer.sample_fast(31);
+
+    // One walk of the 23-sample stream, marking before every batch.
+    let mut marked = DoppelGanger::new(toy_cfg());
+    let mut cursor = marked.sample_cursor(23).unwrap();
+    let mut marks = vec![cursor.mark()];
+    while cursor.next_batch().is_some() {
+        marks.push(cursor.mark());
+    }
+    let after_short_batch = marks.pop().unwrap();
+    assert_eq!(after_short_batch.produced(), 23);
+    drop(cursor);
+    assert_eq!(marks.iter().map(|m| m.produced()).collect::<Vec<_>>(), [0, 4, 8, 12, 16, 20]);
+
+    for &mark in &marks {
+        // A fresh model, and a total the mark was not taken under: only
+        // the tail batch depends on the total.
+        for (total, want, end) in [(23, &want, &offline), (31, &want_longer, &longer)] {
+            let mut fresh = DoppelGanger::new(toy_cfg());
+            let mut cursor = fresh.sample_cursor(total).unwrap();
+            cursor.seek(mark).unwrap();
+            assert_eq!(cursor.produced(), mark.produced());
+            assert_eq!(cursor.remaining(), total - mark.produced());
+            let mut got = Vec::new();
+            while let Some(batch) = cursor.next_batch() {
+                got.extend(batch);
+            }
+            assert_eq!(cursor.produced(), total, "produced() counts the skipped prefix");
+            drop(cursor);
+            assert_eq!(got, want[mark.produced()..], "suffix from sample {}", mark.produced());
+            assert_eq!(fresh.rng_state(), end.rng_state());
+        }
+    }
+
+    // Seeking backwards replays: a mark is a position, not a direction.
+    let mut model = DoppelGanger::new(toy_cfg());
+    let mut cursor = model.sample_cursor(23).unwrap();
+    let first = cursor.next_batch().unwrap();
+    cursor.next_batch().unwrap();
+    cursor.seek(marks[0]).unwrap();
+    assert_eq!(cursor.next_batch().unwrap(), first);
+
+    // Refused, and the cursor left where it was: a mark past the total,
+    // and one no full-batch walk passes through.
+    let before = cursor.mark();
+    assert!(cursor.seek(after_short_batch).unwrap_err().contains("boundary"));
+    assert_eq!(cursor.mark(), before);
+    drop(cursor);
+    let mut short = model.sample_cursor(8).unwrap();
+    let before = short.mark();
+    assert!(short.seek(marks[3]).unwrap_err().contains("past"));
+    assert_eq!(short.mark(), before);
+    assert_eq!((short.produced(), short.remaining()), (0, 8));
+}

@@ -29,8 +29,9 @@
 //!
 //! Module map: [`protocol`] (wire grammar + interruptible socket I/O),
 //! [`buffer`] (bounded per-stream buffer), `session` (per-connection
-//! threads), [`server`] (accept loop + drain), [`client`] (`pull`
-//! helper), [`demo`] (seeded untrained bundles for smoke tests).
+//! threads), `seek` (batch boundaries a resume starts from), [`server`]
+//! (accept loop + drain), [`client`] (`pull` helper), [`demo`] (seeded
+//! untrained bundles for smoke tests).
 
 #![warn(missing_docs)]
 
@@ -38,6 +39,7 @@ pub mod buffer;
 pub mod client;
 pub mod demo;
 pub mod protocol;
+pub(crate) mod seek;
 pub(crate) mod session;
 pub mod server;
 

@@ -54,6 +54,13 @@ use std::time::Duration;
 ///   strict superset: `from_seq` is `#[serde(default)]`, so v1 JSON
 ///   still decodes (as `from_seq = 0`, i.e. the whole stream) and the
 ///   HELLO exchange negotiates down to a v1 peer (see [`MIN_VERSION`]).
+///   Where a batch is cut into frames depends on each frame's exact
+///   length (`EncodedSamples::frame_len`), which counts the digits of
+///   the stream id and of the seq and is compared with the daemon's
+///   buffer capacity: a `from_seq` names a frame only under the stream
+///   id and capacity the delivered frames were cut for, so a resume
+///   re-subscribes on the same stream id against a daemon of the same
+///   capacity.
 pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Oldest protocol version this build still speaks. The server accepts
@@ -115,7 +122,9 @@ pub enum Frame {
         /// First DATA frame wanted (v2): the server regenerates the
         /// stream deterministically and suppresses frames below this
         /// seq, so a reconnecting client resumes bitwise-identically.
-        /// Absent in v1 frames, which decode as 0 (the whole stream).
+        /// A frame index of this `stream` id's cut (see
+        /// [`PROTOCOL_VERSION`]). Absent in v1 frames, which decode as 0
+        /// (the whole stream).
         #[serde(default)]
         from_seq: u64,
     },

@@ -18,6 +18,7 @@
 //!    every thread is joined before `shutdown` returns.
 
 use crate::protocol::{self, Frame, ERR_OVERLOADED};
+use crate::seek::{SeekIndex, Served};
 use crate::session::{run_session, SessionCtx};
 use doppelganger::ArtifactBundle;
 use orchestrator::timing::Stopwatch;
@@ -53,7 +54,8 @@ pub struct ServerConfig {
     pub drain: Duration,
     /// Admission control: with this many sessions open, new connections
     /// are answered with a retryable `overloaded` ERROR and dropped
-    /// instead of growing the session registry (`None` = unlimited).
+    /// instead of each getting a session's threads and buffers
+    /// (`None` = unlimited).
     pub max_sessions: Option<usize>,
 }
 
@@ -101,10 +103,20 @@ pub struct ServerStats {
     /// Connections shed by `--max-sessions` admission control
     /// (`netshared.shed`).
     pub shed: AtomicU64,
+    /// Resumes (`from_seq > 0`) that started from a seek-index entry
+    /// instead of sample 0 (`netshared.resume.seeks`).
+    pub resume_seeks: AtomicU64,
+    /// Batches resumes regenerated below their `from_seq`, added when a
+    /// resumed stream's producer exits
+    /// (`netshared.resume.replayed_batches`).
+    pub resume_replayed_batches: AtomicU64,
 }
 
 /// Session registry entry: the session's cancel token plus its joinable
-/// thread handle.
+/// thread handle. The accept loop drops the slots of finished sessions
+/// before it adds one, so the registry holds the live sessions plus what
+/// finished since the last accept — a finished thread keeps its stack
+/// mapped until its handle is joined or dropped.
 type SessionSlot = (CancelToken, std::thread::JoinHandle<()>);
 
 /// A running daemon; dropping it without [`Server::shutdown`] aborts
@@ -152,10 +164,11 @@ impl Server {
     /// address still in use only after [`BIND_RETRY_WINDOW`]) and on
     /// duplicate artifact names.
     pub fn start(cfg: ServerConfig, bundles: Vec<ArtifactBundle>) -> Result<Server, String> {
-        let mut by_name: BTreeMap<String, Arc<ArtifactBundle>> = BTreeMap::new();
+        let mut by_name: BTreeMap<String, Arc<Served>> = BTreeMap::new();
         for bundle in bundles {
             let name = bundle.name.clone();
-            if by_name.insert(name.clone(), Arc::new(bundle)).is_some() {
+            let served = Served { bundle, seeks: SeekIndex::default() };
+            if by_name.insert(name.clone(), Arc::new(served)).is_some() {
                 return Err(format!("duplicate artifact name {name:?}"));
             }
         }
@@ -209,8 +222,9 @@ impl Server {
                         Ok((mut sock, _peer)) => {
                             // Admission control: at the session cap, shed
                             // the connection with a retryable `overloaded`
-                            // ERROR instead of letting the registry (and
-                            // the kernel accept queue behind it) grow.
+                            // ERROR instead of spawning another session's
+                            // threads (or leaving it in the kernel accept
+                            // queue).
                             let at_cap = max_sessions.is_some_and(|max| {
                                 stats.sessions_open.load(Ordering::Relaxed) >= max as i64
                             });
@@ -255,10 +269,11 @@ impl Server {
                             };
                             let handle =
                                 std::thread::spawn(move || run_session(sock, ctx));
-                            sessions
+                            let mut sessions = sessions
                                 .lock() // lint: lock-order(netshared.session_registry)
-                                .expect("session registry lock") // lint: allow(panic-in-lib) poisoned session registry lock is unrecoverable
-                                .push((session_token, handle));
+                                .expect("session registry lock"); // lint: allow(panic-in-lib) poisoned session registry lock is unrecoverable
+                            sessions.retain(|(_, done)| !done.is_finished());
+                            sessions.push((session_token, handle));
                         }
                         Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                             if token.wait_timeout(ACCEPT_POLL) {
@@ -351,5 +366,83 @@ impl Server {
 
     fn drain_ticks(&self) -> u32 {
         (self.drain.as_millis() / DRAIN_POLL.as_millis()).min(u128::from(u32::MAX)) as u32
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::demo_bundle;
+    use std::net::TcpStream;
+
+    fn demo_server() -> Server {
+        let cfg = ServerConfig { drain: Duration::ZERO, ..ServerConfig::default() };
+        Server::start(cfg, vec![demo_bundle("demo", 7)]).expect("server start")
+    }
+
+    fn wait_until(what: &str, mut holds: impl FnMut() -> bool) {
+        let clock = Stopwatch::start();
+        while !holds() {
+            assert!(clock.elapsed_seconds() < 30.0, "timed out waiting until {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Bare connect/close cycles; when this returns each was accepted
+    /// and `held` sessions are open.
+    fn churn(server: &Server, cycles: u64, held: i64) {
+        let stats = server.stats();
+        let accepted = || stats.sessions_total.load(Ordering::Relaxed);
+        let target = accepted() + cycles;
+        for left in (0..cycles).rev() {
+            drop(TcpStream::connect(server.local_addr()).expect("connect"));
+            // The accept loop sleeps between polls; a full accept queue
+            // drops SYNs and `connect` stalls for a second.
+            wait_until("the accept loop is within a burst", || target - left <= accepted() + 32);
+        }
+        wait_until("each is accepted and over", || {
+            accepted() >= target && stats.sessions_open.load(Ordering::Relaxed) == held
+        });
+    }
+
+    fn registry_len(server: &Server) -> usize {
+        server.sessions.lock().unwrap().len()
+    }
+
+    #[test]
+    fn the_accept_loop_reaps_finished_sessions() {
+        let server = demo_server();
+        churn(&server, 300, 0);
+        // The sweep runs on accept, and a session's thread is finished a
+        // moment after it gives up its `sessions_open` count.
+        wait_until("one more accept sweeps the registry", || {
+            churn(&server, 1, 0);
+            registry_len(&server) <= 4
+        });
+        // A live session stays registered, and shutdown still joins it.
+        let held = TcpStream::connect(server.local_addr()).expect("connect");
+        wait_until("the held connection is a session", || {
+            server.stats.sessions_open.load(Ordering::Relaxed) == 1
+        });
+        churn(&server, 20, 1);
+        wait_until("the sweep leaves the live session", || {
+            churn(&server, 1, 1);
+            (1..=4).contains(&registry_len(&server))
+        });
+        assert_eq!(server.shutdown(), 1);
+        drop(held);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn finished_sessions_give_their_stacks_back() {
+        let maps = || std::fs::read_to_string("/proc/self/maps").expect("maps").lines().count();
+        let server = demo_server();
+        churn(&server, 200, 0);
+        let early = maps();
+        churn(&server, 1800, 0);
+        let late = maps();
+        assert!(late <= early + 50, "{early} mappings after 200 connections, {late} after 2000");
+        server.shutdown();
     }
 }

@@ -23,8 +23,9 @@ use crate::protocol::{
     self, EncodedSamples, Frame, ProtoError, ERR_DRAINING, ERR_MALFORMED, ERR_OVERSIZED, ERR_PROTOCOL,
     ERR_UNKNOWN_ARTIFACT, ERR_VERSION, PROTOCOL_VERSION,
 };
+use crate::seek::Served;
 use crate::server::ServerStats;
-use doppelganger::{ArtifactBundle, GeneratedSample};
+use doppelganger::GeneratedSample;
 use orchestrator::watchdog::Watchdog;
 use orchestrator::{CancelToken, Heartbeat};
 use std::collections::BTreeMap;
@@ -32,6 +33,10 @@ use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
+use telemetry::metrics::LazyCounter;
+
+static RESUME_SEEKS: LazyCounter = LazyCounter::new("netshared.resume.seeks");
+static RESUME_REPLAYED_BATCHES: LazyCounter = LazyCounter::new("netshared.resume.replayed_batches");
 
 /// How long a sender blocked on zero credit sleeps between token checks.
 const CREDIT_POLL: Duration = Duration::from_millis(20);
@@ -92,7 +97,7 @@ pub(crate) struct SessionCtx {
     /// Session id (diagnostics + watchdog job name).
     pub id: u64,
     /// Artifacts on offer, by name.
-    pub bundles: Arc<BTreeMap<String, Arc<ArtifactBundle>>>,
+    pub bundles: Arc<BTreeMap<String, Arc<Served>>>,
     /// Per-stream buffer capacity cap in bytes.
     pub capacity_bytes: usize,
     /// Session-scoped token; the server cancels it on shutdown, the
@@ -154,8 +159,9 @@ fn send_error(
 /// boundaries, and downstream seq numbers are bitwise-identical to an
 /// uninterrupted stream — but they are never assembled and never enter
 /// the buffer. This is what makes a v2 resume (`SUBSCRIBE.from_seq`)
-/// exact: the producer replays the deterministic generation and skips
-/// the delivered prefix.
+/// exact: the producer replays the deterministic generation — from the
+/// nearest batch boundary the seek index holds, else from sample 0 —
+/// and skips the delivered prefix.
 fn push_samples(
     stream: u64,
     samples: &[GeneratedSample],
@@ -201,12 +207,17 @@ fn push_range(
 /// The producer thread body: sampler rebuild + cursor walk + encode +
 /// push. Finishes the buffer with the produced total (which the sender
 /// turns into EOF) or closes it on failure.
+///
+/// A resume (`from_seq > 0`) starts the walk at the nearest boundary the
+/// artifact's seek index holds for this stream id; what is left between
+/// that boundary and `from_seq` — the whole prefix when the index has
+/// nothing — is regenerated and suppressed by [`push_samples`].
 #[allow(clippy::too_many_arguments)]
 fn produce(
     stream: u64,
     count: u64,
     from_seq: u64,
-    bundle: Arc<ArtifactBundle>,
+    served: Arc<Served>,
     buf: Arc<StreamBuf>,
     token: CancelToken,
     writer: Arc<Mutex<TcpStream>>,
@@ -224,6 +235,7 @@ fn produce(
     // the second to the peer. Alone on a CPU both return immediately.
     std::thread::yield_now();
     std::thread::yield_now();
+    let bundle = &served.bundle;
     let mut model = match bundle.rebuild() {
         Ok(m) => m,
         Err(e) => {
@@ -255,18 +267,43 @@ fn produce(
         }
     };
     let mut next_seq = 0u64;
-    while let Some(batch) = cursor.next_batch() {
-        if token.is_cancelled() {
-            return;
-        }
-        let mut push = |bytes| buf.push(bytes, &token);
-        if !push_samples(stream, &batch, &mut next_seq, from_seq, buf.capacity(), &mut push) {
-            return;
+    if from_seq > 0 {
+        if let Some((seq, mark)) = served.seeks.nearest(stream, from_seq, count) {
+            if cursor.seek(mark).is_ok() {
+                next_seq = seq;
+                stats.resume_seeks.fetch_add(1, Ordering::Relaxed);
+                RESUME_SEEKS.get().inc();
+            }
         }
     }
-    // EOF carries the *full* stream total even on a resume: the client
-    // checks its cumulative sample count across reconnects against it.
-    buf.finish(cursor.produced() as u64);
+    // Batches regenerated only for `push_samples` to suppress.
+    let mut replayed = 0u64;
+    let finished = loop {
+        // Another batch follows, so every batch so far was a full one.
+        if cursor.remaining() > 0 {
+            served.seeks.record(stream, next_seq, cursor.mark());
+        }
+        let Some(batch) = cursor.next_batch() else {
+            break true;
+        };
+        if token.is_cancelled() {
+            break false;
+        }
+        replayed += u64::from(next_seq < from_seq);
+        let mut push = |bytes| buf.push(bytes, &token);
+        if !push_samples(stream, &batch, &mut next_seq, from_seq, buf.capacity(), &mut push) {
+            break false;
+        }
+    };
+    if replayed > 0 {
+        stats.resume_replayed_batches.fetch_add(replayed, Ordering::Relaxed);
+        RESUME_REPLAYED_BATCHES.get().add(replayed);
+    }
+    if finished {
+        // EOF carries the *full* stream total even on a resume: the client
+        // checks its cumulative sample count across reconnects against it.
+        buf.finish(cursor.produced() as u64);
+    }
 }
 
 /// The sender thread body: one credit, one frame, in sequence order.
@@ -475,7 +512,7 @@ fn handle_frame(
                 );
                 return true;
             }
-            let Some(bundle) = ctx.bundles.get(&artifact) else {
+            let Some(served) = ctx.bundles.get(&artifact) else {
                 send_error(
                     writer,
                     &ctx.token,
@@ -492,11 +529,11 @@ fn handle_frame(
             let buf = Arc::new(StreamBuf::with_stats(ctx.capacity_bytes, Arc::clone(&ctx.stats)));
             let gate = Arc::new(CreditGate::new(credit, Arc::clone(&ctx.stats)));
             let producer = {
-                let (bundle, buf) = (Arc::clone(bundle), Arc::clone(&buf));
+                let (served, buf) = (Arc::clone(served), Arc::clone(&buf));
                 let (token, writer) = (ctx.token.clone(), Arc::clone(writer));
                 let stats = Arc::clone(&ctx.stats);
                 std::thread::spawn(move || {
-                    produce(stream, count, from_seq, bundle, buf, token, writer, stats)
+                    produce(stream, count, from_seq, served, buf, token, writer, stats)
                 })
             };
             let sender = {
@@ -709,6 +746,70 @@ mod tests {
                 let new = run(new_splitter, &samples, first_seq, 0, capacity, Some(refuse_at));
                 prop_assert_eq!(&new, &old, "refused push {}", refuse_at);
                 prop_assert!(!new.2);
+            }
+        }
+    }
+
+    /// What [`walk`] saw: every pushed frame with its seq, the seq before
+    /// each batch walked, and the seq after the last.
+    type Walk = (Vec<(u64, Vec<u8>)>, Vec<u64>, u64);
+
+    /// What a producer pushes that starts at batch `start` of a stream,
+    /// knowing that batch's first frame is `seq`.
+    fn walk(
+        batches: &[&[GeneratedSample]],
+        start: usize,
+        seq: u64,
+        from_seq: u64,
+        capacity: usize,
+    ) -> Walk {
+        let (mut frames, mut boundaries, mut next_seq) = (Vec::new(), Vec::new(), seq);
+        for batch in &batches[start..] {
+            boundaries.push(next_seq);
+            let (pushed, after, alive) = run(new_splitter, batch, next_seq, from_seq, capacity, None);
+            assert!(alive);
+            frames.extend(pushed);
+            next_seq = after;
+        }
+        (frames, boundaries, next_seq)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The seek index hands a resume any boundary at or before its
+        /// `from_seq`; whichever it is, the resumed stream is the replay
+        /// from sample 0.
+        #[test]
+        fn a_stream_resumed_from_any_boundary_is_the_replay_from_zero(
+            sizes in prop::collection::vec(0usize..60, 1..14),
+            batch in 1usize..5,
+            (cap_bits, cap_low) in (0u32..=20, any::<u32>()),
+        ) {
+            let capacity = ((1usize << cap_bits) | (cap_low as usize & ((1 << cap_bits) - 1))).min(1 << 20);
+            let samples: Vec<GeneratedSample> = sizes.iter().map(|&n| sample_of(n)).collect();
+            let batches: Vec<&[GeneratedSample]> = samples.chunks(batch).collect();
+            let (whole, _, _) = walk(&batches, 0, 0, 0, capacity);
+            // The capacity drawn, and the ones a frame of this stream
+            // fits exactly and misses by one byte.
+            let mut capacities: Vec<usize> =
+                whole.iter().flat_map(|(_, bytes)| [bytes.len() - 1, bytes.len()]).collect();
+            capacities.push(capacity);
+            capacities.sort_unstable();
+            capacities.dedup();
+            for capacity in capacities {
+                let (whole, boundaries, end) = walk(&batches, 0, 0, 0, capacity);
+                for from_seq in 0..=end + 1 {
+                    let cold = walk(&batches, 0, 0, from_seq, capacity);
+                    prop_assert_eq!(&cold.0[..], &whole[(from_seq.min(end)) as usize..]);
+                    prop_assert_eq!(cold.2, end);
+                    for (start, &seq) in boundaries.iter().enumerate().filter(|(_, &seq)| seq <= from_seq) {
+                        let sought = walk(&batches, start, seq, from_seq, capacity);
+                        prop_assert_eq!(&sought.0, &cold.0, "capacity {} from_seq {} via batch {}", capacity, from_seq, start);
+                        prop_assert_eq!(&sought.1[..], &boundaries[start..]);
+                        prop_assert_eq!(sought.2, end);
+                    }
+                }
             }
         }
     }

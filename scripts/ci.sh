@@ -156,18 +156,36 @@ if [[ "${1:-}" == "serve" ]]; then
   [[ "$rc" == 1 ]] || { echo "serve: expected exit 1 for unknown artifact, got $rc" >&2; exit 1; }
   grep -q 'unknown-artifact' "$sv/unknown.err"
 
+  # Connection churn: a finished session must give its thread's stack
+  # back. 2000 bare connects used to leave 2000 stacks mapped (and the
+  # daemon aborted near 32 700, vm.max_map_count).
+  host="${addr%:*}"; port="${addr##*:}"
+  for i in $(seq 2000); do
+    exec 3<> "/dev/tcp/$host/$port"
+    exec 3>&-
+    # The accept loop polls every 20 ms and a full accept queue drops
+    # SYNs (a 1 s stall each): let it catch up every 64 connects.
+    (( i % 64 )) || sleep 0.05
+  done
+  # $daemon_pid is the `timeout` wrapper; the daemon is its only child.
+  maps="$(wc -l < "/proc/$(pgrep -P "$daemon_pid")/maps")"
+  [[ "$maps" -lt 400 ]] \
+    || { echo "serve: $maps mappings after 2000 connections" >&2; exit 1; }
+  timeout 60 "$cli" pull "$addr" tiny --count 16 --out "$sv/d.jsonl"
+  cmp "$sv/c.jsonl" "$sv/d.jsonl"
+
   echo shutdown >&9
   exec 9>&-
   wait "$daemon_pid"
 
-  grep -q '"netshared.subscribes":3' "$sv/metrics.json"
+  grep -q '"netshared.subscribes":4' "$sv/metrics.json"
   grep -Eq '"netshared\.frames\.sent":[1-9]' "$sv/metrics.json"
   grep -Eq '"netshared\.errors\.sent":[1-9]' "$sv/metrics.json"
   if grep -Eq '"netshared\.stream\.drops":[1-9]' "$sv/metrics.json"; then
     echo "serve: frames dropped during a clean run" >&2
     exit 1
   fi
-  echo "serve smoke: concurrent pulls agreed, drain clean, metrics complete"
+  echo "serve smoke: concurrent pulls agreed, 2000 connections left $maps mappings, drain clean, metrics complete"
   exit 0
 fi
 
@@ -238,12 +256,16 @@ if [[ "${1:-}" == "serve-chaos" ]]; then
   # write-path faults (torn-frame, reset) kill the session and force a
   # reconnect, garbage-bytes corrupts a read into a retryable error, and
   # stall merely delays. A retry budget absorbs them all.
-  # `sleep 300 |` holds stdin open (the daemon exits on stdin EOF, so the
-  # sleep doubles as a dead-man's switch); the daemon is last in the
-  # pipeline, so $! is its real PID and SIGKILL lands on it directly.
-  sleep 300 | "$daemon" --demo demo:7 \
-    --addr-file "$sx/addr" --capacity-bytes 4096 --drain-secs 1 &
+  # The daemon's shutdown metrics must show that the mid-stream resume
+  # below started from a recorded boundary, not from sample 0. The stdin
+  # FIFO is how it is told to shut down and write them (as in `serve`);
+  # if this script dies, the FIFO closes with it.
+  mkfifo "$sx/ctl"
+  timeout 300 "$daemon" --demo demo:7 \
+    --addr-file "$sx/addr" --capacity-bytes 4096 --drain-secs 1 \
+    --metrics-out "$sx/metrics.json" < "$sx/ctl" &
   daemon_pid=$!
+  exec 9> "$sx/ctl"
   for _ in $(seq 100); do [[ -s "$sx/addr" ]] && break; sleep 0.1; done
   [[ -s "$sx/addr" ]] || { echo "serve-chaos: daemon never wrote --addr-file" >&2; exit 1; }
   addr="$(cat "$sx/addr")"
@@ -261,6 +283,20 @@ if [[ "${1:-}" == "serve-chaos" ]]; then
     echo "serve-chaos[$class]: recovered, output identical"
   done
 
+  # Each plan above strikes the first frame its side moves — the
+  # handshake — so those reconnects re-subscribe from frame 0. The read
+  # path takes stalls before garbage: four stalled reads (HELLO, three
+  # DATA frames) put the corrupted frame mid-stream, and the reconnect is
+  # a `from_seq` resume against this live daemon, whose seek index the
+  # pulls above have filled.
+  NETSHARE_INJECT_NETFAULT="stall:4;garbage-bytes:1;seed=11" timeout 120 "$cli" pull "$addr" demo \
+    --count 128 --credit 2 --retries 8 --backoff-ms 20 \
+    --out "$sx/mid-stream.jsonl" 2> "$sx/mid-stream.err"
+  cmp "$sx/clean.jsonl" "$sx/mid-stream.jsonl"
+  grep -Eq '[1-9][0-9]* reconnects' "$sx/mid-stream.err" \
+    || { echo "serve-chaos[mid-stream]: no reconnect recorded" >&2; exit 1; }
+  echo "serve-chaos[mid-stream]: resumed mid-stream, output identical"
+
   # Exhausted budget must be the *retryable* exit code (4), not a
   # generic failure: the caller's retry-later loop keys off it.
   rc=0
@@ -271,6 +307,14 @@ if [[ "${1:-}" == "serve-chaos" ]]; then
   grep -q 'retries exhausted' "$sx/exhausted.err"
   echo "serve-chaos[exhausted]: budget ran out with exit 4"
 
+  echo shutdown >&9
+  exec 9>&-
+  wait "$daemon_pid"
+  daemon_pid=""
+  grep -Eq '"netshared\.resume\.seeks":[1-9]' "$sx/metrics.json" \
+    || { echo "serve-chaos: no resume started from a recorded boundary" >&2; exit 1; }
+  echo "serve-chaos[seek]: the live daemon's resume started from a recorded boundary"
+
   # --- daemon SIGKILL mid-stream -------------------------------------
   # A large pull against a small frame cap keeps the stream alive for
   # seconds; the daemon dies ungracefully underneath it and a fresh
@@ -278,7 +322,19 @@ if [[ "${1:-}" == "serve-chaos" ]]; then
   # (from_seq) must splice the two halves into exactly the bytes a
   # one-daemon pull produces.
   # 100k samples ≈ 2–3s of streaming in release builds, so the 0.5s kill
-  # below lands mid-stream with wide margins on both sides.
+  # below lands mid-stream with wide margins on both sides. The
+  # restarted daemon has recorded nothing: this resume replays from
+  # sample 0, the path every seek is checked against.
+  # `sleep 300 |` holds stdin open (the daemon exits on stdin EOF, so the
+  # sleep doubles as a dead-man's switch); the daemon is last in the
+  # pipeline, so $! is its real PID and SIGKILL lands on it directly.
+  rm -f "$sx/addr"
+  sleep 300 | "$daemon" --demo demo:7 \
+    --addr-file "$sx/addr" --capacity-bytes 4096 --drain-secs 1 &
+  daemon_pid=$!
+  for _ in $(seq 100); do [[ -s "$sx/addr" ]] && break; sleep 0.1; done
+  [[ -s "$sx/addr" ]] || { echo "serve-chaos: daemon never wrote --addr-file" >&2; exit 1; }
+  addr="$(cat "$sx/addr")"
   timeout 120 "$cli" pull "$addr" demo --count 100000 --credit 2 \
     --out "$sx/whole.jsonl"
   timeout 120 "$cli" pull "$addr" demo --count 100000 --credit 2 \
@@ -405,6 +461,8 @@ cargo test -q -p nnet --features telemetry --test dispatch
 # no-op twins (zero-sized guards, empty inline bodies) still compile and
 # behave (`cargo test -p telemetry` runs the feature-off tests).
 cargo build -q -p telemetry -p nnet -p orchestrator -p doppelganger -p distmetrics
+# netshared turns its dependencies' telemetry on by default.
+cargo build -q -p netshared --no-default-features
 cargo test -q -p telemetry
 echo "telemetry-off: no-op twins build and pass"
 
