@@ -34,8 +34,9 @@
 //!   --max-job-secs <S> watchdog deadline per assignment (default: none)
 //!   --keep-generations <K>  verified generations kept per job
 //!
-//! `gc` sweeps `run-dir/objects/` of every object no manifest generation
-//! references (safe while no run is active; quarantine evidence is kept).
+//! `gc` sweeps `run-dir/objects/` of every object neither a manifest
+//! generation nor `codec.json` references (safe while no run is active;
+//! quarantine evidence is kept).
 //!
 //! options:
 //!   --n <count>        records/packets to generate (default: input size)
@@ -536,14 +537,16 @@ fn run_pull(args: &PullArgs) -> Result<(), RunError> {
     Ok(())
 }
 
-/// Sweeps a run directory's content store of every object no manifest
-/// generation references (quarantine evidence is never touched).
+/// Sweeps a run directory's content store of every object neither a
+/// manifest generation nor the codec ref references (quarantine evidence
+/// is never touched).
 fn run_gc(dir: &str) -> Result<(), RunError> {
     use orchestrator::ObjectStore;
     let dir = std::path::Path::new(dir);
-    let live: std::collections::BTreeSet<u64> = orchestrator::Manifest::load(dir)
+    let mut live: std::collections::BTreeSet<u64> = orchestrator::Manifest::load(dir)
         .map(|m| m.jobs.iter().map(|e| e.digest).collect())
         .unwrap_or_default();
+    live.extend(netshare::codec_ref_digest(dir));
     let store = orchestrator::FsStore::open(dir)
         .map_err(|e| RunError::Runtime(format!("open store in {}: {e}", dir.display())))?;
     let report = store

@@ -17,13 +17,16 @@ use doppelganger::{
     DgConfig, DoppelGanger, FeatureSpec, SentinelConfig, TimeSeriesDataset, TrainControl,
 };
 use nettrace::{FlowTrace, PacketTrace};
+use orchestrator::store::GetError;
 use orchestrator::{
-    ChaosPlan, Event, EventLog, JobInputs, JobSpec, OrchestratorError, Plan, RunOptions,
-    WatchdogOptions,
+    ChaosPlan, Event, EventLog, FsStore, JobInputs, JobSpec, ObjectStore, OrchestratorError, Plan,
+    RunOptions, WatchdogOptions,
 };
+use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::fmt;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use telemetry::metrics::LazyCounter;
 
 /// Pipeline errors.
 #[derive(Debug)]
@@ -238,9 +241,10 @@ impl<C: TraceCodec> NetShare<C> {
             return Err(PipelineError::EmptyTrace);
         }
         let _span = telemetry::span!("fit_{}", C::KIND);
+        let run = FitRun::open(cfg)?;
         let public_pkts =
             trace_synth::public::ip2vec_public_corpus(cfg.ip2vec_public_packets, cfg.seed ^ 0xab);
-        let tuples = TupleCodec::fit_public(&public_pkts, cfg.embed_dim, cfg.seed ^ 0xcd);
+        let tuples = public_codec(cfg, &public_pkts, &run.events)?;
         // In DP mode, normalization ranges must not depend on private data.
         let codec = if cfg.dp.is_some() {
             C::fit(&C::from_packets(&public_pkts), tuples, cfg)
@@ -258,6 +262,7 @@ impl<C: TraceCodec> NetShare<C> {
 
         let (models, cpu_seconds, wall_seconds, dp_rates, events) = train_chunks(
             cfg,
+            &run,
             codec.meta_spec(),
             codec.record_spec(),
             &datasets,
@@ -340,6 +345,213 @@ impl<C: TraceCodec> NetShare<C> {
     }
 }
 
+/// The file beside the manifest that names the run directory's stored
+/// [`TupleCodec`] object and what it is the codec of.
+const CODEC_REF: &str = "codec.json";
+
+#[derive(Serialize, Deserialize)]
+struct CodecRef {
+    key: String,
+    digest: u64,
+}
+
+static CODEC_TRAINED: LazyCounter = LazyCounter::new("netshare.codec.trained");
+static CODEC_LOADED: LazyCounter = LazyCounter::new("netshare.codec.loaded");
+static CODEC_LOAD_MISSES: LazyCounter = LazyCounter::new("netshare.codec.load_misses");
+
+fn codec_object_bytes(len: usize) {
+    telemetry::metrics::histogram("netshare.codec.object_bytes", &telemetry::metrics::BYTES_EDGES)
+        .record(len as f64);
+}
+
+/// Everything the public five-tuple codec is a function of: the public
+/// corpus (its size; its seed derives from `seed`), the embedding width,
+/// the dictionary seed, and the stored form's version. Deliberately not
+/// [`run_key`]: a changed step budget voids the models, not the
+/// dictionary.
+fn codec_key(cfg: &NetShareConfig) -> String {
+    format!(
+        "codec-v{}|public={}|embed={}|seed={}",
+        crate::tuplecodec::CODEC_FORMAT,
+        cfg.ip2vec_public_packets,
+        cfg.embed_dim,
+        cfg.seed,
+    )
+}
+
+fn read_codec_ref(dir: &Path) -> Option<CodecRef> {
+    let text = std::fs::read_to_string(dir.join(CODEC_REF)).ok()?;
+    serde_json::from_str(&text).ok()
+}
+
+/// The digest of the codec object `dir`'s codec ref names, if it has
+/// one: live for `netshare_cli gc`, like every digest the manifest names.
+pub fn codec_ref_digest(dir: &Path) -> Option<u64> {
+    read_codec_ref(dir).map(|r| r.digest)
+}
+
+fn checkpoint_error(path: PathBuf) -> impl FnOnce(std::io::Error) -> PipelineError {
+    move |e| PipelineError::Checkpoint { path, message: e.to_string() }
+}
+
+/// The fitted public codec of a fit: trained, or — on a resume into a
+/// run directory that holds one under this configuration's
+/// [`codec_key`] — loaded through the store's verified read. A fit with
+/// a checkpoint directory leaves the codec it trained there. Whatever
+/// keeps a load from succeeding (no ref, another key, a missing, damaged
+/// or undecodable object) costs a training run and nothing else: the
+/// codec is a pure function of its key, so both routes yield the same
+/// one. Nothing private enters the object (Insight 2: the dictionary is
+/// trained on public data only).
+fn public_codec(
+    cfg: &NetShareConfig,
+    public: &PacketTrace,
+    events: &EventLog,
+) -> Result<TupleCodec, PipelineError> {
+    let train = || {
+        let _span = telemetry::span!("codec/train");
+        CODEC_TRAINED.get().inc();
+        TupleCodec::fit_public(public, cfg.embed_dim, cfg.seed ^ 0xcd)
+    };
+    let Some(dir) = cfg.orchestrator.checkpoint_dir.as_deref() else {
+        return Ok(train());
+    };
+    let objects = dir.join(orchestrator::store::OBJECTS_DIR);
+    let store = FsStore::open(dir).map_err(checkpoint_error(objects.clone()))?;
+    let key = codec_key(cfg);
+    if cfg.orchestrator.resume {
+        let _span = telemetry::span!("codec/load");
+        match load_codec(dir, &store, &key, events) {
+            Some(codec) => {
+                CODEC_LOADED.get().inc();
+                return Ok(codec);
+            }
+            None => CODEC_LOAD_MISSES.get().inc(),
+        }
+    }
+    let codec = train();
+    let text = codec.to_json().map_err(PipelineError::Orchestrator)?;
+    codec_object_bytes(text.len());
+    let digest = store.put(text.as_bytes()).map_err(checkpoint_error(objects))?.digest;
+    let codec_ref = serde_json::to_string(&CodecRef { key, digest })
+        .map_err(|e| PipelineError::Orchestrator(e.to_string()))?;
+    let ref_path = dir.join(CODEC_REF);
+    orchestrator::atomic_write(&ref_path, codec_ref.as_bytes())
+        .map_err(checkpoint_error(ref_path.clone()))?;
+    Ok(codec)
+}
+
+/// The codec `dir`'s ref files under `key`, or `None` for any miss. An
+/// object that is there but fails verification or does not decode is
+/// quarantined and announced like any damaged payload.
+fn load_codec(dir: &Path, store: &FsStore, key: &str, events: &EventLog) -> Option<TupleCodec> {
+    let codec_ref = read_codec_ref(dir).filter(|r| r.key == key)?;
+    let reason = match store.get(codec_ref.digest) {
+        Err(GetError::Missing) => return None,
+        Err(e) => e.to_string(),
+        Ok(bytes) => {
+            let len = bytes.len();
+            let decoded = String::from_utf8(bytes)
+                .map_err(|e| e.to_string())
+                .and_then(|text| TupleCodec::from_json(&text));
+            match decoded {
+                Ok(codec) => {
+                    codec_object_bytes(len);
+                    return Some(codec);
+                }
+                Err(e) => format!("undecodable codec: {e}"),
+            }
+        }
+    };
+    let file = orchestrator::store::object_rel(codec_ref.digest);
+    orchestrator::manifest::quarantine_announced(dir, "", &file, reason, events);
+    None
+}
+
+/// What a fit sets up before it does any work, and takes down on every
+/// way out: the validated injection specs, the run's event stream, and
+/// this run's taps on the two process-global observers.
+struct FitRun {
+    chaos: Option<ChaosPlan>,
+    divergence: Option<(String, u64)>,
+    events: std::sync::Arc<EventLog>,
+}
+
+impl FitRun {
+    fn open(cfg: &NetShareConfig) -> Result<Self, PipelineError> {
+        let orch = &cfg.orchestrator;
+        // Injection specs are validated up front: a typo in a chaos knob
+        // must abort the run with exit-code-2 semantics, not silently
+        // train without the fault the CI run was counting on.
+        let chaos = orch
+            .fault_spec
+            .as_deref()
+            .map(ChaosPlan::parse)
+            .transpose()
+            .map_err(PipelineError::Config)?;
+        let divergence = orch
+            .divergence_spec
+            .as_deref()
+            .map(parse_divergence_spec)
+            .transpose()
+            .map_err(PipelineError::Config)?;
+        let mut events = EventLog::new();
+        if std::env::var("NETSHARE_DEBUG_STEPS").is_ok() {
+            events = events.with_stderr();
+        }
+        if let Some(dir) = &orch.checkpoint_dir {
+            std::fs::create_dir_all(dir).map_err(checkpoint_error(dir.clone()))?;
+            let path = dir.join("events.jsonl");
+            events = events.with_file(&path).map_err(checkpoint_error(path.clone()))?;
+        }
+        let events = std::sync::Arc::new(events);
+        // From here on the taps are installed, and `Drop` removes them.
+        let run = FitRun { chaos, divergence, events };
+        // With the sanitizer compiled in, route its trips into this run's
+        // event stream: the hook fires on the tripping worker thread just
+        // before the fatal panic, so the layer-attributed diagnostic is on
+        // disk before the orchestrator's panic recovery files the generic
+        // JobRetried/JobFailed.
+        #[cfg(feature = "sanitize")]
+        {
+            let sink = std::sync::Arc::clone(&run.events);
+            nnet::sanitize::set_hook(move |inc: &nnet::sanitize::Incident| {
+                sink.emit(Event::SanitizerTripped {
+                    scope: inc.scope.clone(),
+                    op: inc.op.clone(),
+                    kind: inc.kind.name().to_string(),
+                    detail: inc.detail.clone(),
+                });
+            });
+        }
+        // Bridge telemetry spans into the same JSONL stream. With the
+        // `telemetry` feature off this installs nothing (the sink setter is
+        // a no-op and spans never fire).
+        let sink = std::sync::Arc::clone(&run.events);
+        telemetry::span::set_span_sink(move |sp: &telemetry::span::SpanEvent| {
+            sink.emit(Event::Span {
+                path: sp.path.clone(),
+                start_us: sp.start_ns / 1_000,
+                duration_us: sp.duration_ns / 1_000,
+                depth: sp.depth,
+            });
+        });
+        Ok(run)
+    }
+}
+
+/// Left installed, the taps would keep every later span in the process
+/// flowing into this run's (finished) event stream. Both observers are
+/// last-writer-wins, so of two runs sharing a process the one that
+/// returns first ends the tap for both.
+impl Drop for FitRun {
+    fn drop(&mut self) {
+        telemetry::span::clear_span_sink();
+        #[cfg(feature = "sanitize")]
+        nnet::sanitize::clear_hook();
+    }
+}
+
 /// Chunk training — kind-agnostic: specs and encoded datasets in, models
 /// out — run as a job DAG on the orchestrator (mirroring the paper's Ray
 /// topology): one `pretrain` job — seed chunk at full depth, or public
@@ -352,6 +564,7 @@ impl<C: TraceCodec> NetShare<C> {
 /// identical at any worker count and across kill/resume.
 fn train_chunks(
     cfg: &NetShareConfig,
+    run: &FitRun,
     meta_spec: FeatureSpec,
     record_spec: FeatureSpec,
     datasets: &[Option<TimeSeriesDataset>],
@@ -402,84 +615,7 @@ fn train_chunks(
         .max(1);
 
     let orch = &cfg.orchestrator;
-    // Injection specs are validated up front: a typo in a chaos knob
-    // must abort the run with exit-code-2 semantics, not silently
-    // train without the fault the CI run was counting on.
-    let chaos = orch
-        .fault_spec
-        .as_deref()
-        .map(ChaosPlan::parse)
-        .transpose()
-        .map_err(PipelineError::Config)?;
-    let divergence = orch
-        .divergence_spec
-        .as_deref()
-        .map(parse_divergence_spec)
-        .transpose()
-        .map_err(PipelineError::Config)?;
-    let mut events = EventLog::new();
-    if std::env::var("NETSHARE_DEBUG_STEPS").is_ok() {
-        events = events.with_stderr();
-    }
-    if let Some(dir) = &orch.checkpoint_dir {
-        std::fs::create_dir_all(dir).map_err(|e| PipelineError::Checkpoint {
-            path: dir.clone(),
-            message: e.to_string(),
-        })?;
-        let path = dir.join("events.jsonl");
-        events = events.with_file(&path).map_err(|e| PipelineError::Checkpoint {
-            path,
-            message: e.to_string(),
-        })?;
-    }
-    let events = std::sync::Arc::new(events);
-    // This run's taps on the two process-global observers, removed
-    // again on every way out of this function: left installed, they
-    // would keep every later span in the process flowing into this
-    // run's (finished) event stream. Both observers are
-    // last-writer-wins, so of two runs sharing a process the one that
-    // returns first ends the tap for both.
-    struct GlobalTaps;
-    impl Drop for GlobalTaps {
-        fn drop(&mut self) {
-            telemetry::span::clear_span_sink();
-            #[cfg(feature = "sanitize")]
-            nnet::sanitize::clear_hook();
-        }
-    }
-    let _taps = GlobalTaps;
-    // With the sanitizer compiled in, route its trips into this run's
-    // event stream: the hook fires on the tripping worker thread just
-    // before the fatal panic, so the layer-attributed diagnostic is on
-    // disk before the orchestrator's panic recovery files the generic
-    // JobRetried/JobFailed.
-    #[cfg(feature = "sanitize")]
-    {
-        let sink = std::sync::Arc::clone(&events);
-        nnet::sanitize::set_hook(move |inc: &nnet::sanitize::Incident| {
-            sink.emit(Event::SanitizerTripped {
-                scope: inc.scope.clone(),
-                op: inc.op.clone(),
-                kind: inc.kind.name().to_string(),
-                detail: inc.detail.clone(),
-            });
-        });
-    }
-
-    // Bridge telemetry spans into the same JSONL stream. With the
-    // `telemetry` feature off this installs nothing (the sink setter is
-    // a no-op and spans never fire).
-    {
-        let sink = std::sync::Arc::clone(&events);
-        telemetry::span::set_span_sink(move |sp: &telemetry::span::SpanEvent| {
-            sink.emit(Event::Span {
-                path: sp.path.clone(),
-                start_us: sp.start_ns / 1_000,
-                duration_us: sp.duration_ns / 1_000,
-                depth: sp.depth,
-            });
-        });
-    }
+    let events = &run.events;
 
     let scaled = |job: &str, steps: usize, len: usize| -> usize {
         let v = ((steps as f64 * len as f64 / total_items as f64).ceil() as usize).max(5);
@@ -514,7 +650,7 @@ fn train_chunks(
             observer: Some(std::sync::Arc::new(move |steps| heartbeat.beat(steps))),
         }
     };
-    let divergence = &divergence;
+    let divergence = &run.divergence;
     // All training runs under the divergence sentinel; a healthy run
     // is bitwise-identical to plain `train_steps`, so the pool's
     // determinism guarantees are untouched.
@@ -624,7 +760,7 @@ fn train_chunks(
         checkpoint_dir: orch.checkpoint_dir.clone(),
         resume: orch.resume,
         run_key: run_key(cfg, &meta_spec, &record_spec, datasets),
-        chaos,
+        chaos: run.chaos.clone(),
         keep_generations: orch.keep_generations.unwrap_or(defaults.keep_generations),
         watchdog: WatchdogOptions {
             max_job_secs: orch.max_job_secs,
@@ -632,7 +768,7 @@ fn train_chunks(
         },
         ..defaults
     };
-    let report = orchestrator::run(&plan, &opts, &events)?;
+    let report = orchestrator::run(&plan, &opts, events)?;
 
     // --- rebuild models from artifacts --------------------------------
     let mut models = Vec::with_capacity(datasets.len());
@@ -692,8 +828,10 @@ pub fn parse_divergence_spec(spec: &str) -> Result<(String, u64), String> {
 
 /// Fingerprints the *training-relevant* configuration and data geometry.
 /// A manifest written under a different key is ignored on resume —
-/// changing the seed, step budget, DP options, or the data itself must
-/// never silently reuse stale checkpoints. Orchestration knobs (worker
+/// changing the seed, step budget, DP options, the size of the public
+/// corpus the dictionary is trained on (the metadata width does not move
+/// with it, the embeddings the models were trained against do), or the
+/// data itself must never silently reuse stale checkpoints. Orchestration knobs (worker
 /// count, retries, checkpoint dir, chaos faults) deliberately do not
 /// participate: they change scheduling, never the trained bits. The
 /// divergence-injection spec *does* participate — a forced rollback
@@ -713,7 +851,7 @@ fn run_key(
         None => String::new(),
     };
     let desc = format!(
-        "v1|seed={}|chunks={}|steps={}+{}|bs={}|lr={}|nc={}|wc={}|aux={}|maxlen={}|embed={}|labels={}|tags={}|dp={:?}|meta={}|rec={}|lens={:?}{div}",
+        "v2|seed={}|chunks={}|steps={}+{}|bs={}|lr={}|nc={}|wc={}|aux={}|maxlen={}|embed={}|public={}|labels={}|tags={}|dp={:?}|meta={}|rec={}|lens={:?}{div}",
         cfg.seed,
         cfg.n_chunks,
         cfg.seed_steps,
@@ -725,6 +863,7 @@ fn run_key(
         cfg.aux_weight,
         cfg.max_seq_len,
         cfg.embed_dim,
+        cfg.ip2vec_public_packets,
         cfg.with_labels,
         cfg.use_flow_tags,
         cfg.dp,

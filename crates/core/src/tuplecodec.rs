@@ -15,10 +15,17 @@
 //!   port and falls back to nearest-neighbour search over the public
 //!   dictionary otherwise, restricted to (port, protocol) pairs the
 //!   public corpus exhibits (keeps Appendix-B Test 3 compliance).
+//!
+//! A fitted codec is a function of the public corpus, the embedding
+//! width and the seed — nothing private — so it can be written down
+//! ([`TupleCodec::to_json`]) and read back ([`TupleCodec::from_json`])
+//! instead of being trained again; the pipeline keeps it in a run
+//! directory's object store.
 
 use doppelganger::Segment;
 use fieldcodec::{BitCodec, Ip2Vec, Ip2VecConfig, Word};
 use nettrace::{FiveTuple, PacketTrace, Protocol};
+use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Number of public-corpus service ports given categorical slots.
@@ -26,8 +33,13 @@ const TOP_PORTS: usize = 40;
 /// Protocol categorical vocabulary (TCP, UDP, ICMP) + other.
 const PROTO_VOCAB: [u8; 3] = [6, 17, 1];
 
+/// Version of the stored form; a reader refuses any other.
+pub const CODEC_FORMAT: u32 = 1;
+
 /// A fitted five-tuple codec.
 pub struct TupleCodec {
+    /// The public dictionary's port and protocol words. IPs are
+    /// bit-encoded, so their rows are dropped once training is over.
     ip2vec: Ip2Vec,
     ip_bits: BitCodec,
     embed_dim: usize,
@@ -46,6 +58,33 @@ pub struct TupleCodec {
     port_proto_pairs: BTreeSet<(u16, u8)>,
 }
 
+/// [`TupleCodec`]'s stored form. `f32`s travel as bit patterns: the JSON
+/// float text would round-trip finite values too, but not a non-finite
+/// one, and costs twice the bytes.
+#[derive(Serialize, Deserialize)]
+struct StoredCodec {
+    format: u32,
+    embed_dim: usize,
+    words: Vec<Word>,
+    embeddings: Vec<u32>,
+    service_ports: Vec<u16>,
+    port_lo: Vec<u32>,
+    port_hi: Vec<u32>,
+    proto_lo: Vec<u32>,
+    proto_hi: Vec<u32>,
+    fallback_port: Vec<u32>,
+    fallback_proto: Vec<u32>,
+    port_proto_pairs: Vec<(u16, u8)>,
+}
+
+fn to_bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+fn from_bits(v: &[u32]) -> Vec<f32> {
+    v.iter().map(|&b| f32::from_bits(b)).collect()
+}
+
 impl TupleCodec {
     /// Trains the IP2Vec dictionary on a public packet corpus and fits the
     /// categorical vocabulary and embedding normalization ranges.
@@ -57,7 +96,8 @@ impl TupleCodec {
             negatives: 4,
             seed,
         };
-        let ip2vec = Ip2Vec::train_on_packets(public, cfg);
+        let ip2vec =
+            Ip2Vec::train_on_packets(public, cfg).retain(|w| !matches!(w, Word::Ip(_)));
 
         // Port popularity + per-kind embedding ranges over the corpus.
         let mut port_counts: BTreeMap<u16, u64> = BTreeMap::new();
@@ -79,26 +119,18 @@ impl TupleCodec {
                 *port_counts.entry(p.five_tuple.dst_port).or_insert(0) += 1;
             }
             for w in fieldcodec::ip2vec::sentence(p.five_tuple) {
+                let (lo, hi, sum, n) = match w {
+                    Word::Port(_) => (&mut port_lo, &mut port_hi, &mut any_port, &mut n_port),
+                    Word::Proto(_) => (&mut proto_lo, &mut proto_hi, &mut any_proto, &mut n_proto),
+                    Word::Ip(_) => continue,
+                };
                 if let Some(e) = ip2vec.embedding(&w) {
-                    match w {
-                        Word::Port(_) => {
-                            for d in 0..embed_dim {
-                                port_lo[d] = port_lo[d].min(e[d]);
-                                port_hi[d] = port_hi[d].max(e[d]);
-                                any_port[d] += e[d];
-                            }
-                            n_port += 1;
-                        }
-                        Word::Proto(_) => {
-                            for d in 0..embed_dim {
-                                proto_lo[d] = proto_lo[d].min(e[d]);
-                                proto_hi[d] = proto_hi[d].max(e[d]);
-                                any_proto[d] += e[d];
-                            }
-                            n_proto += 1;
-                        }
-                        Word::Ip(_) => {}
+                    for d in 0..embed_dim {
+                        lo[d] = lo[d].min(e[d]);
+                        hi[d] = hi[d].max(e[d]);
+                        sum[d] += e[d];
                     }
+                    *n += 1;
                 }
             }
         }
@@ -146,6 +178,61 @@ impl TupleCodec {
             fallback_proto,
             port_proto_pairs,
         }
+    }
+
+    /// The codec as JSON: exactly what [`Self::encode_into`] and
+    /// [`Self::decode`] read. Floats are written as their bit patterns,
+    /// so [`Self::from_json`] rebuilds every one of them exactly.
+    pub fn to_json(&self) -> Result<String, String> {
+        let stored = StoredCodec {
+            format: CODEC_FORMAT,
+            embed_dim: self.embed_dim,
+            words: self.ip2vec.words().to_vec(),
+            embeddings: to_bits(self.ip2vec.embeddings()),
+            service_ports: self.service_ports.clone(),
+            port_lo: to_bits(&self.port_lo),
+            port_hi: to_bits(&self.port_hi),
+            proto_lo: to_bits(&self.proto_lo),
+            proto_hi: to_bits(&self.proto_hi),
+            fallback_port: to_bits(&self.fallback_port),
+            fallback_proto: to_bits(&self.fallback_proto),
+            port_proto_pairs: self.port_proto_pairs.iter().copied().collect(),
+        };
+        serde_json::to_string(&stored).map_err(|e| e.to_string())
+    }
+
+    /// Rebuilds a codec from [`Self::to_json`]'s text. Refuses another
+    /// format version and any vector whose length the decoder would
+    /// index past.
+    pub fn from_json(text: &str) -> Result<Self, String> {
+        let s: StoredCodec = serde_json::from_str(text).map_err(|e| e.to_string())?;
+        if s.format != CODEC_FORMAT {
+            return Err(format!("codec format {} (this build reads {CODEC_FORMAT})", s.format));
+        }
+        let ranges =
+            [&s.port_lo, &s.port_hi, &s.proto_lo, &s.proto_hi, &s.fallback_port, &s.fallback_proto];
+        if ranges.iter().any(|r| r.len() != s.embed_dim) {
+            return Err(format!("a range vector is not {} wide", s.embed_dim));
+        }
+        let service_index: BTreeMap<u16, usize> =
+            s.service_ports.iter().enumerate().map(|(i, &p)| (p, i)).collect();
+        if service_index.len() != s.service_ports.len() {
+            return Err("a service port appears twice".into());
+        }
+        Ok(TupleCodec {
+            ip2vec: Ip2Vec::from_parts(s.embed_dim, s.words, from_bits(&s.embeddings))?,
+            ip_bits: BitCodec::ipv4(),
+            embed_dim: s.embed_dim,
+            service_ports: s.service_ports,
+            service_index,
+            port_lo: from_bits(&s.port_lo),
+            port_hi: from_bits(&s.port_hi),
+            proto_lo: from_bits(&s.proto_lo),
+            proto_hi: from_bits(&s.proto_hi),
+            fallback_port: from_bits(&s.fallback_port),
+            fallback_proto: from_bits(&s.fallback_proto),
+            port_proto_pairs: s.port_proto_pairs.into_iter().collect(),
+        })
     }
 
     /// Width of one hybrid port block: categorical (K + other) + embedding.
@@ -436,5 +523,56 @@ mod tests {
             "ephemeral decoded into the catalogue: {}",
             back.dst_port
         );
+    }
+
+    #[test]
+    fn stored_codec_encodes_and_decodes_like_the_fitted_one() {
+        use trace_synth::{generate_flows, generate_packets, DatasetKind};
+        let fitted = codec();
+        let text = fitted.to_json().unwrap();
+        let loaded = TupleCodec::from_json(&text).unwrap();
+        assert_eq!(loaded.to_json().unwrap(), text, "one stored form, stable under a round trip");
+        assert!(loaded.ip2vec.words().iter().all(|w| !matches!(w, Word::Ip(_))), "no IP rows kept");
+
+        let flows = generate_flows(DatasetKind::Ugr16, 600, 9);
+        let packets = generate_packets(DatasetKind::Caida, 600, 9);
+        let mut tuples: Vec<FiveTuple> = flows
+            .flows
+            .iter()
+            .map(|f| f.five_tuple)
+            .chain(packets.packets.iter().map(|p| p.five_tuple))
+            .collect();
+        tuples.push(FiveTuple::new(1, 2, 0, 0, Protocol::Icmp));
+        tuples.push(FiveTuple::new(1, 2, 65_535, 65_534, Protocol::Udp)); // out of dictionary
+        tuples.push(FiveTuple::new(1, 2, 7, 9, Protocol::from_number(47))); // outside PROTO_VOCAB
+        for proto in [Protocol::Tcp, Protocol::Udp, Protocol::Icmp] {
+            assert!(tuples.iter().any(|t| t.proto == proto), "{proto:?} covered");
+        }
+        for ft in &tuples {
+            let enc = fitted.encode(ft);
+            assert_eq!(loaded.decode(&enc), fitted.decode(&enc), "{ft}");
+            assert_eq!(to_bits(&loaded.encode(ft)), to_bits(&enc), "{ft}");
+        }
+        // Generated metadata is not an encoding of anything: the
+        // nearest-neighbour paths must agree on arbitrary vectors too.
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(4);
+        for _ in 0..200 {
+            let v: Vec<f32> = (0..fitted.dim()).map(|_| rng.gen()).collect();
+            assert_eq!(loaded.decode(&v), fitted.decode(&v));
+        }
+    }
+
+    #[test]
+    fn from_json_refuses_what_decode_could_not_survive() {
+        let text = codec().to_json().unwrap();
+        assert!(TupleCodec::from_json(&text[..text.len() / 2]).is_err(), "truncated");
+        let other_format = text.replacen("\"format\":1", "\"format\":2", 1);
+        let refusal = |text: &str| TupleCodec::from_json(text).err().expect("refused");
+        assert!(refusal(&other_format).contains("format 2"));
+        let short_range = text.replacen("\"port_lo\":[", "\"port_lo\":[0,", 1);
+        assert!(refusal(&short_range).contains("wide"));
+        let lost_row = text.replacen("\"embeddings\":[", "\"embeddings\":[0,", 1);
+        assert!(refusal(&lost_row).contains("embedding values"));
     }
 }

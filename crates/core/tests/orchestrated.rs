@@ -214,5 +214,21 @@ fn changed_config_invalidates_old_checkpoints() {
         Some(0),
         "a different config fingerprint must start fresh"
     );
+
+    // A different public-corpus size trains a different dictionary under
+    // the same metadata width: chunk models trained against the old
+    // embeddings must not be decoded with the new ones.
+    let mut cfg3 = tiny_cfg(8);
+    cfg3.ip2vec_public_packets += 100;
+    cfg3.orchestrator.checkpoint_dir = Some(dir.clone());
+    cfg3.orchestrator.resume = true;
+    let (resumed_trace, events) = fit_and_generate(&real, &cfg3);
+    let resumed = events.iter().find_map(|e| match e {
+        Event::RunStarted { resumed, .. } => Some(*resumed),
+        _ => None,
+    });
+    assert_eq!(resumed, Some(0), "a different dictionary must start fresh");
+    cfg3.orchestrator.checkpoint_dir = None;
+    assert_eq!(resumed_trace, fit_and_generate(&real, &cfg3).0);
     std::fs::remove_dir_all(&dir).ok();
 }

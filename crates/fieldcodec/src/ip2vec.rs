@@ -67,112 +67,171 @@ impl Default for Ip2VecConfig {
     }
 }
 
-/// A trained IP2Vec model: dictionary plus input/output embeddings.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// A trained IP2Vec model: the dictionary and its embeddings. (The
+/// output/context matrix exists only while [`Ip2Vec::train`] runs;
+/// nothing reads it afterwards.)
+#[derive(Debug, Clone)]
 pub struct Ip2Vec {
-    cfg: Ip2VecConfig,
+    dim: usize,
     vocab: Vec<Word>,
-    #[serde(skip)]
     index: BTreeMap<Word, usize>,
-    /// Input embeddings, `vocab.len() × dim`, row-major.
+    /// Embeddings, `vocab.len() × dim`, row-major.
     emb: Vec<f32>,
-    /// Output (context) embeddings, same layout.
-    ctx: Vec<f32>,
 }
 
-impl Ip2Vec {
-    /// Trains on explicit sentences (each a slice of words).
-    pub fn train(sentences: &[Vec<Word>], cfg: Ip2VecConfig) -> Self {
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        // Build vocabulary + unigram counts.
-        let mut index: BTreeMap<Word, usize> = BTreeMap::new();
-        let mut vocab: Vec<Word> = Vec::new();
-        let mut counts: Vec<u64> = Vec::new();
-        for s in sentences {
-            for w in s {
-                match index.get(w) {
-                    Some(&i) => counts[i] += 1,
-                    None => {
-                        index.insert(*w, vocab.len());
-                        vocab.push(*w);
-                        counts.push(1);
-                    }
-                }
-            }
-        }
-        let v = vocab.len().max(1);
-        let dim = cfg.dim;
-        let mut emb: Vec<f32> = (0..v * dim)
-            .map(|_| (rng.gen::<f32>() - 0.5) / dim as f32)
-            .collect();
-        let mut ctx: Vec<f32> = vec![0.0; v * dim];
+/// The negative-sampling distribution (unigram^0.75) as a CDF with a
+/// guide table over it: `guide[b]` is the first CDF position that can
+/// answer a `u` in bucket `b` of 2¹⁶ equal ones, so a draw
+/// searches `cdf[guide[b]..guide[b + 1]]` — usually empty or one entry —
+/// and lands on the index a binary search of the whole CDF would.
+pub struct NegativeTable {
+    cdf: Vec<f64>,
+    guide: Vec<u32>,
+}
 
-        // Negative-sampling distribution: unigram^0.75 CDF.
+/// Buckets of [`NegativeTable`]'s guide. A power of two, so `u * B` and
+/// `b / B` are exact and `b / B <= u < (b + 1) / B` holds for every `u`.
+const GUIDE_BUCKETS: usize = 1 << 16;
+
+impl NegativeTable {
+    /// The table for a vocabulary with these unigram counts.
+    pub fn new(counts: &[u64]) -> Self {
         let weights: Vec<f64> = counts.iter().map(|&c| (c as f64).powf(0.75)).collect();
         let total: f64 = weights.iter().sum();
-        let mut cdf = Vec::with_capacity(v);
+        let mut cdf = Vec::with_capacity(counts.len());
         let mut acc = 0.0;
         for w in &weights {
             acc += w / total.max(f64::MIN_POSITIVE);
             cdf.push(acc);
         }
-        let sample_negative = |rng: &mut StdRng| -> usize {
-            let u = rng.gen::<f64>();
-            cdf.partition_point(|&c| c < u).min(v - 1)
-        };
+        // `acc` never decreases, so one forward walk finds every bucket's
+        // partition point.
+        let mut guide = Vec::with_capacity(GUIDE_BUCKETS + 1);
+        let mut i = 0;
+        for b in 0..=GUIDE_BUCKETS {
+            let edge = b as f64 / GUIDE_BUCKETS as f64;
+            while i < cdf.len() && cdf[i] < edge {
+                i += 1;
+            }
+            guide.push(i as u32);
+        }
+        NegativeTable { cdf, guide }
+    }
+
+    /// The cumulative distribution, one entry per word.
+    pub fn cdf(&self) -> &[f64] {
+        &self.cdf
+    }
+
+    /// The word a uniform draw `u` in `[0, 1)` selects:
+    /// `cdf.partition_point(|&c| c < u)`, clamped to the last word.
+    pub fn index_of(&self, u: f64) -> usize {
+        debug_assert!((0.0..1.0).contains(&u), "u = {u}");
+        let b = ((u * GUIDE_BUCKETS as f64) as usize).min(GUIDE_BUCKETS - 1);
+        let (lo, hi) = (self.guide[b] as usize, self.guide[b + 1] as usize);
+        let i = lo + self.cdf[lo..hi].partition_point(|&c| c < u);
+        i.min(self.cdf.len().saturating_sub(1))
+    }
+}
+
+impl Ip2Vec {
+    /// A dictionary from its parts: `vocab` in first-seen order and its
+    /// `vocab.len() × dim` row-major embeddings. The word index is built
+    /// here, so every `Ip2Vec` — trained or loaded — answers lookups.
+    pub fn from_parts(dim: usize, vocab: Vec<Word>, emb: Vec<f32>) -> Result<Self, String> {
+        if vocab.len().checked_mul(dim) != Some(emb.len()) {
+            return Err(format!(
+                "{} embedding values for {} words of dimension {dim}",
+                emb.len(),
+                vocab.len()
+            ));
+        }
+        let index = word_index(&vocab);
+        if index.len() != vocab.len() {
+            return Err("a word appears twice in the vocabulary".into());
+        }
+        Ok(Ip2Vec { dim, vocab, index, emb })
+    }
+
+    /// Trains on explicit sentences (each a slice of words).
+    pub fn train(sentences: &[Vec<Word>], cfg: Ip2VecConfig) -> Self {
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        // Vocabulary and unigram counts, with every sentence resolved to
+        // word ids once: `ids[ends[s - 1]..ends[s]]` is sentence `s`.
+        let mut index: BTreeMap<Word, usize> = BTreeMap::new();
+        let mut vocab: Vec<Word> = Vec::new();
+        let mut counts: Vec<u64> = Vec::new();
+        let mut ids: Vec<u32> = Vec::with_capacity(sentences.iter().map(Vec::len).sum());
+        let mut ends: Vec<usize> = Vec::with_capacity(sentences.len());
+        for s in sentences {
+            for w in s {
+                let i = *index.entry(*w).or_insert_with(|| {
+                    vocab.push(*w);
+                    counts.push(0);
+                    vocab.len() - 1
+                });
+                counts[i] += 1;
+                ids.push(i as u32);
+            }
+            ends.push(ids.len());
+        }
+        let dim = cfg.dim;
+        let mut emb: Vec<f32> = (0..vocab.len() * dim)
+            .map(|_| (rng.gen::<f32>() - 0.5) / dim as f32)
+            .collect();
+        let mut ctx: Vec<f32> = vec![0.0; emb.len()];
+        let negatives = NegativeTable::new(&counts);
 
         let sigmoid = |x: f32| 1.0 / (1.0 + (-x).exp());
+        let dot = |a: &[f32], b: &[f32]| -> f32 { a.iter().zip(b).map(|(x, y)| x * y).sum() };
+        // One positive or negative update: accumulates the center
+        // gradient and moves the context row.
+        let update = |grad_c: &mut [f32], center: &[f32], context: &mut [f32], g: f32| {
+            for ((gc, &e), c) in grad_c.iter_mut().zip(center).zip(context) {
+                *gc += g * *c;
+                *c -= g * e;
+            }
+        };
 
+        let mut grad_c = vec![0.0f32; dim];
         for _ in 0..cfg.epochs {
-            for s in sentences {
-                for (ci, c) in s.iter().enumerate() {
-                    let c_idx = index[c];
-                    for (oi, o) in s.iter().enumerate() {
+            let mut start = 0;
+            for &end in &ends {
+                let s = &ids[start..end];
+                start = end;
+                for (ci, &c_idx) in s.iter().enumerate() {
+                    let vc = c_idx as usize * dim;
+                    for (oi, &o_idx) in s.iter().enumerate() {
                         if ci == oi {
                             continue;
                         }
-                        let o_idx = index[o];
                         // Positive update + negatives, accumulating the
                         // center-gradient before applying it.
-                        let mut grad_c = vec![0.0f32; dim];
-                        {
-                            let (vc, uo) = (c_idx * dim, o_idx * dim);
-                            let dot: f32 = (0..dim).map(|d| emb[vc + d] * ctx[uo + d]).sum();
-                            let g = (sigmoid(dot) - 1.0) * cfg.lr;
-                            for d in 0..dim {
-                                grad_c[d] += g * ctx[uo + d];
-                                ctx[uo + d] -= g * emb[vc + d];
-                            }
-                        }
+                        grad_c.fill(0.0);
+                        let center = &mut emb[vc..vc + dim];
+                        let uo = o_idx as usize * dim;
+                        let context = &mut ctx[uo..uo + dim];
+                        let g = (sigmoid(dot(center, context)) - 1.0) * cfg.lr;
+                        update(&mut grad_c, center, context, g);
                         for _ in 0..cfg.negatives {
-                            let n_idx = sample_negative(&mut rng);
-                            if n_idx == o_idx {
+                            let n_idx = negatives.index_of(rng.gen::<f64>());
+                            if n_idx == o_idx as usize {
                                 continue;
                             }
-                            let (vc, un) = (c_idx * dim, n_idx * dim);
-                            let dot: f32 = (0..dim).map(|d| emb[vc + d] * ctx[un + d]).sum();
-                            let g = sigmoid(dot) * cfg.lr;
-                            for d in 0..dim {
-                                grad_c[d] += g * ctx[un + d];
-                                ctx[un + d] -= g * emb[vc + d];
-                            }
+                            let un = n_idx * dim;
+                            let context = &mut ctx[un..un + dim];
+                            let g = sigmoid(dot(center, context)) * cfg.lr;
+                            update(&mut grad_c, center, context, g);
                         }
-                        let vc = c_idx * dim;
-                        for d in 0..dim {
-                            emb[vc + d] -= grad_c[d];
+                        for (e, g) in center.iter_mut().zip(&grad_c) {
+                            *e -= g;
                         }
                     }
                 }
             }
         }
 
-        Ip2Vec {
-            cfg,
-            vocab,
-            index,
-            emb,
-            ctx,
-        }
+        Ip2Vec { dim, vocab, index, emb }
     }
 
     /// Trains from a packet trace: one sentence per packet,
@@ -199,7 +258,7 @@ impl Ip2Vec {
 
     /// Embedding dimensionality.
     pub fn dim(&self) -> usize {
-        self.cfg.dim
+        self.dim
     }
 
     /// Dictionary size.
@@ -207,21 +266,38 @@ impl Ip2Vec {
         self.vocab.len()
     }
 
-    /// Rebuilds the word index after deserialization.
-    pub fn rebuild_index(&mut self) {
-        self.index = self
-            .vocab
-            .iter()
-            .enumerate()
-            .map(|(i, w)| (*w, i))
-            .collect();
+    /// The dictionary, in first-seen order (the order [`Self::nearest`]
+    /// scans, so the order its ties break in).
+    pub fn words(&self) -> &[Word] {
+        &self.vocab
+    }
+
+    /// Every embedding, `vocab_len() × dim()`, row-major in
+    /// [`Self::words`] order.
+    pub fn embeddings(&self) -> &[f32] {
+        &self.emb
+    }
+
+    /// The dictionary restricted to the words `keep` accepts, order and
+    /// embeddings unchanged: lookups and nearest-neighbour searches over
+    /// kept words answer as before.
+    pub fn retain(&self, keep: impl Fn(&Word) -> bool) -> Self {
+        let mut vocab = Vec::new();
+        let mut emb = Vec::new();
+        for (i, w) in self.vocab.iter().enumerate() {
+            if keep(w) {
+                vocab.push(*w);
+                emb.extend_from_slice(&self.emb[i * self.dim..(i + 1) * self.dim]);
+            }
+        }
+        Ip2Vec { dim: self.dim, index: word_index(&vocab), vocab, emb }
     }
 
     /// The embedding of a word, if in the dictionary.
     pub fn embedding(&self, w: &Word) -> Option<&[f32]> {
         self.index
             .get(w)
-            .map(|&i| &self.emb[i * self.cfg.dim..(i + 1) * self.cfg.dim])
+            .map(|&i| &self.emb[i * self.dim..(i + 1) * self.dim])
     }
 
     /// Nearest dictionary word to `vec` (by Euclidean distance) among
@@ -231,13 +307,13 @@ impl Ip2Vec {
     /// than cosine) distance makes decoding *exact* for vectors that are
     /// themselves dictionary embeddings, regardless of embedding quality.
     pub fn nearest(&self, vec: &[f32], filter: impl Fn(&Word) -> bool) -> Option<Word> {
-        assert_eq!(vec.len(), self.cfg.dim, "query dimension mismatch");
+        assert_eq!(vec.len(), self.dim, "query dimension mismatch");
         let mut best: Option<(Word, f32)> = None;
         for (i, w) in self.vocab.iter().enumerate() {
             if !filter(w) {
                 continue;
             }
-            let e = &self.emb[i * self.cfg.dim..(i + 1) * self.cfg.dim];
+            let e = &self.emb[i * self.dim..(i + 1) * self.dim];
             let d2: f32 = e.iter().zip(vec).map(|(a, b)| (a - b) * (a - b)).sum();
             if best.map(|(_, b)| d2 < b).unwrap_or(true) {
                 best = Some((*w, d2));
@@ -261,6 +337,10 @@ impl Ip2Vec {
             _ => None,
         }
     }
+}
+
+fn word_index(vocab: &[Word]) -> BTreeMap<Word, usize> {
+    vocab.iter().enumerate().map(|(i, w)| (*w, i)).collect()
 }
 
 /// The IP2Vec sentence for a five-tuple.

@@ -131,7 +131,8 @@ pub enum Event {
     /// `<file>.quarantine`; recovery fell back to the next-newest
     /// verified generation or re-runs the job.
     CheckpointQuarantined {
-        /// Job id (empty for a stray temp file not attributable to a job).
+        /// Job id (empty for a file not attributable to a job: a stray
+        /// temp file, the fitted codec object).
         job: String,
         /// The quarantined file, relative to the run directory.
         file: String,

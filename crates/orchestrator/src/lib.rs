@@ -94,7 +94,9 @@ pub use coord::{
 pub use dag::{Frontier, Graph, JobInputs, JobSpec, OrchestratorError, Plan};
 pub use events::{Event, EventLog};
 pub use journal::{Journal, JournalRecord};
-pub use manifest::{atomic_write, fnv1a64, quarantine, JobStats, Manifest, ManifestEntry};
+pub use manifest::{
+    atomic_write, fnv1a64, quarantine, JobStats, Manifest, ManifestEntry, Probed,
+};
 pub use pool::{run, RunOptions, RunReport};
 pub use store::{FsStore, GcReport, ObjectStore, PutOutcome};
 pub use timing::{measure, thread_cpu_seconds, Heartbeat};

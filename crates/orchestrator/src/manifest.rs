@@ -35,7 +35,9 @@
 //! Both engines ([`crate::pool`] and [`crate::coord`]) go through the same
 //! three steps here, so the crash-safety rules of a run directory are
 //! decided once: [`Manifest::open`] (what is swept, when history is
-//! adopted), [`Manifest::recover`] (what is quarantined), and
+//! adopted), [`Manifest::recover`] (what is quarantined; its read-only
+//! half [`Manifest::probe`] may run for many jobs at once, its writing
+//! half [`Manifest::adopt`] is serial), and
 //! [`Manifest::commit`] (when a generation becomes visible, when an
 //! object may be deleted).
 
@@ -96,6 +98,17 @@ pub struct JobStats {
     pub cpu_seconds: f64,
     /// Whether the manifest satisfied this job without execution.
     pub skipped: bool,
+}
+
+/// What [`Manifest::probe`] found of one recorded generation.
+#[derive(Debug)]
+pub enum Probed<T> {
+    /// No payload file on disk.
+    Missing,
+    /// The payload failed verification, for this reason.
+    Bad(String),
+    /// The payload verified and decoded.
+    Good(T),
 }
 
 /// The completed-job registry of a run directory.
@@ -164,6 +177,10 @@ impl Manifest {
     /// (digest mismatch, invalid UTF-8, or a payload `decode` rejects),
     /// and returns the first good one. Bad entries are dropped from the
     /// manifest so they are never consulted again.
+    ///
+    /// This is [`Manifest::probe`] followed by [`Manifest::adopt`]; a
+    /// caller with many independent jobs may run the probes side by side
+    /// and adopt their findings one after another.
     pub fn recover<T>(
         &mut self,
         dir: &Path,
@@ -171,38 +188,71 @@ impl Manifest {
         events: &EventLog,
         decode: impl Fn(String) -> Result<T, String>,
     ) -> Option<(T, ManifestEntry)> {
-        let gens: Vec<ManifestEntry> = self.generations(id).into_iter().cloned().collect();
-        for entry in gens {
+        let probed = self.probe(dir, id, decode);
+        self.adopt(dir, id, events, probed)
+    }
+
+    /// The reading half of [`Manifest::recover`]: reads, digests and
+    /// decodes `id`'s generations newest first, up to and including the
+    /// first good one, and reports what each turned out to be. Touches
+    /// neither the manifest nor the directory.
+    pub fn probe<T>(
+        &self,
+        dir: &Path,
+        id: &str,
+        decode: impl Fn(String) -> Result<T, String>,
+    ) -> Vec<(ManifestEntry, Probed<T>)> {
+        let mut probed = Vec::new();
+        for entry in self.generations(id) {
             // Read raw bytes: a flipped byte can leave the file invalid
             // UTF-8, which must still count as corruption (quarantine),
             // not absence.
-            let reason = match std::fs::read(dir.join(&entry.file)) {
-                Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                    // Nothing on disk to quarantine; just forget the entry.
-                    self.remove(id, entry.generation);
-                    continue;
-                }
-                Err(e) => format!("unreadable payload: {e}"),
+            let found = match std::fs::read(dir.join(&entry.file)) {
+                Err(e) if e.kind() == io::ErrorKind::NotFound => Probed::Missing,
+                Err(e) => Probed::Bad(format!("unreadable payload: {e}")),
                 Ok(bytes) if fnv1a64(&bytes) != entry.digest => {
-                    format!("digest mismatch (expected {:#018x})", entry.digest)
+                    Probed::Bad(format!("digest mismatch (expected {:#018x})", entry.digest))
                 }
                 Ok(bytes) => match String::from_utf8(bytes) {
-                    Err(e) => format!("unparseable payload: invalid UTF-8: {e}"),
+                    Err(e) => Probed::Bad(format!("unparseable payload: invalid UTF-8: {e}")),
                     Ok(text) => match decode(text) {
-                        Ok(payload) => return Some((payload, entry)),
-                        Err(e) => format!("unparseable payload: {e}"),
+                        Ok(payload) => Probed::Good(payload),
+                        Err(e) => Probed::Bad(format!("unparseable payload: {e}")),
                     },
                 },
             };
-            self.remove(id, entry.generation);
-            if quarantine(&dir.join(&entry.file)).is_ok() {
-                telemetry::metrics::counter("orchestrator.quarantines").inc();
-                events.emit(Event::CheckpointQuarantined {
-                    job: id.to_string(),
-                    file: entry.file.clone(),
-                    reason,
-                });
+            let good = matches!(found, Probed::Good(_));
+            probed.push((entry.clone(), found));
+            if good {
+                break;
             }
+        }
+        probed
+    }
+
+    /// The writing half of [`Manifest::recover`]: applies what
+    /// [`Manifest::probe`] found for `id`, in order. A missing
+    /// generation is forgotten (nothing on disk to quarantine), a bad
+    /// one is forgotten, quarantined and announced, and the good one, if
+    /// any, is returned.
+    pub fn adopt<T>(
+        &mut self,
+        dir: &Path,
+        id: &str,
+        events: &EventLog,
+        probed: Vec<(ManifestEntry, Probed<T>)>,
+    ) -> Option<(T, ManifestEntry)> {
+        for (entry, found) in probed {
+            let reason = match found {
+                Probed::Good(payload) => return Some((payload, entry)),
+                Probed::Missing => {
+                    self.remove(id, entry.generation);
+                    continue;
+                }
+                Probed::Bad(reason) => reason,
+            };
+            self.remove(id, entry.generation);
+            quarantine_announced(dir, id, &entry.file, reason, events);
         }
         None
     }
@@ -331,6 +381,20 @@ pub fn quarantine(path: &Path) -> io::Result<PathBuf> {
     Ok(dest)
 }
 
+/// [`quarantine`]s `file` (relative to the run directory) and, when there
+/// was a file to rename, counts it and announces it as
+/// `CheckpointQuarantined` — `job` empty for a file no job owns.
+pub fn quarantine_announced(dir: &Path, job: &str, file: &str, reason: String, events: &EventLog) {
+    if quarantine(&dir.join(file)).is_ok() {
+        telemetry::metrics::counter("orchestrator.quarantines").inc();
+        events.emit(Event::CheckpointQuarantined {
+            job: job.to_string(),
+            file: file.to_string(),
+            reason,
+        });
+    }
+}
+
 /// Quarantines leftover `.tmp.` files from interrupted atomic writes in
 /// the run directory, its object store, and the pre-v3 `jobs/` payload
 /// directory (best-effort) — the last still patrolled so a run directory
@@ -346,14 +410,8 @@ fn quarantine_stray_temp_files(dir: &Path, events: &EventLog) {
                 continue;
             }
             let rel = if sub.is_empty() { name.clone() } else { format!("{sub}/{name}") };
-            if quarantine(&e.path()).is_ok() {
-                telemetry::metrics::counter("orchestrator.quarantines").inc();
-                events.emit(Event::CheckpointQuarantined {
-                    job: String::new(),
-                    file: rel,
-                    reason: "torn temp file from an interrupted write".into(),
-                });
-            }
+            let reason = "torn temp file from an interrupted write".into();
+            quarantine_announced(dir, "", &rel, reason, events);
         }
     }
 }

@@ -14,7 +14,9 @@
 //! pulling closures, real panics, retry-in-thread with backoff. What it
 //! schedules over ([`crate::dag::Graph`], [`crate::dag::Frontier`]), how
 //! a run directory is opened, recovered and committed
-//! ([`Manifest::open`] / [`Manifest::recover`] / [`Manifest::commit`]),
+//! ([`Manifest::open`] / [`Manifest::recover`] — here as its two halves,
+//! [`Manifest::probe`] on the workers and [`Manifest::adopt`] in plan
+//! order — / [`Manifest::commit`]),
 //! and how persist-phase chaos faults strike a checkpoint write
 //! ([`chaos::put_with_fault`]) are shared with the process coordinator
 //! in [`crate::coord`].
@@ -23,7 +25,7 @@ use crate::cancel::CancelToken;
 use crate::chaos::{self, ChaosPlan, FaultClass};
 use crate::dag::{fail_first, panic_message, Frontier, JobInputs, OrchestratorError, Plan};
 use crate::events::{Event, EventLog};
-use crate::manifest::{fnv1a64, JobStats, Manifest};
+use crate::manifest::{fnv1a64, JobStats, Manifest, ManifestEntry, Probed};
 use crate::store::FsStore;
 use crate::timing::{measure, Heartbeat, Stopwatch};
 use crate::watchdog::{Watchdog, WatchdogOptions};
@@ -146,14 +148,22 @@ where
         Some((dir, _)) => Manifest::open(dir, &opts.run_key, events),
         None => Manifest::new(opts.run_key.clone()),
     };
+    let pool_size = if opts.workers == 0 {
+        rayon::current_num_threads()
+    } else {
+        opts.workers
+    };
     let mut resumed: BTreeMap<usize, Arc<P>> = BTreeMap::new();
     let mut stats: Vec<Option<JobStats>> = (0..n).map(|_| None).collect();
     if let Some((dir, _)) = &run_dir {
         if opts.resume {
-            let decode =
-                |text: String| serde_json::from_str::<P>(&text).map_err(|e| e.to_string());
-            for (i, job) in plan.jobs.iter().enumerate() {
-                if let Some((payload, entry)) = manifest.recover(dir, &job.id, events, decode) {
+            // Reading, digesting and decoding a payload touches nothing
+            // shared, so the run's workers probe the jobs side by side;
+            // what they found is applied to the manifest and announced
+            // here, in plan order, exactly as a serial recovery would.
+            let probed = probe_jobs(&manifest, dir, plan, pool_size);
+            for (i, (job, found)) in plan.jobs.iter().zip(probed).enumerate() {
+                if let Some((payload, entry)) = manifest.adopt(dir, &job.id, events, found) {
                     stats[i] = Some(entry.stats());
                     resumed.insert(i, Arc::new(payload));
                 }
@@ -165,12 +175,7 @@ where
     }
 
     let pending = n - resumed.len();
-    let workers = if opts.workers == 0 {
-        rayon::current_num_threads()
-    } else {
-        opts.workers
-    }
-    .clamp(1, pending.max(1));
+    let workers = pool_size.clamp(1, pending.max(1));
 
     events.emit(Event::RunStarted {
         run_key: opts.run_key.clone(),
@@ -259,6 +264,40 @@ where
         skipped,
     });
     Ok(report)
+}
+
+/// [`Manifest::probe`] of every job of the plan, in plan order, on up to
+/// `threads` scoped threads (job `i` on thread `i % threads`).
+fn probe_jobs<P>(
+    manifest: &Manifest,
+    dir: &Path,
+    plan: &Plan<'_, P>,
+    threads: usize,
+) -> Vec<Vec<(ManifestEntry, Probed<P>)>>
+where
+    P: Deserialize + Send + Sync,
+{
+    let n = plan.jobs.len();
+    let threads = threads.clamp(1, n.max(1));
+    let probe = |i: usize| {
+        let decode = |text: String| serde_json::from_str::<P>(&text).map_err(|e| e.to_string());
+        manifest.probe(dir, &plan.jobs[i].id, decode)
+    };
+    let mut probed: Vec<_> = (0..n).map(|_| Vec::new()).collect();
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..threads)
+            .map(|t| {
+                s.spawn(move || (t..n).step_by(threads).map(|i| (i, probe(i))).collect::<Vec<_>>())
+            })
+            .collect();
+        for handle in handles {
+            match handle.join() {
+                Ok(found) => found.into_iter().for_each(|(i, f)| probed[i] = f),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+    });
+    probed
 }
 
 /// One worker: pull ready jobs until the run completes or hard-fails.

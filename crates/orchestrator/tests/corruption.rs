@@ -533,3 +533,57 @@ fn neither_engine_deletes_a_pruned_object_another_ref_still_needs() {
         std::fs::remove_dir_all(&dir).ok();
     }
 }
+
+#[test]
+fn pool_announces_two_corrupt_jobs_in_plan_order_at_any_worker_count() {
+    // Payloads are probed on the run's workers, side by side; what they
+    // find is applied serially, so which thread finishes first must never
+    // show in the event stream. Six independent jobs, the second and the
+    // fifth damaged.
+    const WIDE: &Shape = &[("j0", &[]), ("j1", &[]), ("j2", &[]), ("j3", &[]), ("j4", &[]), ("j5", &[])];
+    let texts = texts(&[("j0", "a"), ("j1", "b"), ("j2", "c"), ("j3", "d"), ("j4", "e"), ("j5", "f")]);
+    let clean = tmp_dir("order-clean");
+    let fresh = RunOptions { run_key: "cfg".into(), ..Default::default() };
+    let (baseline, _, _) = pool_run(&clean, WIDE, &texts, &fresh);
+    let manifest = Manifest::load(&clean).unwrap();
+
+    let mut streams = Vec::new();
+    for workers in [1usize, 4] {
+        let dir = tmp_dir(&format!("order-w{workers}"));
+        copy_dir(&clean, &dir);
+        for id in ["j4", "j1"] {
+            let obj = dir.join(&manifest.entry(id).unwrap().file);
+            let mut bytes = std::fs::read(&obj).unwrap();
+            bytes[1] ^= 0x01;
+            std::fs::write(&obj, bytes).unwrap();
+        }
+        let opts = RunOptions { run_key: "cfg".into(), resume: true, workers, ..Default::default() };
+        let (digests, executed, events) = pool_run(&dir, WIDE, &texts, &opts);
+        assert_eq!(digests, baseline, "workers = {workers}");
+        assert_eq!(executed, ["j1", "j4"].iter().map(|s| s.to_string()).collect(), "workers = {workers}");
+        // Everything up to the first job start: quarantines, RunStarted,
+        // then the skips — all of it in plan order.
+        let prefix: Vec<String> = events
+            .iter()
+            .take_while(|e| !matches!(e, Event::JobStarted { .. }))
+            .map(|e| match e {
+                Event::CheckpointQuarantined { job, .. } => format!("quarantined {job}"),
+                Event::RunStarted { resumed, .. } => format!("started, {resumed} resumed"),
+                Event::JobSkipped { job } => format!("skipped {job}"),
+                other => format!("{other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            prefix,
+            [
+                "quarantined j1", "quarantined j4", "started, 4 resumed",
+                "skipped j0", "skipped j2", "skipped j3", "skipped j5",
+            ],
+            "workers = {workers}"
+        );
+        streams.push(prefix);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+    assert_eq!(streams[0], streams[1]);
+    std::fs::remove_dir_all(&clean).ok();
+}

@@ -85,6 +85,38 @@ if [[ "${1:-}" == "chaos" ]]; then
     echo "chaos[$class]: quarantined on resume, output identical"
   done
 
+  # The public dictionary as a stored object of the run directory
+  # (OPERATIONS.md §2): a resume over the finished corrupt-flip directory
+  # loads it and trains none; with one byte of the object flipped the
+  # resume quarantines it, trains again and still writes the baseline's
+  # bytes; `gc` counts the ref as live, so a resume after it loads again.
+  cf="$cd_dir/corrupt-flip"
+  resume_cf() {
+    timeout 300 "$cli" synth-flows "$cd_dir/real.csv" "$cd_dir/codec-$1.csv" \
+      "${common[@]}" --ckpt-dir "$cf" --resume --metrics-out "$cd_dir/codec-$1.json"
+    cmp "$cd_dir/plain.csv" "$cd_dir/codec-$1.csv"
+  }
+  resume_cf loaded
+  grep -q '"netshare.codec.loaded":1' "$cd_dir/codec-loaded.json"
+  if grep -q '"netshare.codec.trained"' "$cd_dir/codec-loaded.json"; then
+    echo "chaos[codec]: a resume over a complete directory trained a dictionary" >&2; exit 1
+  fi
+  digest="$(grep -o '"digest":[0-9]*' "$cf/codec.json" | cut -d: -f2)"
+  codec_obj="$cf/objects/$(printf '%016x' "$digest").json"
+  quarantined="$(find "$cf" -name '*.quarantine' | wc -l)"
+  # JSON text holds no NUL, so this always changes the byte.
+  printf '\0' | dd of="$codec_obj" bs=1 seek=100 conv=notrunc status=none
+  resume_cf refit
+  grep -q '"netshare.codec.load_misses":1' "$cd_dir/codec-refit.json"
+  grep -q '"netshare.codec.trained":1' "$cd_dir/codec-refit.json"
+  [[ "$(find "$cf" -name '*.quarantine' | wc -l)" == "$((quarantined + 1))" ]] \
+    || { echo "chaos[codec]: the damaged codec object was not quarantined" >&2; exit 1; }
+  timeout 60 "$cli" gc "$cf" > /dev/null
+  [[ -e "$codec_obj" ]] || { echo "chaos[codec]: gc removed the codec object" >&2; exit 1; }
+  resume_cf after-gc
+  grep -q '"netshare.codec.loaded":1' "$cd_dir/codec-after-gc.json"
+  echo "chaos[codec]: loaded on resume, refitted after a flipped byte, kept by gc, output identical"
+
   # Divergence: the sentinel rolls the poisoned job back and the run
   # completes (exit 0). The trajectory legitimately differs from the
   # baseline (decayed LR), so only the event is asserted.
