@@ -51,9 +51,9 @@ fn train_pass(gru: &mut Gru, xs: &[Tensor], h0: &Tensor, grad_template: &Tensor)
     let _ = gru.backward_sequence(&grads);
 }
 
-#[test]
-fn gru_step_loops_do_not_allocate_per_gate() {
-    let (batch, input_dim, hidden) = (4, 6, 16);
+/// Marginal heap allocations per extra timestep of a `batch`-row GRU
+/// from `input_dim` to `hidden`, measured once its scratch is warm.
+fn allocs_per_step(batch: usize, input_dim: usize, hidden: usize) -> f64 {
     let mut rng = StdRng::seed_from_u64(42);
     let mut gru = Gru::new(input_dim, hidden, &mut rng);
 
@@ -85,14 +85,24 @@ fn gru_step_loops_do_not_allocate_per_gate() {
     train_pass(&mut gru, &long_xs, &h0, &grad);
     let long_cost = allocs_now() - before_long;
 
-    // Marginal allocations per extra timestep. Steady state is ~2 real
-    // per-step allocations (the forward's `hs` clone and the backward's
-    // escaping `dx`) plus the per-pass `Vec` collections in this harness;
-    // the old per-gate code sat around 15/step.
-    let per_step = (long_cost.saturating_sub(short_cost)) as f64 / (32 - 8) as f64;
-    assert!(
-        per_step <= 6.0,
-        "GRU step loops regressed to per-step allocation: \
-         {per_step:.2} allocs/step (short pass {short_cost}, long pass {long_cost})"
-    );
+    (long_cost.saturating_sub(short_cost)) as f64 / (32 - 8) as f64
+}
+
+#[test]
+fn gru_step_loops_do_not_allocate_per_gate() {
+    // Steady state is ~2 real per-step allocations (the forward's `hs`
+    // clone and the backward's escaping `dx`) plus the per-pass `Vec`
+    // collections in this harness; the old per-gate code sat around
+    // 15/step. The first shape's products all stay on the naive kernels;
+    // the second is the GRU input product at the serving shape
+    // (32×147·147×48), whose products take the tiled kernels, so per-call
+    // scratch there would show up here too.
+    for (batch, input_dim, hidden) in [(4, 6, 16), (32, 147, 48)] {
+        let per_step = allocs_per_step(batch, input_dim, hidden);
+        assert!(
+            per_step <= 6.0,
+            "GRU step loops regressed to per-step allocation at {batch}x{input_dim}->{hidden}: \
+             {per_step:.2} allocs/step"
+        );
+    }
 }

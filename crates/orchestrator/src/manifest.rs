@@ -46,6 +46,7 @@ use crate::store::ObjectStore;
 use serde::{Deserialize, Serialize};
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Manifest schema version. Bumped to 2 when entries gained generations
 /// and to 3 when payloads moved into the content-addressed `objects/`
@@ -420,11 +421,16 @@ fn quarantine_stray_temp_files(dir: &Path, events: &EventLog) {
 /// directory, then `rename` (atomic on POSIX within one filesystem). A
 /// kill between the two steps leaves the old file untouched.
 pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    // Unique per write, not only per process: two jobs whose payloads
+    // dedup to one object write it from two threads at once, and with a
+    // shared temp name the second rename finds the file already moved.
+    static WRITES: AtomicU64 = AtomicU64::new(0);
     let file_name = path
         .file_name()
         .and_then(|n| n.to_str())
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "path has no file name"))?;
-    let tmp = path.with_file_name(format!(".{file_name}.tmp.{}", std::process::id()));
+    let write = WRITES.fetch_add(1, Ordering::Relaxed);
+    let tmp = path.with_file_name(format!(".{file_name}.tmp.{}.{write}", std::process::id()));
     std::fs::write(&tmp, bytes)?;
     match std::fs::rename(&tmp, path) {
         Ok(()) => Ok(()),

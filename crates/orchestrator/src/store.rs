@@ -304,6 +304,28 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_puts_of_one_payload_all_succeed() {
+        // Two jobs of one run whose payloads dedup to one object write it
+        // from two threads of one process at once.
+        let (dir, store) = tmp_store("concurrent");
+        let barrier = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    barrier.wait();
+                    for round in 0..200u32 {
+                        let bytes = format!("{{\"round\":{round}}}");
+                        let out = store.put(bytes.as_bytes()).expect("a racing put of the same bytes");
+                        assert_eq!(store.get(out.digest).unwrap(), bytes.as_bytes());
+                    }
+                });
+            }
+        });
+        assert_eq!(store.list().unwrap().len(), 200);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn put_heals_a_rotten_resident_object_instead_of_deduping() {
         let (dir, store) = tmp_store("heal");
         let d = store.put(b"clean bytes").unwrap().digest;

@@ -4,8 +4,8 @@
 # static analysis (clippy + netshare-lint), rustdoc at -D warnings, the
 # sanitize-feature and telemetry-off test suites, and an orchestrator
 # fault-injection smoke test through the CLI (which also checks the
-# --metrics-out telemetry snapshot), then the serve, scale, serve-chaos
-# and nsbench gates below.
+# --metrics-out telemetry snapshot), then the serve, scale, serve-chaos,
+# nsbench and avx2 gates below.
 #
 #   scripts/ci.sh        # run the full gate
 #   scripts/ci.sh chaos  # fault-matrix smoke through the CLI
@@ -13,6 +13,7 @@
 #   scripts/ci.sh scale  # coordinator + worker processes + kill-worker + gc
 #   scripts/ci.sh serve-chaos  # netfault matrix + daemon kill -9 + kill-coord
 #   scripts/ci.sh nsbench  # the frozen benchmark's unit tests + smoke run
+#   scripts/ci.sh avx2     # the bit-equality gates release-built, then for 256-bit vectors
 #
 # Run from anywhere; operates on the repo root.
 set -euo pipefail
@@ -435,6 +436,31 @@ if [[ "${1:-}" == "nsbench" ]]; then
   exit 0
 fi
 
+# The determinism contract across hosts: the GEMM kernels lay their vector
+# lanes across output columns, so no output element's operations depend on
+# the vector width. The kernels' bit-equality oracles, the four pinned
+# trace digests, the frozen-inference equivalence and the DP-SGD golden run
+# release-built (a debug build does not vectorise, so it cannot tell), at
+# the default width and then rebuilt for 256-bit vectors in a target
+# directory of its own. `+fma` stays off on purpose: a fused multiply-add
+# rounds once where the contract rounds twice, so it changes bits by
+# design. On a CPU without AVX2 the second half is skipped with a line
+# saying so.
+if [[ "${1:-}" == "avx2" ]]; then
+  gates=(-p nnet -p netshare -p doppelganger
+         --test kernel_bits --test dpsgd_golden --test determinism --test infer_equiv)
+  cargo test -q --release "${gates[@]}"
+  echo "avx2: bit-equality gates pass release-built at the default width"
+  if ! grep -qw avx2 /proc/cpuinfo 2>/dev/null; then
+    echo "avx2: skipped the 256-bit half, this CPU does not list avx2 in /proc/cpuinfo"
+    exit 0
+  fi
+  CARGO_TARGET_DIR=target/avx2 RUSTFLAGS="-C target-feature=+avx2" \
+    cargo test -q --release "${gates[@]}"
+  echo "avx2: kernel oracles, pinned digests, inference equivalence and DP-SGD golden bit-equal at 256-bit width"
+  exit 0
+fi
+
 # --workspace so member bins (netshare_cli, netshare-lint) are rebuilt
 # too — the root package alone would leave them stale — and so every
 # member's unit, integration and doc tests run, not the root package's
@@ -537,3 +563,4 @@ echo "orchestrator smoke: fault retried, output identical, telemetry snapshot co
 "$0" scale
 "$0" serve-chaos
 "$0" nsbench
+"$0" avx2
