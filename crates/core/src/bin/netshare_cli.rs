@@ -543,10 +543,7 @@ fn run_pull(args: &PullArgs) -> Result<(), RunError> {
 fn run_gc(dir: &str) -> Result<(), RunError> {
     use orchestrator::ObjectStore;
     let dir = std::path::Path::new(dir);
-    let mut live: std::collections::BTreeSet<u64> = orchestrator::Manifest::load(dir)
-        .map(|m| m.jobs.iter().map(|e| e.digest).collect())
-        .unwrap_or_default();
-    live.extend(netshare::codec_ref_digest(dir));
+    let live = netshare::live_objects(dir);
     let store = orchestrator::FsStore::open(dir)
         .map_err(|e| RunError::Runtime(format!("open store in {}: {e}", dir.display())))?;
     let report = store

@@ -51,7 +51,9 @@ pub mod tuplecodec;
 // (the serving daemon loads artifacts without depending on this crate).
 pub use doppelganger::{ArtifactBundle, ModelArtifact};
 pub use config::{DpOptions, DpPretrainSource, NetShareConfig, OrchestratorOptions};
-pub use pipeline::{codec_ref_digest, parse_divergence_spec, NetShare, PipelineError, TraceCodec};
+pub use pipeline::{
+    codec_ref_digest, live_objects, parse_divergence_spec, NetShare, PipelineError, TraceCodec,
+};
 
 // Re-exported so downstream code can inspect [`NetShare::events`] and the
 // on-disk run directory without naming the orchestrator crate directly.

@@ -390,6 +390,16 @@ pub fn codec_ref_digest(dir: &Path) -> Option<u64> {
     read_codec_ref(dir).map(|r| r.digest)
 }
 
+/// The objects of `dir`'s store that something references: a manifest
+/// generation or the codec ref. `netshare_cli gc` sweeps every other one.
+pub fn live_objects(dir: &Path) -> std::collections::BTreeSet<u64> {
+    let mut live: std::collections::BTreeSet<u64> = orchestrator::Manifest::load(dir)
+        .map(|m| m.jobs.iter().map(|e| e.digest).collect())
+        .unwrap_or_default();
+    live.extend(codec_ref_digest(dir));
+    live
+}
+
 fn checkpoint_error(path: PathBuf) -> impl FnOnce(std::io::Error) -> PipelineError {
     move |e| PipelineError::Checkpoint { path, message: e.to_string() }
 }
@@ -759,7 +769,13 @@ fn train_chunks(
         max_retries: orch.max_retries.unwrap_or(defaults.max_retries),
         checkpoint_dir: orch.checkpoint_dir.clone(),
         resume: orch.resume,
-        run_key: run_key(cfg, &meta_spec, &record_spec, datasets),
+        run_key: run_key(
+            RUN_KEY_VERSION,
+            cfg,
+            meta_spec.dim(),
+            record_spec.dim(),
+            &datasets.iter().map(|d| d.as_ref().map_or(0, |d| d.len())).collect::<Vec<_>>(),
+        ),
         chaos: run.chaos.clone(),
         keep_generations: orch.keep_generations.unwrap_or(defaults.keep_generations),
         watchdog: WatchdogOptions {
@@ -826,7 +842,14 @@ pub fn parse_divergence_spec(spec: &str) -> Result<(String, u64), String> {
     Ok((job.to_string(), step))
 }
 
-/// Fingerprints the *training-relevant* configuration and data geometry.
+/// Version of [`run_key`]'s description. Bumped whenever a job object's
+/// stored form changes — v3: checkpoints as exact bit patterns — so a run
+/// directory an older build wrote starts fresh once, instead of meeting
+/// objects this build cannot decode; `netshare_cli gc` then reclaims them.
+const RUN_KEY_VERSION: u32 = 3;
+
+/// Fingerprints the *training-relevant* configuration and data geometry
+/// (`meta_dim`, `rec_dim` and the per-chunk series counts `lens`).
 /// A manifest written under a different key is ignored on resume —
 /// changing the seed, step budget, DP options, the size of the public
 /// corpus the dictionary is trained on (the metadata width does not move
@@ -837,21 +860,18 @@ pub fn parse_divergence_spec(spec: &str) -> Result<(String, u64), String> {
 /// divergence-injection spec *does* participate — a forced rollback
 /// changes the weights, so its checkpoints must not leak into clean runs.
 fn run_key(
+    version: u32,
     cfg: &NetShareConfig,
-    meta_spec: &FeatureSpec,
-    record_spec: &FeatureSpec,
-    datasets: &[Option<TimeSeriesDataset>],
+    meta_dim: usize,
+    rec_dim: usize,
+    lens: &[usize],
 ) -> String {
-    let lens: Vec<usize> = datasets
-        .iter()
-        .map(|d| d.as_ref().map_or(0, |d| d.len()))
-        .collect();
     let div = match &cfg.orchestrator.divergence_spec {
         Some(spec) => format!("|div={spec}"),
         None => String::new(),
     };
     let desc = format!(
-        "v2|seed={}|chunks={}|steps={}+{}|bs={}|lr={}|nc={}|wc={}|aux={}|maxlen={}|embed={}|public={}|labels={}|tags={}|dp={:?}|meta={}|rec={}|lens={:?}{div}",
+        "v{version}|seed={}|chunks={}|steps={}+{}|bs={}|lr={}|nc={}|wc={}|aux={}|maxlen={}|embed={}|public={}|labels={}|tags={}|dp={:?}|meta={meta_dim}|rec={rec_dim}|lens={lens:?}{div}",
         cfg.seed,
         cfg.n_chunks,
         cfg.seed_steps,
@@ -867,9 +887,6 @@ fn run_key(
         cfg.with_labels,
         cfg.use_flow_tags,
         cfg.dp,
-        meta_spec.dim(),
-        record_spec.dim(),
-        lens,
     );
     format!("{:016x}", orchestrator::fnv1a64(desc.as_bytes()))
 }
@@ -989,6 +1006,92 @@ mod tests {
             NetShare::fit_flows(&real, &cfg),
             Err(PipelineError::Config(e)) if e.contains("expected `job:step`")
         ));
+    }
+
+    /// The stored form of a job object before checkpoints had a format:
+    /// every weight as float text.
+    #[derive(Serialize)]
+    struct FloatTextCheckpoint {
+        tensors: Vec<nnet::Tensor>,
+    }
+
+    #[derive(Serialize)]
+    struct FloatTextArtifact {
+        gen: FloatTextCheckpoint,
+        disc: FloatTextCheckpoint,
+        rng_state: Vec<u64>,
+        dp_rate: Option<(f64, u64)>,
+    }
+
+    fn float_text(art: &ModelArtifact) -> String {
+        let ckpt = |c: &nnet::serialize::Checkpoint| FloatTextCheckpoint { tensors: c.tensors.clone() };
+        serde_json::to_string(&FloatTextArtifact {
+            gen: ckpt(&art.gen),
+            disc: ckpt(&art.disc),
+            rng_state: art.rng_state.clone(),
+            dp_rate: art.dp_rate,
+        })
+        .unwrap()
+    }
+
+    /// A run directory as the previous build left it — this run's jobs
+    /// as float-text objects under the `v2` run key — resumes as a fresh
+    /// run: every job trains, nothing is taken for damage, the trace is
+    /// the one a fresh fit makes, and the old objects wait for `gc`.
+    #[test]
+    fn a_run_directory_of_the_previous_build_trains_afresh_once() {
+        let real = synth_flows(DatasetKind::Ugr16, 400, 17);
+        let dir = std::env::temp_dir().join(format!("netshare-upgrade-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut cfg = tiny_cfg();
+        cfg.orchestrator.checkpoint_dir = Some(dir.clone());
+        let mut fresh = NetShare::fit_flows(&real, &cfg).unwrap();
+        let want = fresh.generate_flows(100);
+
+        let lens: Vec<usize> =
+            FlowCodec::chunk(&real, cfg.n_chunks).chunks.iter().map(Vec::len).collect();
+        let (meta, rec) = (fresh.codec.meta_spec().dim(), fresh.codec.record_spec().dim());
+        let key = |version| run_key(version, &cfg, meta, rec, &lens);
+        let current = orchestrator::Manifest::load(&dir).unwrap();
+        assert_eq!(current.run_key, key(RUN_KEY_VERSION), "the key the fit ran under");
+        assert_eq!(key(2), "d7506656300746dd", "the key the previous build gave this run");
+
+        let store = FsStore::open(&dir).unwrap();
+        let mut old = orchestrator::Manifest::new(key(2));
+        let mut old_objects = std::collections::BTreeSet::new();
+        for e in &current.jobs {
+            let text = String::from_utf8(store.get(e.digest).unwrap()).unwrap();
+            let art: ModelArtifact = serde_json::from_str(&text).unwrap();
+            let digest = store.put(float_text(&art).as_bytes()).unwrap().digest;
+            store.remove(e.digest).unwrap();
+            old.append(&e.id, digest, &e.stats());
+            old_objects.insert(digest);
+        }
+        old.store(&dir).unwrap();
+
+        cfg.orchestrator.resume = true;
+        let mut resumed = NetShare::fit_flows(&real, &cfg).unwrap();
+        assert_eq!(resumed.generate_flows(100), want);
+        let events = resumed.events();
+        assert!(events.iter().any(|e| matches!(e, Event::RunStarted { resumed: 0, .. })));
+        let trained: std::collections::BTreeSet<&str> = events
+            .iter()
+            .filter_map(|e| match e {
+                Event::JobStarted { job, .. } => Some(job.as_str()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(trained.len(), current.jobs.len(), "every job trains: {trained:?}");
+        assert!(!events
+            .iter()
+            .any(|e| matches!(e, Event::JobSkipped { .. } | Event::CheckpointQuarantined { .. })));
+        assert!(old_objects.iter().all(|&d| store.contains(d)), "the old objects wait for gc");
+
+        let swept = store.sweep(&live_objects(&dir)).unwrap();
+        assert_eq!(swept.removed.into_iter().collect::<std::collections::BTreeSet<_>>(), old_objects);
+        let now = orchestrator::Manifest::load(&dir).unwrap();
+        assert!(now.jobs.iter().all(|e| store.contains(e.digest)));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

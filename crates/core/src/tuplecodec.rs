@@ -25,6 +25,7 @@
 use doppelganger::Segment;
 use fieldcodec::{BitCodec, Ip2Vec, Ip2VecConfig, Word};
 use nettrace::{FiveTuple, PacketTrace, Protocol};
+use nnet::serialize::F32Bits;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -33,8 +34,10 @@ const TOP_PORTS: usize = 40;
 /// Protocol categorical vocabulary (TCP, UDP, ICMP) + other.
 const PROTO_VOCAB: [u8; 3] = [6, 17, 1];
 
-/// Version of the stored form; a reader refuses any other.
-pub const CODEC_FORMAT: u32 = 1;
+/// Version of the stored form; a reader refuses any other. Format 1
+/// wrote each `f32` as a JSON integer; format 2 writes each vector as one
+/// [`F32Bits`] hex string.
+pub const CODEC_FORMAT: u32 = 2;
 
 /// A fitted five-tuple codec.
 pub struct TupleCodec {
@@ -58,31 +61,24 @@ pub struct TupleCodec {
     port_proto_pairs: BTreeSet<(u16, u8)>,
 }
 
-/// [`TupleCodec`]'s stored form. `f32`s travel as bit patterns: the JSON
-/// float text would round-trip finite values too, but not a non-finite
-/// one, and costs twice the bytes.
+/// [`TupleCodec`]'s stored form. `f32`s travel as bit patterns, the
+/// form checkpoints use too: the JSON float text would round-trip finite
+/// values, but not a non-finite one, and costs more bytes and far more
+/// parsing.
 #[derive(Serialize, Deserialize)]
 struct StoredCodec {
     format: u32,
     embed_dim: usize,
     words: Vec<Word>,
-    embeddings: Vec<u32>,
+    embeddings: F32Bits,
     service_ports: Vec<u16>,
-    port_lo: Vec<u32>,
-    port_hi: Vec<u32>,
-    proto_lo: Vec<u32>,
-    proto_hi: Vec<u32>,
-    fallback_port: Vec<u32>,
-    fallback_proto: Vec<u32>,
+    port_lo: F32Bits,
+    port_hi: F32Bits,
+    proto_lo: F32Bits,
+    proto_hi: F32Bits,
+    fallback_port: F32Bits,
+    fallback_proto: F32Bits,
     port_proto_pairs: Vec<(u16, u8)>,
-}
-
-fn to_bits(v: &[f32]) -> Vec<u32> {
-    v.iter().map(|x| x.to_bits()).collect()
-}
-
-fn from_bits(v: &[u32]) -> Vec<f32> {
-    v.iter().map(|&b| f32::from_bits(b)).collect()
 }
 
 impl TupleCodec {
@@ -188,14 +184,14 @@ impl TupleCodec {
             format: CODEC_FORMAT,
             embed_dim: self.embed_dim,
             words: self.ip2vec.words().to_vec(),
-            embeddings: to_bits(self.ip2vec.embeddings()),
+            embeddings: F32Bits(self.ip2vec.embeddings().to_vec()),
             service_ports: self.service_ports.clone(),
-            port_lo: to_bits(&self.port_lo),
-            port_hi: to_bits(&self.port_hi),
-            proto_lo: to_bits(&self.proto_lo),
-            proto_hi: to_bits(&self.proto_hi),
-            fallback_port: to_bits(&self.fallback_port),
-            fallback_proto: to_bits(&self.fallback_proto),
+            port_lo: F32Bits(self.port_lo.clone()),
+            port_hi: F32Bits(self.port_hi.clone()),
+            proto_lo: F32Bits(self.proto_lo.clone()),
+            proto_hi: F32Bits(self.proto_hi.clone()),
+            fallback_port: F32Bits(self.fallback_port.clone()),
+            fallback_proto: F32Bits(self.fallback_proto.clone()),
             port_proto_pairs: self.port_proto_pairs.iter().copied().collect(),
         };
         serde_json::to_string(&stored).map_err(|e| e.to_string())
@@ -211,7 +207,7 @@ impl TupleCodec {
         }
         let ranges =
             [&s.port_lo, &s.port_hi, &s.proto_lo, &s.proto_hi, &s.fallback_port, &s.fallback_proto];
-        if ranges.iter().any(|r| r.len() != s.embed_dim) {
+        if ranges.iter().any(|r| r.0.len() != s.embed_dim) {
             return Err(format!("a range vector is not {} wide", s.embed_dim));
         }
         let service_index: BTreeMap<u16, usize> =
@@ -220,17 +216,17 @@ impl TupleCodec {
             return Err("a service port appears twice".into());
         }
         Ok(TupleCodec {
-            ip2vec: Ip2Vec::from_parts(s.embed_dim, s.words, from_bits(&s.embeddings))?,
+            ip2vec: Ip2Vec::from_parts(s.embed_dim, s.words, s.embeddings.0)?,
             ip_bits: BitCodec::ipv4(),
             embed_dim: s.embed_dim,
             service_ports: s.service_ports,
             service_index,
-            port_lo: from_bits(&s.port_lo),
-            port_hi: from_bits(&s.port_hi),
-            proto_lo: from_bits(&s.proto_lo),
-            proto_hi: from_bits(&s.proto_hi),
-            fallback_port: from_bits(&s.fallback_port),
-            fallback_proto: from_bits(&s.fallback_proto),
+            port_lo: s.port_lo.0,
+            port_hi: s.port_hi.0,
+            proto_lo: s.proto_lo.0,
+            proto_hi: s.proto_hi.0,
+            fallback_port: s.fallback_port.0,
+            fallback_proto: s.fallback_proto.0,
             port_proto_pairs: s.port_proto_pairs.into_iter().collect(),
         })
     }
@@ -551,7 +547,8 @@ mod tests {
         for ft in &tuples {
             let enc = fitted.encode(ft);
             assert_eq!(loaded.decode(&enc), fitted.decode(&enc), "{ft}");
-            assert_eq!(to_bits(&loaded.encode(ft)), to_bits(&enc), "{ft}");
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+            assert_eq!(bits(&loaded.encode(ft)), bits(&enc), "{ft}");
         }
         // Generated metadata is not an encoding of anything: the
         // nearest-neighbour paths must agree on arbitrary vectors too.
@@ -567,12 +564,51 @@ mod tests {
     fn from_json_refuses_what_decode_could_not_survive() {
         let text = codec().to_json().unwrap();
         assert!(TupleCodec::from_json(&text[..text.len() / 2]).is_err(), "truncated");
-        let other_format = text.replacen("\"format\":1", "\"format\":2", 1);
         let refusal = |text: &str| TupleCodec::from_json(text).err().expect("refused");
-        assert!(refusal(&other_format).contains("format 2"));
-        let short_range = text.replacen("\"port_lo\":[", "\"port_lo\":[0,", 1);
+        for other in ["1", "3"] {
+            let other_format = text.replacen("\"format\":2", &format!("\"format\":{other}"), 1);
+            assert!(refusal(&other_format).contains(&format!("format {other}")));
+        }
+        let short_range = text.replacen("\"port_lo\":\"", "\"port_lo\":\"00000000", 1);
         assert!(refusal(&short_range).contains("wide"));
-        let lost_row = text.replacen("\"embeddings\":[", "\"embeddings\":[0,", 1);
+        let lost_row = text.replacen("\"embeddings\":\"", "\"embeddings\":\"00000000", 1);
         assert!(refusal(&lost_row).contains("embedding values"));
+        let odd = text.replacen("\"port_hi\":\"", "\"port_hi\":\"0", 1);
+        assert!(refusal(&odd).contains("hex digits"));
+        let upper = text.replacen("\"proto_lo\":\"", "\"proto_lo\":\"3F800000", 1);
+        assert!(refusal(&upper).contains("lowercase"));
+        let not_hex = text.replacen("\"fallback_port\":\"", "\"fallback_port\":\"3f80000x", 1);
+        assert!(refusal(&not_hex).contains("lowercase"));
+        let integers = text.replacen("\"proto_hi\":\"", "\"proto_hi\":[1],\"x\":\"", 1);
+        assert!(refusal(&integers).contains("hex string"), "format 1's integer arrays");
+    }
+
+    /// A codec small enough to truncate at every byte: a few dozen public
+    /// packets, two embedding dimensions.
+    fn small_text() -> String {
+        TupleCodec::fit_public(&ip2vec_public_corpus(40, 5), 2, 3).to_json().unwrap()
+    }
+
+    #[test]
+    fn every_truncation_of_a_stored_codec_is_an_error() {
+        let text = small_text();
+        assert!(text.len() < 4_000, "{} bytes", text.len());
+        for end in 0..text.len() {
+            assert!(TupleCodec::from_json(&text[..end]).is_err(), "truncated at byte {end}");
+        }
+        assert!(TupleCodec::from_json(&text).is_ok());
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn junk_in_a_stored_codec_never_panics(
+            junk in proptest::collection::vec(proptest::prelude::any::<u8>(), 1..32),
+            at in 0usize..4_000,
+        ) {
+            let mut bytes = small_text().into_bytes();
+            let at = at.min(bytes.len());
+            bytes.splice(at..at, junk);
+            let _ = TupleCodec::from_json(&String::from_utf8_lossy(&bytes));
+        }
     }
 }

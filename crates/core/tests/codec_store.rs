@@ -185,6 +185,54 @@ fn every_miss_refits_and_generates_the_same_trace() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The codec text as format 1 wrote it: every `f32` vector an array of
+/// bit-pattern integers.
+fn format_1(text: &str) -> String {
+    let mut out = text.replacen("\"format\":2", "\"format\":1", 1);
+    for field in
+        ["embeddings", "port_lo", "port_hi", "proto_lo", "proto_hi", "fallback_port", "fallback_proto"]
+    {
+        let key = format!("\"{field}\":\"");
+        let start = out.find(&key).unwrap() + key.len();
+        let end = start + out[start..].find('"').unwrap();
+        let values = nnet::serialize::F32Bits::decode(&out[start..end]).unwrap();
+        let ints: Vec<String> = values.iter().map(|x| x.to_bits().to_string()).collect();
+        out = format!("{}[{}]{}", &out[..start - 1], ints.join(","), &out[end + 1..]);
+    }
+    out
+}
+
+#[test]
+fn a_ref_to_a_format_1_codec_refits_and_quarantines_nothing() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let real = real();
+    let (reference, _, _) = fit(&real, &tiny_cfg(None, false));
+    let dir = tmp_dir("format1");
+    assert_eq!(fit(&real, &tiny_cfg(Some(&dir), false)).2, TRAINED);
+
+    // What the previous build left: its codec object, and a ref naming
+    // it under that build's key.
+    let store = FsStore::open(&dir).unwrap();
+    let genuine = codec_ref_digest(&dir).unwrap();
+    let old = format_1(&std::fs::read_to_string(codec_object(&dir)).unwrap());
+    assert!(old.contains("\"format\":1") && old.contains("\"port_lo\":["));
+    let old_digest = store.put(old.as_bytes()).unwrap().digest;
+    let codec_ref = std::fs::read_to_string(dir.join("codec.json")).unwrap();
+    let old_ref = codec_ref
+        .replacen("codec-v2|", "codec-v1|", 1)
+        .replace(&genuine.to_string(), &old_digest.to_string());
+    assert!(old_ref.contains("codec-v1|"), "{codec_ref}");
+    std::fs::write(dir.join("codec.json"), old_ref).unwrap();
+
+    let (trace, events, did) = fit(&real, &tiny_cfg(Some(&dir), true));
+    assert_eq!((trace, did), (reference, REFIT));
+    assert_eq!(quarantined(&dir), 0, "another format's codec is not damage");
+    assert!(!events.iter().any(|e| matches!(e, Event::CheckpointQuarantined { .. })));
+    assert!(store.contains(old_digest), "the old object waits for gc");
+    assert_eq!(codec_ref_digest(&dir), Some(genuine), "the ref names the refitted codec");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn gc_keeps_the_codec_object_and_packets_load_it_too() {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());

@@ -9,10 +9,17 @@
 //! makes a resumed run bitwise identical to an uninterrupted one, and
 //! what makes a served stream bitwise identical to an offline
 //! `sample_fast` run from the same bundle.
+//!
+//! Stored, both are JSON whose parameters are [`Checkpoint`]s in their
+//! exact bit-pattern form (format 2, see `nnet::serialize`). A file
+//! whose checkpoints are in any other form — the float text of earlier
+//! builds counts as format 1 — is refused, and the error names the
+//! format found.
 
 use crate::train::{DgConfig, DoppelGanger};
 use nnet::serialize::Checkpoint;
-use nnet::Parameterized;
+use nnet::{Parameterized, Unset};
+use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
 /// A trained chunk model in portable form.
@@ -47,18 +54,23 @@ impl ModelArtifact {
     /// the same architecture the artifact was trained with). Fails with a
     /// message instead of panicking so a stale on-disk artifact surfaces
     /// as an orchestrator error, not a crash.
+    ///
+    /// The networks are built [`Unset`] — no initial weights are drawn —
+    /// and every value the model then holds comes from the artifact, so
+    /// the result equals [`DoppelGanger::new`] followed by
+    /// [`DoppelGanger::restore`] and [`DoppelGanger::set_rng_state`].
     pub fn rebuild(&self, cfg: DgConfig) -> Result<DoppelGanger, String> {
-        let mut model = DoppelGanger::new(cfg);
-        check_shapes("generator", &model.gen, &self.gen)?;
-        check_shapes("discriminator", &model.disc, &self.disc)?;
+        let (mut gen, mut disc) = DoppelGanger::networks(&cfg, &mut Unset);
+        check_shapes("generator", &gen, &self.gen)?;
+        check_shapes("discriminator", &disc, &self.disc)?;
         let state: [u64; 4] = self
             .rng_state
             .as_slice()
             .try_into()
             .map_err(|_| format!("artifact rng state has {} words, want 4", self.rng_state.len()))?;
-        model.restore(&(self.gen.clone(), self.disc.clone()));
-        model.set_rng_state(state);
-        Ok(model)
+        nnet::serialize::restore(&mut gen, &self.gen);
+        nnet::serialize::restore(&mut disc, &self.disc);
+        Ok(DoppelGanger::assemble(cfg, gen, disc, StdRng::from_state(state)))
     }
 }
 
@@ -213,5 +225,154 @@ mod tests {
         std::fs::write(&path, "{ not json").unwrap();
         assert!(ArtifactBundle::load(&path).unwrap_err().contains("parse"));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A bundle as earlier builds saved it: checkpoints as float text,
+    /// with no `format` field.
+    #[derive(Serialize)]
+    struct FloatTextBundle {
+        name: String,
+        cfg: DgConfig,
+        artifact: FloatTextArtifact,
+    }
+
+    #[derive(Serialize)]
+    struct FloatTextArtifact {
+        gen: FloatTextCheckpoint,
+        disc: FloatTextCheckpoint,
+        rng_state: Vec<u64>,
+        dp_rate: Option<(f64, u64)>,
+    }
+
+    #[derive(Serialize)]
+    struct FloatTextCheckpoint {
+        tensors: Vec<nnet::Tensor>,
+    }
+
+    #[test]
+    fn a_float_text_bundle_is_refused_naming_its_format() {
+        let model = DoppelGanger::new(toy_cfg());
+        let (gen, disc) = model.checkpoint();
+        let old = FloatTextBundle {
+            name: "old".into(),
+            cfg: toy_cfg(),
+            artifact: FloatTextArtifact {
+                gen: FloatTextCheckpoint { tensors: gen.tensors },
+                disc: FloatTextCheckpoint { tensors: disc.tensors },
+                rng_state: model.rng_state().to_vec(),
+                dp_rate: None,
+            },
+        };
+        let dir = std::env::temp_dir().join(format!("bundle_old_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("old.json");
+        std::fs::write(&path, serde_json::to_string(&old).unwrap()).unwrap();
+        let err = ArtifactBundle::load(&path).unwrap_err();
+        assert!(err.contains(&path.display().to_string()), "{err}");
+        assert!(err.contains("format 1") && err.contains("reads format 2"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The smallest network the config allows: a stored artifact and
+    /// bundle of a few hundred bytes.
+    fn tiny_cfg() -> DgConfig {
+        let mut cfg = DgConfig::small(FeatureSpec::continuous(1), FeatureSpec::continuous(1), 1);
+        cfg.z_meta_dim = 1;
+        cfg.z_record_dim = 1;
+        cfg.meta_hidden = vec![];
+        cfg.rnn_hidden = 1;
+        cfg.head_hidden = vec![];
+        cfg.disc_hidden = vec![];
+        cfg.aux_hidden = vec![];
+        cfg
+    }
+
+    fn tiny_texts() -> (String, String) {
+        let bundle = ArtifactBundle::capture("tiny", &DoppelGanger::new(tiny_cfg()), None);
+        (serde_json::to_string(&bundle.artifact).unwrap(), serde_json::to_string(&bundle).unwrap())
+    }
+
+    /// Whether the two stored-form readers accept their text: a
+    /// `ModelArtifact` store object, and an `ArtifactBundle` file.
+    fn read_both(artifact: &str, bundle: &str, path: &std::path::Path) -> (bool, bool) {
+        std::fs::write(path, bundle).unwrap();
+        (
+            serde_json::from_str::<ModelArtifact>(artifact).is_ok(),
+            ArtifactBundle::load(path).is_ok(),
+        )
+    }
+
+    fn scratch(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!(
+            "bundle_{tag}_{}_{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join("b.json")
+    }
+
+    #[test]
+    fn every_truncation_of_an_artifact_or_bundle_is_an_error() {
+        let (artifact, bundle) = tiny_texts();
+        assert!(bundle.len() < 2_000, "{} bytes", bundle.len());
+        let path = scratch("trunc");
+        assert_eq!(read_both(&artifact, &bundle, &path), (true, true));
+        for end in 0..artifact.len() {
+            assert!(serde_json::from_str::<ModelArtifact>(&artifact[..end]).is_err(), "byte {end}");
+        }
+        for end in 0..bundle.len() {
+            std::fs::write(&path, &bundle[..end]).unwrap();
+            assert!(ArtifactBundle::load(&path).is_err(), "byte {end}");
+        }
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    #[test]
+    fn hostile_bits_shapes_and_formats_are_refused() {
+        let (artifact, bundle) = tiny_texts();
+        let path = scratch("hostile");
+        let (bits, rows, format) = ("\"bits\":\"", "\"rows\":", "\"format\":");
+        let huge = usize::MAX.to_string();
+        // Each edit lands in the first checkpoint, which both texts hold.
+        let edits = [
+            ("odd length", bits, "\"bits\":\"0".to_string()),
+            ("uppercase", bits, "\"bits\":\"3F800000".into()),
+            ("non-hex", bits, "\"bits\":\"3f80000z".into()),
+            ("a value too many", bits, "\"bits\":\"3f800000".into()),
+            ("rows x cols overflows", rows, format!("\"rows\":{huge},\"x\":")),
+            ("rows x cols too small", rows, "\"rows\":0,\"x\":".into()),
+            ("format 3", format, "\"format\":3,\"x\":".into()),
+            ("format 1", format, "\"format\":1,\"x\":".into()),
+        ];
+        for (what, needle, with) in edits {
+            let art = artifact.replacen(needle, &with, 1);
+            let bun = bundle.replacen(needle, &with, 1);
+            assert_ne!(art, artifact, "{what}: the edit applies");
+            assert_eq!(read_both(&art, &bun, &path), (false, false), "{what}");
+        }
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn junk_in_an_artifact_or_bundle_never_panics(
+            junk in proptest::collection::vec(proptest::prelude::any::<u8>(), 1..32),
+            at in 0usize..2_000,
+        ) {
+            let (artifact, bundle) = tiny_texts();
+            let splice = |text: &str| {
+                let mut bytes = text.as_bytes().to_vec();
+                let at = at.min(bytes.len());
+                bytes.splice(at..at, junk.iter().copied());
+                bytes
+            };
+            let art = splice(&artifact);
+            let _ = serde_json::from_str::<ModelArtifact>(&String::from_utf8_lossy(&art));
+            let path = scratch("junk");
+            std::fs::write(&path, splice(&bundle)).unwrap();
+            let _ = ArtifactBundle::load(&path);
+            std::fs::remove_dir_all(path.parent().unwrap()).ok();
+        }
     }
 }

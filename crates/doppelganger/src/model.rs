@@ -2,7 +2,7 @@
 
 use crate::spec::FeatureSpec;
 use nnet::infer::{Arena, FrozenGru, FrozenSequential};
-use nnet::{Activation, Gru, Layer, Linear, Parameterized, Sequential, Tensor};
+use nnet::{Activation, Gru, Init, Layer, Linear, Parameterized, Sequential, Tensor};
 use rand::prelude::*;
 use serde::{Deserialize, Serialize};
 use telemetry::metrics::{LazyCounter, LazyTimerUs};
@@ -68,9 +68,9 @@ pub struct DgGenerator {
 }
 
 impl DgGenerator {
-    /// Builds a generator.
+    /// Builds a generator with weights from `init` (Xavier for an RNG).
     #[allow(clippy::too_many_arguments)]
-    pub fn new<R: Rng + ?Sized>(
+    pub fn new<I: Init + ?Sized>(
         meta_spec: FeatureSpec,
         record_spec: FeatureSpec,
         z_meta_dim: usize,
@@ -79,20 +79,20 @@ impl DgGenerator {
         rnn_hidden: usize,
         head_hidden: &[usize],
         max_len: usize,
-        rng: &mut R,
+        init: &mut I,
     ) -> Self {
         let meta_dim = meta_spec.dim();
         let record_dim = record_spec.dim();
-        let meta_net = Sequential::mlp(z_meta_dim, meta_hidden, meta_dim, Activation::Relu, rng);
-        let rnn = Gru::new(z_record_dim + meta_dim, rnn_hidden, rng);
+        let meta_net = Sequential::mlp(z_meta_dim, meta_hidden, meta_dim, Activation::Relu, init);
+        let rnn = Gru::new(z_record_dim + meta_dim, rnn_hidden, init);
         let mut head = Sequential::new();
         let mut prev = rnn_hidden;
         for &h in head_hidden {
-            head.push_linear(Linear::new(prev, h, rng));
+            head.push_linear(Linear::new(prev, h, init));
             head.push_activation(Activation::Relu);
             prev = h;
         }
-        head.push_linear(Linear::new(prev, record_dim + 1, rng));
+        head.push_linear(Linear::new(prev, record_dim + 1, init));
         DgGenerator {
             meta_net,
             rnn,
@@ -394,12 +394,12 @@ pub struct DgDiscriminators {
 
 impl DgDiscriminators {
     /// Builds the pair for the given input widths.
-    pub fn new<R: Rng + ?Sized>(
+    pub fn new<I: Init + ?Sized>(
         meta_dim: usize,
         record_total_dim: usize,
         disc_hidden: &[usize],
         aux_hidden: &[usize],
-        rng: &mut R,
+        init: &mut I,
     ) -> Self {
         DgDiscriminators {
             disc: Sequential::mlp(
@@ -407,9 +407,9 @@ impl DgDiscriminators {
                 disc_hidden,
                 1,
                 Activation::LeakyRelu,
-                rng,
+                init,
             ),
-            aux: Sequential::mlp(meta_dim, aux_hidden, 1, Activation::LeakyRelu, rng),
+            aux: Sequential::mlp(meta_dim, aux_hidden, 1, Activation::LeakyRelu, init),
         }
     }
 

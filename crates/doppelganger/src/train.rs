@@ -13,7 +13,7 @@ use nnet::dpsgd::{DpSgdConfig, DpSgdTrainer};
 use nnet::loss::{bce_with_logits, wasserstein_critic, wasserstein_generator};
 use nnet::optim::{clip_weights, Adam, GradClip, Optimizer};
 use nnet::serialize::Checkpoint;
-use nnet::{Layer, Parameterized};
+use nnet::{Init, Layer, Parameterized};
 use rand::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -150,9 +150,20 @@ pub struct GeneratedSample {
 }
 
 impl DoppelGanger {
-    /// Builds a fresh model.
+    /// Builds a fresh model: Xavier weights drawn from the seeded sampler
+    /// RNG, which then carries on from after the draws.
     pub fn new(cfg: DgConfig) -> Self {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let (gen, disc) = Self::networks(&cfg, &mut rng);
+        Self::assemble(cfg, gen, disc, rng)
+    }
+
+    /// The generator and discriminator pair `cfg` describes, with weights
+    /// from `init`.
+    pub(crate) fn networks<I: Init + ?Sized>(
+        cfg: &DgConfig,
+        init: &mut I,
+    ) -> (DgGenerator, DgDiscriminators) {
         let gen = DgGenerator::new(
             cfg.meta_spec.clone(),
             cfg.record_spec.clone(),
@@ -162,15 +173,27 @@ impl DoppelGanger {
             cfg.rnn_hidden,
             &cfg.head_hidden,
             cfg.max_len,
-            &mut rng,
+            init,
         );
         let disc = DgDiscriminators::new(
             cfg.meta_spec.dim(),
             cfg.max_len * (cfg.record_spec.dim() + 1),
             &cfg.disc_hidden,
             &cfg.aux_hidden,
-            &mut rng,
+            init,
         );
+        (gen, disc)
+    }
+
+    /// A model around built networks: fresh optimizers and statistics,
+    /// the DP trainer (if any) seeded from `cfg.seed`, and `rng` as the
+    /// sampler.
+    pub(crate) fn assemble(
+        cfg: DgConfig,
+        gen: DgGenerator,
+        disc: DgDiscriminators,
+        rng: StdRng,
+    ) -> Self {
         let dp = cfg.dp.map(|d| DpSgdTrainer::new(d, cfg.seed ^ 0xd9));
         DoppelGanger {
             g_opt: Adam::new(cfg.lr),

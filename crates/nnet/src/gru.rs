@@ -13,8 +13,8 @@
 
 use crate::infer::{Arena, FrozenGru};
 use crate::tensor::Tensor;
+use crate::layers::Init;
 use crate::Parameterized;
-use rand::prelude::*;
 use serde::{Deserialize, Serialize};
 use telemetry::metrics::{LazyCounter, LazyTimerUs};
 
@@ -68,19 +68,18 @@ pub struct Gru {
 }
 
 impl Gru {
-    /// Builds a GRU mapping `input_dim` inputs to `hidden_dim` hidden units.
-    pub fn new<R: Rng + ?Sized>(input_dim: usize, hidden_dim: usize, rng: &mut R) -> Self {
-        let w = |r: &mut R| Tensor::xavier(input_dim, hidden_dim, r);
-        let u = |r: &mut R| Tensor::xavier(hidden_dim, hidden_dim, r);
+    /// Builds a GRU mapping `input_dim` inputs to `hidden_dim` hidden
+    /// units, with weights from `init` (Xavier for an RNG).
+    pub fn new<I: Init + ?Sized>(input_dim: usize, hidden_dim: usize, init: &mut I) -> Self {
         Gru {
-            wz: w(rng),
-            uz: u(rng),
+            wz: init.weights(input_dim, hidden_dim),
+            uz: init.weights(hidden_dim, hidden_dim),
             bz: Tensor::zeros(1, hidden_dim),
-            wr: w(rng),
-            ur: u(rng),
+            wr: init.weights(input_dim, hidden_dim),
+            ur: init.weights(hidden_dim, hidden_dim),
             br: Tensor::zeros(1, hidden_dim),
-            wh: w(rng),
-            uh: u(rng),
+            wh: init.weights(input_dim, hidden_dim),
+            uh: init.weights(hidden_dim, hidden_dim),
             bh: Tensor::zeros(1, hidden_dim),
             gwz: Tensor::zeros(input_dim, hidden_dim),
             guz: Tensor::zeros(hidden_dim, hidden_dim),
@@ -351,6 +350,7 @@ impl Parameterized for Gru {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::prelude::*;
     use rand::rngs::StdRng;
 
     fn seq_loss(gru: &mut Gru, xs: &[Tensor], h0: &Tensor) -> f32 {

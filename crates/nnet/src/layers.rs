@@ -21,6 +21,31 @@ pub trait Layer: Parameterized {
     fn backward(&mut self, grad_output: &Tensor) -> Tensor;
 }
 
+/// Where a new layer's weight matrices come from. Every [`Rng`] is an
+/// `Init` that draws Xavier weights, one matrix after another in the
+/// order the layers are built; [`Unset`] draws nothing.
+pub trait Init {
+    /// A `rows × cols` weight matrix.
+    fn weights(&mut self, rows: usize, cols: usize) -> Tensor;
+}
+
+impl<R: Rng + ?Sized> Init for R {
+    fn weights(&mut self, rows: usize, cols: usize) -> Tensor {
+        Tensor::xavier(rows, cols, self)
+    }
+}
+
+/// All-zero weights and no draws: for a network whose every parameter is
+/// about to be overwritten (a model rebuilt from a checkpoint).
+#[derive(Debug, Clone, Copy)]
+pub struct Unset;
+
+impl Init for Unset {
+    fn weights(&mut self, rows: usize, cols: usize) -> Tensor {
+        Tensor::zeros(rows, cols)
+    }
+}
+
 /// Fully-connected layer: `y = x·W + b`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Linear {
@@ -32,11 +57,11 @@ pub struct Linear {
 }
 
 impl Linear {
-    /// Builds a layer mapping `in_dim → out_dim` with Xavier-initialized
-    /// weights and zero bias.
-    pub fn new<R: Rng + ?Sized>(in_dim: usize, out_dim: usize, rng: &mut R) -> Self {
+    /// Builds a layer mapping `in_dim → out_dim` with weights from `init`
+    /// (Xavier for an RNG) and zero bias.
+    pub fn new<I: Init + ?Sized>(in_dim: usize, out_dim: usize, init: &mut I) -> Self {
         Linear {
-            w: Tensor::xavier(in_dim, out_dim, rng),
+            w: init.weights(in_dim, out_dim),
             b: Tensor::zeros(1, out_dim),
             grad_w: Tensor::zeros(in_dim, out_dim),
             grad_b: Tensor::zeros(1, out_dim),
@@ -254,21 +279,21 @@ impl Sequential {
 
     /// Builds the standard MLP shape `in → hidden… → out` with the given
     /// hidden activation and a final linear (no output activation).
-    pub fn mlp<R: Rng + ?Sized>(
+    pub fn mlp<I: Init + ?Sized>(
         in_dim: usize,
         hidden: &[usize],
         out_dim: usize,
         act: Activation,
-        rng: &mut R,
+        init: &mut I,
     ) -> Self {
         let mut net = Sequential::new();
         let mut prev = in_dim;
         for &h in hidden {
-            net.push_linear(Linear::new(prev, h, rng));
+            net.push_linear(Linear::new(prev, h, init));
             net.push_activation(act);
             prev = h;
         }
-        net.push_linear(Linear::new(prev, out_dim, rng));
+        net.push_linear(Linear::new(prev, out_dim, init));
         net
     }
 
@@ -516,6 +541,18 @@ mod tests {
         for (a, b) in src.parameters().iter().zip(dst.parameters()) {
             assert_eq!(a.data(), b.data());
         }
+    }
+
+    #[test]
+    fn an_rng_draws_xavier_weights_and_unset_draws_nothing() {
+        let drawn = Sequential::mlp(3, &[4], 2, Activation::Relu, &mut StdRng::seed_from_u64(7));
+        let mut rng = StdRng::seed_from_u64(7);
+        let first = Tensor::xavier(3, 4, &mut rng);
+        assert_eq!(drawn.parameters()[0].data(), first.data());
+        assert_eq!(drawn.parameters()[2].data(), Tensor::xavier(4, 2, &mut rng).data());
+        let unset = Sequential::mlp(3, &[4], 2, Activation::Relu, &mut Unset);
+        assert_eq!(unset.num_parameters(), drawn.num_parameters());
+        assert!(unset.parameters().iter().all(|t| t.data().iter().all(|&x| x.to_bits() == 0)));
     }
 
     #[test]

@@ -19,8 +19,10 @@
 //!   weight clipping used for Wasserstein training;
 //! * [`dpsgd`]: differentially-private SGD — per-example gradient clipping
 //!   plus calibrated Gaussian noise (Abadi et al., 2016);
-//! * [`serialize`]: parameter checkpointing, the mechanism behind
-//!   NetShare's fine-tuning warm starts (Insights 3 and 4);
+//! * [`serialize`]: parameter checkpointing in an exact bit-pattern form,
+//!   the mechanism behind NetShare's fine-tuning warm starts (Insights 3
+//!   and 4); [`Init`] says where a new network's weights come from, so a
+//!   network about to be restored from a checkpoint draws none;
 //! * [`infer`]: the forward-only sampling path — frozen weight views
 //!   (no grad tape) and a recycling activation [`infer::Arena`]; proven
 //!   bitwise-equivalent to the training forward pass;
@@ -47,7 +49,7 @@ pub use conv::Conv2d;
 pub use dpsgd::{DpSgdConfig, DpSgdTrainer};
 pub use gru::Gru;
 pub use infer::{Arena, FrozenGru, FrozenNode, FrozenSequential};
-pub use layers::{Activation, Layer, Linear, Sequential};
+pub use layers::{Activation, Init, Layer, Linear, Sequential, Unset};
 pub use optim::{Adam, GradClip, Optimizer, Sgd};
 pub use tensor::Tensor;
 

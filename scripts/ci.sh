@@ -25,7 +25,7 @@ cd "$(dirname "$0")/.."
 # byte-identical to the clean baseline (recovered transparently) or exit
 # nonzero — and never leave a corrupt checkpoint outside quarantine.
 if [[ "${1:-}" == "chaos" ]]; then
-  cargo build --release -p netshare
+  cargo build --release -p netshare -p netshared
   cli=target/release/netshare_cli
   cd_dir="$(mktemp -d)"
   trap 'rm -rf "$cd_dir"' EXIT
@@ -117,6 +117,31 @@ if [[ "${1:-}" == "chaos" ]]; then
   resume_cf after-gc
   grep -q '"netshare.codec.loaded":1' "$cd_dir/codec-after-gc.json"
   echo "chaos[codec]: loaded on resume, refitted after a flipped byte, kept by gc, output identical"
+
+  # Stored forms (DESIGN.md §9): every job object the manifest names is a
+  # checkpoint in its bit-pattern form, 8 hex digits per weight. The float
+  # text of earlier builds took ~20 bytes per weight, so a re-derived
+  # float-text form fails both the format grep and the size bound.
+  objs="$(grep -o '"file": *"objects/[0-9a-f]*\.json"' "$cf/manifest.json" | grep -o 'objects/[^"]*')"
+  [[ -n "$objs" ]] || { echo "chaos[stored-form]: the manifest names no job object" >&2; exit 1; }
+  for obj in $objs; do
+    grep -q '^{"gen":{"format":2,' "$cf/$obj" \
+      || { echo "chaos[stored-form]: $obj is not a format-2 checkpoint" >&2; exit 1; }
+    size="$(stat -c %s "$cf/$obj")"
+    (( size < 800000 )) || { echo "chaos[stored-form]: $obj is $size bytes" >&2; exit 1; }
+  done
+  # A bundle in the float-text form (no `format`: format 1) is refused
+  # at load: exit 1, and the message names the format it found.
+  cat > "$cd_dir/old-bundle.json" <<'JSON'
+{"name":"old","cfg":{"meta_spec":{"segments":[{"Continuous":{"dim":1}}],"temperature":0.5},"record_spec":{"segments":[{"Continuous":{"dim":1}}],"temperature":0.5},"max_len":1,"z_meta_dim":1,"z_record_dim":1,"meta_hidden":[],"rnn_hidden":1,"head_hidden":[],"disc_hidden":[],"aux_hidden":[],"lr":0.001,"n_critic":3,"weight_clip":0.1,"batch_size":32,"gen_steps":400,"aux_weight":1.0,"loss":"Bce","seed":7,"dp":null},"artifact":{"gen":{"tensors":[{"rows":1,"cols":1,"data":[0.5]}]},"disc":{"tensors":[]},"rng_state":[1,2,3,4],"dp_rate":null}}
+JSON
+  rc=0
+  timeout 60 target/release/netshared --artifact "$cd_dir/old-bundle.json" \
+    < /dev/null 2> "$cd_dir/old-bundle.err" || rc=$?
+  [[ "$rc" == 1 ]] || { echo "chaos[stored-form]: old bundle: expected exit 1, got $rc" >&2; exit 1; }
+  grep -q 'checkpoint format 1; this build reads format 2' "$cd_dir/old-bundle.err" \
+    || { echo "chaos[stored-form]: refusal does not name the format:" >&2; cat "$cd_dir/old-bundle.err" >&2; exit 1; }
+  echo "chaos[stored-form]: job objects are format-2 checkpoints, a float-text bundle is refused"
 
   # Divergence: the sentinel rolls the poisoned job back and the run
   # completes (exit 0). The trajectory legitimately differs from the
