@@ -326,8 +326,7 @@ impl Default for Config {
             exempt_paths: ["crates/analyzer/tests/fixtures/"].map(String::from).to_vec(),
             severities,
             lock_ranks: [
-                "orchestrator.sched_state",
-                "orchestrator.coord_state",
+                "orchestrator.machine",
                 "orchestrator.watchdog_watches",
                 "orchestrator.cancel_state",
                 "orchestrator.event_sinks",

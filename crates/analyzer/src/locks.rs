@@ -706,7 +706,7 @@ mod tests {
     fn rank_inversion_against_declared_order_denies() {
         let src = "fn f(&self) {\n\
                    let g = self.m.lock(); // lint: lock-order(orchestrator.manifest)\n\
-                   let h = self.s.lock(); // lint: lock-order(orchestrator.sched_state)\n\
+                   let h = self.s.lock(); // lint: lock-order(orchestrator.machine)\n\
                    }\n";
         let out = run(&[("crates/orchestrator/src/pool.rs", src)]);
         assert!(
@@ -719,13 +719,13 @@ mod tests {
     #[test]
     fn helper_fn_acquisitions_are_tracked() {
         let src = "fn f() {\n\
-                   let st = lock(&shared.state, \"s\"); // lint: lock-order(orchestrator.sched_state)\n\
+                   let st = lock(&shared.state, \"s\"); // lint: lock-order(orchestrator.machine)\n\
                    let m = lock(&ctx.manifest, \"m\"); // lint: lock-order(orchestrator.manifest)\n\
                    }\n";
         let out = run(&[("crates/orchestrator/src/pool.rs", src)]);
         assert!(clean(&out), "{:?}", out.diagnostics);
         assert_eq!(out.edges.len(), 1);
-        assert_eq!(out.edges[0].from, "orchestrator.sched_state");
+        assert_eq!(out.edges[0].from, "orchestrator.machine");
         assert_eq!(out.edges[0].to, "orchestrator.manifest");
     }
 

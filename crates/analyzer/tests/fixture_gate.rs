@@ -411,7 +411,7 @@ fn live_workspace_graph_lints_clean_under_committed_baseline() {
     assert!(json.contains("\"deny\":0"), "{json}");
     assert!(json.contains("\"stale\":[]"), "no stale baseline debt: {json}");
     // The canonical ranks are live: annotated locks appear in the graph.
-    assert!(json.contains("\"orchestrator.sched_state\""), "{json}");
+    assert!(json.contains("\"orchestrator.machine\""), "{json}");
     assert!(json.contains("\"netshared.session_registry\""), "{json}");
 }
 

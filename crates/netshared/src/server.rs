@@ -199,7 +199,7 @@ impl Server {
                 }));
                 let thread = {
                     let (dog, events) = (Arc::clone(&dog), Arc::clone(&events));
-                    std::thread::spawn(move || dog.run(&events))
+                    std::thread::spawn(move || dog.run(&events, |_| {}))
                 };
                 (Some(dog), Some(thread))
             }

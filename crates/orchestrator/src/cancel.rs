@@ -44,8 +44,7 @@ impl CancelToken {
     /// Cancels the token with `reason` and wakes every waiter. The first
     /// reason is kept; later calls are no-ops.
     pub fn cancel(&self, reason: &str) {
-        // lint: allow(panic-in-lib) poisoned cancel lock is unrecoverable
-        let mut st = self.inner.state.lock().expect("cancel token lock"); // lint: lock-order(orchestrator.cancel_state)
+        let mut st = crate::lock(&self.inner.state); // lint: lock-order(orchestrator.cancel_state)
         if st.is_none() {
             *st = Some(reason.to_string());
         }
@@ -59,8 +58,7 @@ impl CancelToken {
 
     /// The cancellation reason, if cancelled.
     pub fn reason(&self) -> Option<String> {
-        // lint: allow(panic-in-lib) poisoned cancel lock is unrecoverable
-        self.inner.state.lock().expect("cancel token lock").clone() // lint: lock-order(orchestrator.cancel_state)
+        crate::lock(&self.inner.state).clone() // lint: lock-order(orchestrator.cancel_state)
     }
 
     /// Blocks for up to `dur`, returning early (with `true`) if the token
@@ -71,18 +69,11 @@ impl CancelToken {
     /// early `false` costs one extra iteration, never correctness. This
     /// is the interruptible replacement for `std::thread::sleep`.
     pub fn wait_timeout(&self, dur: Duration) -> bool {
-        // lint: allow(panic-in-lib) poisoned cancel lock is unrecoverable
-        let st = self.inner.state.lock().expect("cancel token lock"); // lint: lock-order(orchestrator.cancel_state)
+        let st = crate::lock(&self.inner.state); // lint: lock-order(orchestrator.cancel_state)
         if st.is_some() {
             return true;
         }
-        let (st, _timeout) = self
-            .inner
-            .cond
-            .wait_timeout(st, dur)
-            // lint: allow(panic-in-lib) poisoned cancel lock is unrecoverable
-            .expect("cancel token lock");
-        st.is_some()
+        crate::wait_timeout(&self.inner.cond, st, dur).is_some()
     }
 }
 

@@ -42,35 +42,36 @@
 //! job is already done, or the object fails verification — and then the
 //! frame is dropped without touching the attempt that now owns the job.
 //!
-//! Failure handling reuses the single-process machinery: each assignment
-//! gets a [`CancelToken`] + [`Heartbeat`] registered with the
-//! [`Watchdog`]; a worker that stops heartbeating (hung, SIGKILLed, or
-//! partitioned) trips the watch, and the coordinator requeues the job —
-//! bounded by `max_retries`, exactly like thread-pool attempts.
-//!
-//! Like [`crate::pool`], this module is a front-end: it schedules over
-//! the plan's [`Graph`] through a [`Frontier`], and opens, recovers and
-//! commits the run directory through [`Manifest::open`] /
-//! [`Manifest::recover`] / [`Manifest::commit`]. What is its own: the
-//! sessions, requeue-instead-of-retry, and the write-ahead
-//! [`Journal`] appended *before* each manifest commit.
+//! The coordinator is a driver of the [`Machine`], like [`crate::pool`]:
+//! the machine decides who gets a job, whether a failed, lost or tripped
+//! attempt is requeued (at once: the coordinator's retry delay is zero)
+//! or fails the run, and whether a `Complete` is believed. What is this
+//! module's own: the sessions, store verification of every result, the
+//! watchdog registrations that a worker's heartbeats keep alive (a
+//! worker that stops beating — hung, SIGKILLed or partitioned — trips
+//! its watch, and the trip goes to the machine), and the write-ahead
+//! [`Journal`], appended *before* each manifest commit. Run-directory
+//! recovery goes through [`Manifest::open`] / [`Manifest::recover`] /
+//! [`Manifest::commit`], as in the pool.
 
 use crate::cancel::CancelToken;
 use crate::chaos::ChaosPlan;
-use crate::dag::{fail_first, Frontier, Graph, OrchestratorError};
+use crate::dag::{Graph, OrchestratorError};
 use crate::events::{Event, EventLog};
 use crate::journal::{Journal, JournalRecord};
+use crate::machine::{run_failed, Input, Machine, Output};
 use crate::manifest::{JobStats, Manifest};
 use crate::store::{FsStore, ObjectStore};
 use crate::timing::{Heartbeat, Stopwatch};
 use crate::watchdog::{WatchGuard, Watchdog, WatchdogOptions};
 use crate::wire::{self, WireError};
+use crate::{into_inner, lock};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
-use std::sync::atomic::{AtomicI64, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// Control-protocol version spoken by this build; a `WorkerHello` with a
@@ -318,39 +319,26 @@ pub struct CoordReport {
     pub workers_seen: u64,
 }
 
-/// One assignment currently executing on some worker.
-struct Inflight {
-    worker: String,
-    token: CancelToken,
-    heartbeat: Heartbeat,
-}
-
-/// Scheduler state shared by the accept loop and the session threads.
-struct CoordState {
-    frontier: Frontier,
-    /// Attempts started per job (next assignment uses this number).
-    attempts: Vec<u32>,
-    /// Executing assignments, by job index.
-    inflight: BTreeMap<usize, Inflight>,
-    /// Verified result digest per completed job.
-    done: BTreeMap<usize, u64>,
-    /// Verified payload text per completed job.
+/// The machine and what the coordinator keeps beside it, under one lock.
+struct Sched {
+    machine: Machine,
+    /// Verified payload text per finished job.
     payloads: BTreeMap<usize, String>,
-    stats: Vec<Option<JobStats>>,
-    /// First hard failure; set once, cancels all pending work.
-    failure: Option<OrchestratorError>,
-    requeues: u64,
-    workers_seen: u64,
+    manifest: Manifest,
 }
 
 struct CoordShared {
-    state: Mutex<CoordState>,
-    cond: Condvar,
+    sched: Mutex<Sched>,
+    /// The machine's clock.
+    clock: Stopwatch,
     /// Cancelled when the run ends (success or failure): unblocks every
     /// session read and the accept loop.
     shutdown: CancelToken,
     /// Sessions currently connected (for the drain wait).
     sessions: AtomicI64,
+    /// Sessions that completed the handshake; also the next session's
+    /// machine owner number.
+    workers_seen: AtomicU64,
 }
 
 /// A bound coordinator listener: two-phase so callers learn the
@@ -388,242 +376,206 @@ impl Coordinator {
         opts: &CoordOptions,
         events: &EventLog,
     ) -> Result<CoordReport, OrchestratorError> {
-        serve_impl(self.listener, dir, plan, opts, events)
-    }
-}
+        let wall_start = Stopwatch::start();
+        let n = plan.jobs.len();
+        let journal_path = dir.join(crate::journal::JOURNAL_FILE);
 
-fn serve_impl(
-    listener: TcpListener,
-    dir: &Path,
-    plan: &DistPlan,
-    opts: &CoordOptions,
-    events: &EventLog,
-) -> Result<CoordReport, OrchestratorError> {
-    let wall_start = Stopwatch::start();
-    let n = plan.jobs.len();
-    let journal_path = dir.join(crate::journal::JOURNAL_FILE);
+        let store = FsStore::open(dir)
+            .map_err(|e| OrchestratorError::io(dir.join(crate::store::OBJECTS_DIR), e))?;
+        // Workers need an address for the shared store that survives their
+        // own working directory; canonicalize, falling back to the raw path.
+        let store_dir = std::fs::canonicalize(dir)
+            .unwrap_or_else(|_| dir.to_path_buf())
+            .to_string_lossy()
+            .into_owned();
 
-    let store = FsStore::open(dir)
-        .map_err(|e| OrchestratorError::io(dir.join(crate::store::OBJECTS_DIR), e))?;
-    // Workers need an address for the shared store that survives their
-    // own working directory; canonicalize, falling back to the raw path.
-    let store_dir = std::fs::canonicalize(dir)
-        .unwrap_or_else(|_| dir.to_path_buf())
-        .to_string_lossy()
-        .into_owned();
+        // ---- manifest recovery -------------------------------------------
+        let mut manifest = Manifest::open(dir, &opts.run_key, events);
+        let mut resumed = BTreeMap::new();
+        let mut payloads = BTreeMap::new();
+        if opts.resume {
+            for (i, job) in plan.jobs.iter().enumerate() {
+                // Distributed payloads are opaque text to the coordinator.
+                if let Some((text, entry)) = manifest.recover(dir, &job.id, events, Ok) {
+                    resumed.insert(i, (entry.digest, entry.stats()));
+                    payloads.insert(i, text);
+                }
+            }
+        }
 
-    // ---- manifest recovery -------------------------------------------
-    let mut manifest = Manifest::open(dir, &opts.run_key, events);
-    let mut done = BTreeMap::new();
-    let mut payloads = BTreeMap::new();
-    let mut stats: Vec<Option<JobStats>> = (0..n).map(|_| None).collect();
-    if opts.resume {
-        for (i, job) in plan.jobs.iter().enumerate() {
-            // Distributed payloads are opaque text to the coordinator.
-            if let Some((text, entry)) = manifest.recover(dir, &job.id, events, Ok) {
-                stats[i] = Some(entry.stats());
-                done.insert(i, entry.digest);
+        // ---- journal recovery (the WAL heals what the manifest missed) ---
+        // A coordinator killed after journalling a `Completed` but before
+        // the manifest recorded it stranded verified work; replay finds
+        // those digests, re-verifies them through the store, and repairs
+        // the manifest. See [`crate::journal`].
+        if !opts.resume {
+            Journal::reset(dir).map_err(|e| OrchestratorError::io(&journal_path, e))?;
+        }
+        let journal = Journal::open(dir).map_err(|e| OrchestratorError::io(&journal_path, e))?;
+        let mut healed: Vec<Event> = Vec::new();
+        if opts.resume {
+            for record in Journal::replay(dir, &opts.run_key) {
+                let JournalRecord::Completed { job, digest } = record else { continue };
+                let Some(i) = plan.graph.index_of(&job) else { continue };
+                if resumed.contains_key(&i) {
+                    continue;
+                }
+                // Same trust boundary as every recovery: bytes must hash
+                // back to the journalled address and decode as UTF-8.
+                let Ok(bytes) = store.get(digest) else { continue };
+                let Ok(text) = String::from_utf8(bytes) else { continue };
+                let healed_stats =
+                    JobStats { attempts: 1, wall_seconds: 0.0, cpu_seconds: 0.0, skipped: true };
+                manifest.append(&job, digest, &healed_stats);
+                resumed.insert(i, (digest, healed_stats));
                 payloads.insert(i, text);
+                telemetry::metrics::counter("coord.journal_recoveries").inc();
+                healed.push(Event::JournalRecovered { job, digest });
             }
         }
-    }
+        journal
+            .append(&JournalRecord::Started { run_key: opts.run_key.clone() })
+            .map_err(|e| OrchestratorError::io(&journal_path, e))?;
 
-    // ---- journal recovery (the WAL heals what the manifest missed) ---
-    // A coordinator killed after journalling a `Completed` but before
-    // the manifest recorded it stranded verified work; replay finds
-    // those digests, re-verifies them through the store, and repairs
-    // the manifest. See [`crate::journal`].
-    if !opts.resume {
-        Journal::reset(dir).map_err(|e| OrchestratorError::io(&journal_path, e))?;
-    }
-    let journal = Journal::open(dir).map_err(|e| OrchestratorError::io(&journal_path, e))?;
-    let mut healed: Vec<Event> = Vec::new();
-    if opts.resume {
-        for record in Journal::replay(dir, &opts.run_key) {
-            let JournalRecord::Completed { job, digest } = record else { continue };
-            let Some(i) = plan.graph.index_of(&job) else { continue };
-            if done.contains_key(&i) {
-                continue;
+        manifest.store(dir).map_err(|e| OrchestratorError::io(Manifest::path(dir), e))?;
+
+        events.emit(Event::RunStarted {
+            run_key: opts.run_key.clone(),
+            jobs: n as u64,
+            // Workers are external processes that come and go; none are
+            // known at start time.
+            workers: 0,
+            resumed: resumed.len() as u64,
+        });
+        for (i, job) in plan.jobs.iter().enumerate() {
+            if resumed.contains_key(&i) {
+                events.emit(Event::JobSkipped { job: job.id.clone() });
             }
-            // Same trust boundary as every recovery: bytes must hash
-            // back to the journalled address and decode as UTF-8.
-            let Ok(bytes) = store.get(digest) else { continue };
-            let Ok(text) = String::from_utf8(bytes) else { continue };
-            let healed_stats =
-                JobStats { attempts: 1, wall_seconds: 0.0, cpu_seconds: 0.0, skipped: true };
-            manifest.append(&job, digest, &healed_stats);
-            stats[i] = Some(healed_stats);
-            done.insert(i, digest);
-            payloads.insert(i, text);
-            telemetry::metrics::counter("coord.journal_recoveries").inc();
-            healed.push(Event::JournalRecovered { job, digest });
         }
-    }
-    journal
-        .append(&JournalRecord::Started { run_key: opts.run_key.clone() })
-        .map_err(|e| OrchestratorError::io(&journal_path, e))?;
-
-    manifest.store(dir).map_err(|e| OrchestratorError::io(Manifest::path(dir), e))?;
-
-    events.emit(Event::RunStarted {
-        run_key: opts.run_key.clone(),
-        jobs: n as u64,
-        // Workers are external processes that come and go; none are
-        // known at start time.
-        workers: 0,
-        resumed: done.len() as u64,
-    });
-    for (i, job) in plan.jobs.iter().enumerate() {
-        if done.contains_key(&i) {
-            events.emit(Event::JobSkipped { job: job.id.clone() });
+        for ev in healed {
+            events.emit(ev);
         }
-    }
-    for ev in healed {
-        events.emit(ev);
-    }
 
-    let shared = CoordShared {
-        state: Mutex::new(CoordState {
-            frontier: Frontier::seed(&plan.graph, |i| done.contains_key(&i)),
-            attempts: vec![0; n],
-            inflight: BTreeMap::new(),
-            done,
-            payloads,
-            stats,
-            failure: None,
-            requeues: 0,
-            workers_seen: 0,
-        }),
-        cond: Condvar::new(),
-        shutdown: CancelToken::new(),
-        sessions: AtomicI64::new(0),
-    };
-    let manifest = Mutex::new(manifest);
-    let watchdog = Watchdog::new(opts.watchdog.clone());
+        // Requeued jobs are handed out again at once: a worker polls anyway.
+        let machine = Machine::new(&plan.graph, opts.max_retries, Duration::ZERO, resumed);
+        let shared = CoordShared {
+            sched: Mutex::new(Sched { machine, payloads, manifest }),
+            clock: Stopwatch::start(),
+            shutdown: CancelToken::new(),
+            sessions: AtomicI64::new(0),
+            workers_seen: AtomicU64::new(0),
+        };
+        let watchdog = Watchdog::new(opts.watchdog.clone());
 
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| OrchestratorError::io(dir, format!("set_nonblocking: {e}")))?;
+        self.listener
+            .set_nonblocking(true)
+            .map_err(|e| OrchestratorError::io(dir, format!("set_nonblocking: {e}")))?;
 
-    // `kill-coord` chaos fires coordinator-side in `handle_complete`;
-    // every other class is interpreted worker-side (the spec travels in
-    // `CoordHello`). The CLI validated the spec, so a parse failure here
-    // just disables coordinator-side faults.
-    let chaos: Option<ChaosPlan> =
-        opts.fault_spec.as_deref().and_then(|s| ChaosPlan::parse(s).ok());
+        // `kill-coord` chaos fires coordinator-side in `commit`; every other
+        // class is interpreted worker-side (the spec travels in
+        // `CoordHello`). The CLI validated the spec, so a parse failure here
+        // just disables coordinator-side faults.
+        let chaos: Option<ChaosPlan> =
+            opts.fault_spec.as_deref().and_then(|s| ChaosPlan::parse(s).ok());
 
-    let ctx = SessionCtx {
-        plan,
-        opts,
-        events,
-        shared: &shared,
-        manifest: &manifest,
-        watchdog: &watchdog,
-        dir,
-        store: &store,
-        store_dir: &store_dir,
-        journal: &journal,
-        chaos: chaos.as_ref(),
-    };
+        let ctx = SessionCtx {
+            plan,
+            opts,
+            events,
+            shared: &shared,
+            watchdog: &watchdog,
+            dir,
+            store: &store,
+            store_dir: &store_dir,
+            journal: &journal,
+            chaos: chaos.as_ref(),
+        };
 
-    std::thread::scope(|s| {
-        let wd_handle = watchdog.enabled().then(|| s.spawn(|| watchdog.run(events)));
-        loop {
-            sweep_tripped(&ctx);
+        // A tripped watch (deadline, or a heartbeat gone stale: a
+        // SIGKILLed worker stops beating) is the machine's to requeue.
+        let on_trip = |ev: &Event| {
+            let Event::WatchdogCancelled { job, attempt, reason, .. } = ev else { return };
+            let Some(job) = plan.graph.index_of(job) else { return };
+            let (attempt, reason) = (*attempt, reason.clone());
+            ctx.step_and_publish(Input::Tripped { job, attempt, reason });
+        };
+        std::thread::scope(|s| {
+            let wd_handle =
+                watchdog.enabled().then(|| s.spawn(move || ctx.watchdog.run(events, on_trip)));
+            loop {
+                if ctx.finished() {
+                    break;
+                }
+                match self.listener.accept() {
+                    Ok((sock, _peer)) => {
+                        shared.sessions.fetch_add(1, Ordering::SeqCst);
+                        s.spawn(move || {
+                            session(sock, &ctx);
+                            ctx.shared.sessions.fetch_sub(1, Ordering::SeqCst);
+                        });
+                    }
+                    // A timed-out poll, or a transient accept fault: retry
+                    // after the poll.
+                    Err(_) => {
+                        if shared.shutdown.wait_timeout(ACCEPT_POLL) {
+                            break;
+                        }
+                    }
+                }
+            }
+            // Give connected workers the drain window to claim once more
+            // and receive `Drained`, then cut every blocked read loose.
+            let drain = Stopwatch::start();
+            while shared.sessions.load(Ordering::SeqCst) > 0
+                && drain.elapsed_seconds() < opts.drain.as_secs_f64()
             {
-                let st = lock_state(&shared);
-                if st.failure.is_some() || st.frontier.drained() {
+                if shared.shutdown.wait_timeout(ACCEPT_POLL) {
                     break;
                 }
             }
-            match listener.accept() {
-                Ok((sock, _peer)) => {
-                    shared.sessions.fetch_add(1, Ordering::SeqCst);
-                    s.spawn(move || {
-                        session(sock, &ctx);
-                        ctx.shared.sessions.fetch_sub(1, Ordering::SeqCst);
-                    });
-                }
-                Err(e) if wire::is_retry(e.kind()) => {
-                    if shared.shutdown.wait_timeout(ACCEPT_POLL) {
-                        break;
-                    }
-                }
-                Err(_) => {
-                    // Transient accept fault; retry after the poll.
-                    if shared.shutdown.wait_timeout(ACCEPT_POLL) {
-                        break;
-                    }
-                }
-            }
-        }
-        // Give connected workers the drain window to claim once more
-        // and receive `Drained`, then cut every blocked read loose.
-        let drain = Stopwatch::start();
-        while shared.sessions.load(Ordering::SeqCst) > 0
-            && drain.elapsed_seconds() < opts.drain.as_secs_f64()
-        {
-            if shared.shutdown.wait_timeout(ACCEPT_POLL) {
-                break;
-            }
-        }
-        shared.shutdown.cancel("coordinator winding down");
-        watchdog.stop();
-        drop(wd_handle);
-    });
+            shared.shutdown.cancel("coordinator winding down");
+            watchdog.stop();
+            drop(wd_handle);
+        });
 
-    // ---- report -------------------------------------------------------
-    // lint: allow(panic-in-lib) poisoned scheduler lock is unrecoverable
-    let mut st = shared.state.into_inner().expect("coordinator state");
-    if let Some(err) = st.failure.take() {
-        return Err(err);
+        // ---- report -------------------------------------------------------
+        let Sched { machine, payloads, .. } = into_inner(shared.sched);
+        let requeues = machine.requeues();
+        let done = machine.finish()?;
+        let id = |i: usize| plan.jobs[i].id.clone();
+        let payloads = payloads.into_iter().map(|(i, text)| (id(i), text)).collect();
+        let digests = done.iter().enumerate().map(|(i, d)| (id(i), d.0)).collect();
+        let stats: BTreeMap<String, JobStats> =
+            done.into_iter().enumerate().map(|(i, d)| (id(i), d.1)).collect();
+        let skipped = stats.values().filter(|s| s.skipped).count() as u64;
+        let report = CoordReport {
+            digests,
+            payloads,
+            stats,
+            wall_seconds: wall_start.elapsed_seconds(),
+            completed: n as u64 - skipped,
+            skipped,
+            requeues,
+            workers_seen: shared.workers_seen.load(Ordering::SeqCst),
+        };
+        events.emit(Event::RunFinished {
+            wall_seconds: report.wall_seconds,
+            cpu_seconds: report.stats.values().map(|s| s.cpu_seconds).sum(),
+            completed: report.completed,
+            skipped,
+        });
+        Ok(report)
     }
-    let mut digests = BTreeMap::new();
-    let mut out_payloads = BTreeMap::new();
-    let mut out_stats = BTreeMap::new();
-    for (i, job) in plan.jobs.iter().enumerate() {
-        // lint: allow(panic-in-lib) failure was None, so every job published a digest
-        let d = st.done.remove(&i).expect("completed run has every digest");
-        digests.insert(job.id.clone(), d);
-        if let Some(text) = st.payloads.remove(&i) {
-            out_payloads.insert(job.id.clone(), text);
-        }
-        if let Some(js) = st.stats[i].take() {
-            out_stats.insert(job.id.clone(), js);
-        }
-    }
-    let skipped = out_stats.values().filter(|s| s.skipped).count() as u64;
-    let report = CoordReport {
-        digests,
-        payloads: out_payloads,
-        stats: out_stats,
-        wall_seconds: wall_start.elapsed_seconds(),
-        completed: n as u64 - skipped,
-        skipped,
-        requeues: st.requeues,
-        workers_seen: st.workers_seen,
-    };
-    events.emit(Event::RunFinished {
-        wall_seconds: report.wall_seconds,
-        cpu_seconds: report
-            .stats
-            .values()
-            .map(|s| s.cpu_seconds)
-            .sum(),
-        completed: report.completed,
-        skipped,
-    });
-    Ok(report)
 }
 
 /// Everything a session thread needs, bundled (and `Copy` so the accept
 /// loop can hand each spawned thread its own).
+#[derive(Clone, Copy)]
 struct SessionCtx<'a> {
     plan: &'a DistPlan,
     opts: &'a CoordOptions,
     events: &'a EventLog,
     shared: &'a CoordShared,
-    manifest: &'a Mutex<Manifest>,
     watchdog: &'a Watchdog,
     dir: &'a Path,
     store: &'a FsStore,
@@ -632,98 +584,53 @@ struct SessionCtx<'a> {
     chaos: Option<&'a ChaosPlan>,
 }
 
-impl Copy for SessionCtx<'_> {}
-impl Clone for SessionCtx<'_> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-/// Locks the coordinator scheduler state.
-fn lock_state(shared: &CoordShared) -> std::sync::MutexGuard<'_, CoordState> {
-    // lint: allow(panic-in-lib) poisoned scheduler lock is unrecoverable
-    shared.state.lock().expect("coordinator state") // lint: lock-order(orchestrator.coord_state)
-}
-
-/// Whether `worker` still holds the live attempt of job `i`: the
-/// assignment has not moved on (watchdog trip, lost session) and no
-/// attempt's result has landed. Only then may its `Fail`, or a
-/// `Complete` that does not verify, requeue the job.
-fn owns_attempt(st: &CoordState, i: usize, worker: &str) -> bool {
-    !st.done.contains_key(&i) && st.inflight.get(&i).is_some_and(|inf| inf.worker == worker)
-}
-
-/// Emits scheduler events, journalling every retried attempt first so
-/// `--resume` replay sees the abandonment even if the event sink is a
-/// buffer that dies with the process.
-fn publish(ctx: &SessionCtx<'_>, events: Vec<Event>) {
-    for ev in events {
-        if let Event::JobRetried { job, error, .. } = &ev {
-            let _ = ctx
-                .journal
-                .append(&JournalRecord::Requeued { job: job.clone(), error: error.clone() });
+impl SessionCtx<'_> {
+    /// Steps the machine; the step that fails the run shuts it down.
+    fn step(&self, sched: &mut Sched, input: Input<'_>) -> Vec<Output> {
+        let now = Duration::from_secs_f64(self.shared.clock.elapsed_seconds());
+        let out = sched.machine.step(now, input);
+        if let Some(err) = sched.machine.failure() {
+            self.shared.shutdown.cancel(&run_failed(err));
         }
-        ctx.events.emit(ev);
+        out
     }
-}
 
-/// Requeues job `idx` (or fails the run when its attempts are spent).
-/// Caller holds the state lock; returned events must be emitted *after*
-/// releasing it (sink I/O must not stall the scheduler).
-fn requeue_locked(
-    st: &mut CoordState,
-    plan: &DistPlan,
-    opts: &CoordOptions,
-    idx: usize,
-    error: &str,
-    shared: &CoordShared,
-) -> Vec<Event> {
-    let job = &plan.jobs[idx].id;
-    let attempts = st.attempts[idx];
-    if attempts > opts.max_retries {
-        let err = OrchestratorError::JobFailed {
-            job: job.clone(),
-            attempts,
-            error: error.to_string(),
-        };
-        fail_first(&mut st.failure, err, &shared.shutdown, &shared.cond);
-        telemetry::metrics::counter("coord.failures").inc();
-        return vec![Event::JobFailed { job: job.clone(), attempts, error: error.to_string() }];
+    /// Whether the machine will hand out nothing more.
+    fn finished(&self) -> bool {
+        lock(&self.shared.sched).machine.finished() // lint: lock-order(orchestrator.machine)
     }
-    st.requeues += 1;
-    st.frontier.requeue(idx);
-    telemetry::metrics::counter("coord.requeues").inc();
-    shared.cond.notify_all();
-    vec![Event::JobRetried {
-        job: job.clone(),
-        attempt: attempts.saturating_sub(1),
-        error: error.to_string(),
-        backoff_ms: 0,
-    }]
-}
 
-/// The accept loop's periodic sweep: any inflight assignment whose token
-/// was cancelled (watchdog deadline or heartbeat staleness — a SIGKILLed
-/// worker stops beating) is pulled back and requeued.
-fn sweep_tripped(ctx: &SessionCtx<'_>) {
-    let mut out = Vec::new();
-    {
-        let mut st = lock_state(ctx.shared);
-        let tripped: Vec<usize> = st
-            .inflight
-            .iter()
-            .filter(|(_, inf)| inf.token.is_cancelled())
-            .map(|(&i, _)| i)
-            .collect();
-        for i in tripped {
-            // lint: allow(panic-in-lib) index came from the map we remove from
-            let inf = st.inflight.remove(&i).expect("tripped inflight entry");
-            let reason = inf.token.reason().unwrap_or_else(|| "cancelled".into());
-            let error = format!("worker `{}` attempt cancelled: {reason}", inf.worker);
-            out.extend(requeue_locked(&mut st, ctx.plan, ctx.opts, i, &error, ctx.shared));
+    /// Steps the machine under its lock, then publishes the outputs.
+    fn step_and_publish(&self, input: Input<'_>) {
+        let out = self.step(&mut lock(&self.shared.sched), input); // lint: lock-order(orchestrator.machine)
+        self.publish(out);
+    }
+
+    /// Carries out the outputs that need no lock: telemetry, journal
+    /// records and events (sink I/O must not stall the scheduler). A
+    /// requeue is journalled before its event, so `--resume` replay sees
+    /// it even if the event sink dies with the process.
+    fn publish(&self, out: Vec<Output>) {
+        let count = |name| telemetry::metrics::counter(name).inc();
+        for o in out {
+            match o {
+                Output::Assign { .. } => count("coord.assignments"),
+                Output::Requeue { .. } => count("coord.requeues"),
+                Output::Commit { .. } => count("coord.completions"),
+                Output::JobFailed { .. } => count("coord.failures"),
+                Output::Journal(record) => {
+                    let _ = self.journal.append(&record);
+                }
+                Output::Event(ev) => {
+                    if matches!(ev, Event::WorkerLost { .. }) {
+                        count("coord.workers_lost");
+                    }
+                    self.events.emit(ev);
+                }
+                Output::Wait { .. } | Output::Drained => {}
+            }
         }
     }
-    publish(ctx, out);
 }
 
 /// One worker connection: handshake, then claim/heartbeat/complete until
@@ -763,22 +670,19 @@ fn session(mut sock: TcpStream, ctx: &SessionCtx<'_>) {
         return;
     }
     telemetry::metrics::counter("coord.workers_joined").inc();
-    {
-        let mut st = lock_state(ctx.shared);
-        st.workers_seen += 1;
-    }
+    let owner = ctx.shared.workers_seen.fetch_add(1, Ordering::SeqCst);
     ctx.events.emit(Event::WorkerJoined { worker: worker.clone() });
 
-    // Watch guards of assignments made over *this* connection; dropped
-    // (unregistered) as soon as the job completes, fails, or the session
-    // ends. A guard whose watch already tripped is inert.
-    let mut guards: BTreeMap<usize, WatchGuard<'_>> = BTreeMap::new();
+    // Watches of the attempts assigned over *this* connection, with the
+    // heartbeats its frames beat; dropped (unregistered) as soon as the
+    // attempt is answered or the session ends. A tripped watch is inert.
+    let mut watches: BTreeMap<usize, (WatchGuard<'_>, Heartbeat)> = BTreeMap::new();
     let graph = &ctx.plan.graph;
 
     while let Ok(frame) = read_ctrl(&mut sock, token) {
         match frame {
             CtrlFrame::Claim => {
-                let reply = next_assignment(ctx, &worker, &mut guards);
+                let reply = claim(ctx, owner, &worker, &mut watches);
                 let terminal =
                     matches!(reply, CtrlFrame::Drained | CtrlFrame::Error { .. });
                 if send_ctrl(&mut sock, &reply, token).is_err() || terminal {
@@ -786,31 +690,19 @@ fn session(mut sock: TcpStream, ctx: &SessionCtx<'_>) {
                 }
             }
             CtrlFrame::Heartbeat { job, steps } => {
-                let Some(i) = graph.index_of(&job) else { continue };
-                let st = lock_state(ctx.shared);
-                if let Some(inf) = st.inflight.get(&i) {
-                    if inf.worker == worker {
-                        inf.heartbeat.beat(steps);
-                    }
+                if let Some((_, heartbeat)) = graph.index_of(&job).and_then(|i| watches.get(&i)) {
+                    heartbeat.beat(steps);
                 }
             }
             CtrlFrame::Complete { job, digest, wall_seconds, cpu_seconds } => {
                 let Some(i) = graph.index_of(&job) else { continue };
-                guards.remove(&i);
-                handle_complete(ctx, &worker, i, digest, wall_seconds, cpu_seconds);
+                watches.remove(&i);
+                handle_complete(ctx, owner, i, digest, wall_seconds, cpu_seconds);
             }
             CtrlFrame::Fail { job, error } => {
                 let Some(i) = graph.index_of(&job) else { continue };
-                guards.remove(&i);
-                let mut out = Vec::new();
-                {
-                    let mut st = lock_state(ctx.shared);
-                    if owns_attempt(&st, i, &worker) {
-                        st.inflight.remove(&i);
-                        out = requeue_locked(&mut st, ctx.plan, ctx.opts, i, &error, ctx.shared);
-                    }
-                }
-                publish(ctx, out);
+                watches.remove(&i);
+                ctx.step_and_publish(Input::Fail { owner, job: i, error });
             }
             other => {
                 let _ = send_ctrl(
@@ -826,187 +718,125 @@ fn session(mut sock: TcpStream, ctx: &SessionCtx<'_>) {
         }
     }
 
-    // Session over. Anything this worker still had inflight is lost:
-    // requeue it and announce the loss.
-    let mut out = Vec::new();
-    let mut lost_jobs = Vec::new();
-    {
-        let mut st = lock_state(ctx.shared);
-        let mine: Vec<usize> = st
-            .inflight
-            .iter()
-            .filter(|(_, inf)| inf.worker == worker)
-            .map(|(&i, _)| i)
-            .collect();
-        for i in mine {
-            st.inflight.remove(&i);
-            lost_jobs.push(ctx.plan.jobs[i].id.clone());
-            let error = format!("worker `{worker}` disconnected mid-attempt");
-            out.extend(requeue_locked(&mut st, ctx.plan, ctx.opts, i, &error, ctx.shared));
-        }
-    }
-    if !lost_jobs.is_empty() {
-        telemetry::metrics::counter("coord.workers_lost").inc();
-        ctx.events.emit(Event::WorkerLost { worker: worker.clone(), requeued: lost_jobs });
-    }
-    publish(ctx, out);
-    drop(guards);
+    // Session over: anything this worker still holds is lost.
+    ctx.step_and_publish(Input::Lost { owner });
+    drop(watches);
 }
 
 /// Answers one `Claim`: an `Assign` when a job is ready, `Wait` when the
 /// scheduler is momentarily dry, `Drained` when every job is done, or
 /// `Error` when the run already failed.
-fn next_assignment<'w>(
+fn claim<'w>(
     ctx: &SessionCtx<'w>,
+    owner: u64,
     worker: &str,
-    guards: &mut BTreeMap<usize, WatchGuard<'w>>,
+    watches: &mut BTreeMap<usize, (WatchGuard<'w>, Heartbeat)>,
 ) -> CtrlFrame {
-    let (frame, started) = {
-        let mut st = lock_state(ctx.shared);
-        if let Some(err) = &st.failure {
-            (
-                CtrlFrame::Error { code: "run-failed".into(), message: err.to_string() },
-                None,
-            )
-        } else if st.frontier.drained() {
-            (CtrlFrame::Drained, None)
-        } else if let Some(i) = st.frontier.pop() {
-            let attempt = st.attempts[i];
-            st.attempts[i] += 1;
-            let job = &ctx.plan.jobs[i];
-            // The frontier only readies a job once every dependency is
-            // done, so each index resolves to a recorded digest.
-            let deps: BTreeMap<String, u64> = job
-                .deps
-                .iter()
-                .zip(ctx.plan.graph.deps(i))
-                .map(|(d, di)| (d.clone(), st.done[di]))
-                .collect();
-            let token = CancelToken::new();
-            let heartbeat = Heartbeat::new();
-            st.inflight.insert(
-                i,
-                Inflight {
-                    worker: worker.to_string(),
-                    token: token.clone(),
-                    heartbeat: heartbeat.clone(),
-                },
-            );
-            guards.insert(i, ctx.watchdog.register(&job.id, attempt, heartbeat, token));
-            telemetry::metrics::counter("coord.assignments").inc();
-            (
-                CtrlFrame::Assign { job: job.id.clone(), attempt, spec: job.spec.clone(), deps },
-                Some((job.id.clone(), attempt)),
-            )
-        } else {
-            (CtrlFrame::Wait { poll_ms: WAIT_POLL_MS }, None)
-        }
+    let (reply, out) = {
+        let mut sched = lock(&ctx.shared.sched); // lint: lock-order(orchestrator.machine)
+        let out = ctx.step(&mut sched, Input::Claim { owner, worker });
+        let reply = match out.first() {
+            Some(&Output::Assign { job, attempt }) => {
+                let spec = &ctx.plan.jobs[job];
+                let deps = sched
+                    .machine
+                    .dep_digests(job)
+                    .map(|(d, digest)| (ctx.plan.jobs[d].id.clone(), digest))
+                    .collect();
+                let heartbeat = Heartbeat::new();
+                let guard =
+                    ctx.watchdog.register(&spec.id, attempt, heartbeat.clone(), CancelToken::new());
+                watches.insert(job, (guard, heartbeat));
+                CtrlFrame::Assign { job: spec.id.clone(), attempt, spec: spec.spec.clone(), deps }
+            }
+            Some(Output::Wait { .. }) => CtrlFrame::Wait { poll_ms: WAIT_POLL_MS },
+            _ => match sched.machine.failure() {
+                Some(err) => {
+                    CtrlFrame::Error { code: "run-failed".into(), message: err.to_string() }
+                }
+                None => CtrlFrame::Drained,
+            },
+        };
+        (reply, out)
     };
-    if let Some((job, attempt)) = started {
-        let _ = ctx.journal.append(&JournalRecord::Assigned {
-            job: job.clone(),
-            attempt,
-            worker: worker.to_string(),
-        });
-        ctx.events.emit(Event::JobStarted { job, attempt });
-    }
-    frame
+    ctx.publish(out);
+    reply
 }
 
 /// Handles a `Complete`: re-reads the object from the store (digest
-/// verification is the trust boundary), records the manifest generation,
-/// and unlocks dependents. A duplicate `Complete` is dropped; a
-/// missing/corrupt object counts as a failed attempt when the sender
-/// still owns the assignment, and is dropped as stale when it does not.
+/// verification is the trust boundary) and lets the machine judge it.
+/// A believed result is committed before the machine lock is released,
+/// so no session can see the job done before it is durable. A result
+/// for a job already done is dropped unread.
 fn handle_complete(
     ctx: &SessionCtx<'_>,
-    worker: &str,
+    owner: u64,
     i: usize,
     digest: u64,
     wall_seconds: f64,
     cpu_seconds: f64,
 ) {
-    {
-        let st = lock_state(ctx.shared);
-        if st.done.contains_key(&i) {
-            telemetry::metrics::counter("coord.stale_completes").inc();
-            return;
-        }
+    if lock(&ctx.shared.sched).machine.is_done(i) { // lint: lock-order(orchestrator.machine)
+        telemetry::metrics::counter("coord.stale_completes").inc();
+        return;
     }
     // Verify outside the lock: store reads are file I/O.
-    let verified = ctx.store.get(digest).map_err(|e| e.to_string()).and_then(|bytes| {
+    let text = ctx.store.get(digest).map_err(|e| e.to_string()).and_then(|bytes| {
         String::from_utf8(bytes).map_err(|e| format!("payload not UTF-8: {e}"))
     });
-    let job = &ctx.plan.jobs[i].id;
-    let mut out = Vec::new();
-    match verified {
-        Ok(text) => {
-            let mut st = lock_state(ctx.shared);
-            if st.done.contains_key(&i) {
-                telemetry::metrics::counter("coord.stale_completes").inc();
-                return;
+    let verified = text
+        .as_ref()
+        .map(|_| ())
+        .map_err(|e| format!("result object {digest:#018x} failed verification: {e}"));
+    let input = Input::Complete { owner, job: i, digest, verified, wall_seconds, cpu_seconds };
+    let out = {
+        let mut sched = lock(&ctx.shared.sched); // lint: lock-order(orchestrator.machine)
+        let out = ctx.step(&mut sched, input);
+        let committed = match out.first() {
+            Some(Output::Commit { stats, .. }) => {
+                Some(commit(ctx, &mut sched.manifest, i, digest, stats))
             }
-            let attempts = st.attempts[i].max(1);
-            // WAL ordering: the completion is durable (journal line +
-            // content store) *before* the manifest generation exists,
-            // so a coordinator killed in between is healed by replay.
-            // An append failure degrades to manifest-only durability —
-            // the run itself stays correct.
-            let _ = ctx
-                .journal
-                .append(&JournalRecord::Completed { job: job.clone(), digest });
-            if let Some(plan) = ctx.chaos {
-                if plan.coord_fault(job, attempts - 1).is_some() {
-                    // `kill-coord`: die inside the journal→manifest
-                    // window — the exact crash `--resume` must heal.
-                    eprintln!(
-                        "coordinator: injected kill-coord while completing `{job}`"
-                    );
-                    std::process::abort();
-                }
+            _ => None,
+        };
+        match (committed, text) {
+            (Some(Err(err)), _) => ctx.step(&mut sched, Input::Abort(err)),
+            (Some(Ok(())), Ok(text)) => {
+                sched.payloads.insert(i, text);
+                out
             }
-            // Commit under the manifest lock while holding the state
-            // lock: coord_state ranks above manifest, and publishing
-            // before persisting would let a crash orphan the result.
-            let stats = JobStats { attempts, wall_seconds, cpu_seconds, skipped: false };
-            let committed = {
-                let mut m = ctx.manifest.lock().expect("manifest lock"); // lint: allow(panic-in-lib) poisoned manifest lock is unrecoverable // lint: lock-order(orchestrator.manifest)
-                m.commit(ctx.dir, ctx.store, job, digest, &stats, ctx.opts.keep_generations)
-            };
-            if let Err(e) = committed {
-                let err = OrchestratorError::io(Manifest::path(ctx.dir), e);
-                fail_first(&mut st.failure, err, &ctx.shared.shutdown, &ctx.shared.cond);
-                return;
-            }
-            st.inflight.remove(&i);
-            st.done.insert(i, digest);
-            st.payloads.insert(i, text);
-            st.stats[i] = Some(stats);
-            st.frontier.complete(i);
-            telemetry::metrics::counter("coord.completions").inc();
-            out.push(Event::JobFinished {
-                job: job.clone(),
-                attempts,
-                wall_seconds,
-                cpu_seconds,
-            });
-            ctx.shared.cond.notify_all();
+            _ => out,
         }
-        Err(e) => {
-            let mut st = lock_state(ctx.shared);
-            if !owns_attempt(&st, i, worker) {
-                // Not this sender's job to fail: requeueing it would run
-                // it twice and burn one of its attempts.
-                telemetry::metrics::counter("coord.stale_completes").inc();
-                return;
-            }
-            st.inflight.remove(&i);
-            let error =
-                format!("result object {digest:#018x} failed verification: {e}");
-            out = requeue_locked(&mut st, ctx.plan, ctx.opts, i, &error, ctx.shared);
-        }
+    };
+    if out.is_empty() {
+        telemetry::metrics::counter("coord.stale_completes").inc();
     }
-    publish(ctx, out);
+    ctx.publish(out);
+}
+
+/// The coordinator's side of a `Commit`: the completion is journalled,
+/// then recorded as a manifest generation. WAL ordering: the completion
+/// is durable (journal line + content store) *before* the manifest
+/// generation exists, so a coordinator killed in between is healed by
+/// replay. A journal append failure degrades to manifest-only
+/// durability — the run itself stays correct.
+fn commit(
+    ctx: &SessionCtx<'_>,
+    manifest: &mut Manifest,
+    i: usize,
+    digest: u64,
+    stats: &JobStats,
+) -> Result<(), OrchestratorError> {
+    let job = &ctx.plan.jobs[i].id;
+    let _ = ctx.journal.append(&JournalRecord::Completed { job: job.clone(), digest });
+    if ctx.chaos.is_some_and(|plan| plan.coord_fault(job, stats.attempts - 1).is_some()) {
+        // `kill-coord`: die inside the journal→manifest window — the
+        // exact crash `--resume` must heal.
+        eprintln!("coordinator: injected kill-coord while completing `{job}`");
+        std::process::abort();
+    }
+    manifest
+        .commit(ctx.dir, ctx.store, job, digest, stats, ctx.opts.keep_generations)
+        .map_err(|e| OrchestratorError::io(Manifest::path(ctx.dir), e))
 }
 
 #[cfg(test)]

@@ -1,10 +1,10 @@
 //! Job specifications, the validated [`Graph`] both engines schedule
-//! over, the ready-[`Frontier`] they embed, and the run error they share.
+//! over, the ready-[`Frontier`] their [`crate::machine::Machine`] holds,
+//! and the run error they share.
 
-use crate::cancel::CancelToken;
 use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
-use std::sync::{Arc, Condvar};
+use std::sync::Arc;
 
 /// The boxed job body: receives the outputs of its dependencies, returns
 /// the job's payload or an error message. Must be `Send + Sync` because
@@ -70,13 +70,11 @@ impl<P> JobInputs<P> {
 /// constructor validated, so no scheduler resolves an id twice.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Graph {
+    ids: Vec<String>,
     index: BTreeMap<String, usize>,
     deps: Vec<Vec<usize>>,
     /// Shared with every [`Frontier`] seeded from this graph.
     dependents: Arc<[Vec<usize>]>,
-    /// One valid topological order (diagnostics only; execution order is
-    /// dynamic).
-    topo: Vec<usize>,
 }
 
 impl Graph {
@@ -113,9 +111,9 @@ impl Graph {
         // Kahn's algorithm; a leftover node means a cycle.
         let mut indegree: Vec<usize> = deps.iter().map(Vec::len).collect();
         let mut ready: Vec<usize> = (0..jobs.len()).filter(|&i| indegree[i] == 0).collect();
-        let mut topo = Vec::with_capacity(jobs.len());
+        let mut sorted = 0;
         while let Some(i) = ready.pop() {
-            topo.push(i);
+            sorted += 1;
             for &k in &dependents[i] {
                 indegree[k] -= 1;
                 if indegree[k] == 0 {
@@ -123,14 +121,20 @@ impl Graph {
                 }
             }
         }
-        if topo.len() != jobs.len() {
+        if sorted != jobs.len() {
             let stuck: Vec<&str> = (0..jobs.len())
                 .filter(|&i| indegree[i] > 0)
                 .map(|i| jobs[i].0)
                 .collect();
             return Err(format!("job graph has a cycle involving {stuck:?}"));
         }
-        Ok(Graph { index, deps, dependents: dependents.into(), topo })
+        let ids = jobs.iter().map(|(id, _)| id.to_string()).collect();
+        Ok(Graph { ids, index, deps, dependents: dependents.into() })
+    }
+
+    /// The id of job `i`.
+    pub fn id(&self, i: usize) -> &str {
+        &self.ids[i]
     }
 
     /// Number of jobs.
@@ -155,9 +159,9 @@ impl Graph {
 }
 
 /// The scheduling state of one run over a [`Graph`]: which jobs may be
-/// handed out now. Pure bookkeeping — no lock, no I/O, no clock — so both
-/// engines embed it under their own scheduler lock and a test can drive
-/// it directly. A job is *out* between [`Frontier::pop`] and the
+/// handed out now. Pure bookkeeping — no lock, no I/O, no clock — so the
+/// [`crate::machine::Machine`] holds it and a test can drive it
+/// directly. A job is *out* between [`Frontier::pop`] and the
 /// [`Frontier::complete`] or [`Frontier::requeue`] that answers it.
 #[derive(Debug, Clone)]
 pub struct Frontier {
@@ -196,11 +200,14 @@ impl Frontier {
     }
 
     /// Marks job `i` finished and readies every dependent it was the last
-    /// unfinished dependency of. Completing a finished job is a no-op.
+    /// unfinished dependency of. Completing a finished job is a no-op; a
+    /// job completed while requeued (a late result of an abandoned
+    /// attempt) leaves the ready queue.
     pub fn complete(&mut self, i: usize) {
         if std::mem::replace(&mut self.done[i], true) {
             return;
         }
+        self.ready.retain(|&k| k != i);
         self.completed += 1;
         for &k in &self.dependents[i] {
             if self.done[k] {
@@ -280,23 +287,6 @@ impl std::fmt::Display for OrchestratorError {
 
 impl std::error::Error for OrchestratorError {}
 
-/// Records the first hard failure of a run in `slot` (the caller holds
-/// the scheduler lock it lives under), cancels `cancel` so backoffs,
-/// injected hangs and blocked reads wake, and wakes every thread parked
-/// on `cond` so the run winds down. Later failures only re-notify.
-pub(crate) fn fail_first(
-    slot: &mut Option<OrchestratorError>,
-    err: OrchestratorError,
-    cancel: &CancelToken,
-    cond: &Condvar,
-) {
-    if slot.is_none() {
-        cancel.cancel(&format!("run failed: {err}"));
-        *slot = Some(err);
-    }
-    cond.notify_all();
-}
-
 /// The message a caught panic carried (`panic!` with a literal or a
 /// formatted string; anything else is opaque). Pass `&*payload`, not
 /// `&payload`: a `&Box<dyn Any>` would itself coerce to `&dyn Any` and
@@ -323,12 +313,6 @@ impl<'a, P> Plan<'a, P> {
     pub fn new(jobs: Vec<JobSpec<'a, P>>) -> Result<Self, String> {
         let graph = Graph::new(jobs.iter().map(|j| (j.id.as_str(), j.deps.as_slice())))?;
         Ok(Plan { jobs, graph })
-    }
-
-    /// Job ids in one valid topological order (for diagnostics; execution
-    /// order is dynamic, driven by dependency completion).
-    pub fn topo_order(&self) -> impl Iterator<Item = &str> {
-        self.graph.topo.iter().map(|&i| self.jobs[i].id.as_str())
     }
 
     /// Number of jobs in the plan.
@@ -371,9 +355,8 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(p.len(), 4);
-        // `a` must precede everything in the topological order.
-        let pos = |id: &str| p.topo_order().position(|j| j == id).unwrap();
-        assert!(pos("a") < pos("b") && pos("a") < pos("c") && pos("b") < pos("d"));
+        assert_eq!(p.graph.deps(3), [1, 2]);
+        assert_eq!(p.graph.id(3), "d");
     }
 
     #[test]

@@ -222,33 +222,19 @@ impl EventLog {
     /// Adds a stderr sink (used when `NETSHARE_DEBUG_STEPS` is set, the
     /// successor of the old ad-hoc eprintln debugging).
     pub fn with_stderr(self) -> Self {
-        self.sinks
-            .lock() // lint: lock-order(orchestrator.event_sinks)
-            .expect("event sink lock") // lint: allow(panic-in-lib) poisoned event lock is unrecoverable (lint: allow(panic-in-lib) poisoned event lock is unrecoverable)
-            .push(Box::new(std::io::stderr()));
-        self
+        self.with_sink(Box::new(std::io::stderr()))
     }
 
     /// Adds an arbitrary writer sink (tests and embedders).
     pub fn with_sink(self, sink: Box<dyn Write + Send>) -> Self {
-        self.sinks
-            .lock() // lint: lock-order(orchestrator.event_sinks)
-            .expect("event sink lock") // lint: allow(panic-in-lib) poisoned event lock is unrecoverable (lint: allow(panic-in-lib) poisoned event lock is unrecoverable)
-            .push(sink);
+        crate::lock(&self.sinks).push(sink); // lint: lock-order(orchestrator.event_sinks)
         self
     }
 
     /// Adds a file sink, appending to `path`.
     pub fn with_file(self, path: &Path) -> std::io::Result<Self> {
-        let file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)?;
-        self.sinks
-            .lock() // lint: lock-order(orchestrator.event_sinks)
-            .expect("event sink lock") // lint: allow(panic-in-lib) poisoned event lock is unrecoverable (lint: allow(panic-in-lib) poisoned event lock is unrecoverable)
-            .push(Box::new(file));
-        Ok(self)
+        let file = std::fs::OpenOptions::new().create(true).append(true).open(path)?;
+        Ok(self.with_sink(Box::new(file)))
     }
 
     /// Records an event and writes it as one JSON line to every sink.
@@ -257,19 +243,19 @@ impl EventLog {
             format!("{{\"EventSerializationError\":\"{e}\"}}")
         });
         {
-            let mut sinks = self.sinks.lock().expect("event sink lock"); // lint: allow(panic-in-lib) poisoned event lock is unrecoverable (lint: allow(panic-in-lib) poisoned event lock is unrecoverable) // lint: lock-order(orchestrator.event_sinks)
+            let mut sinks = crate::lock(&self.sinks); // lint: lock-order(orchestrator.event_sinks)
             for s in sinks.iter_mut() {
                 // Sink failures must never take training down; drop the line.
                 let _ = writeln!(s, "{line}");
                 let _ = s.flush();
             }
         }
-        self.memory.lock().expect("event memory lock").push(ev); // lint: allow(panic-in-lib) poisoned event lock is unrecoverable (lint: allow(panic-in-lib) poisoned event lock is unrecoverable) // lint: lock-order(orchestrator.event_memory)
+        crate::lock(&self.memory).push(ev); // lint: lock-order(orchestrator.event_memory)
     }
 
     /// A snapshot of every event emitted so far.
     pub fn events(&self) -> Vec<Event> {
-        self.memory.lock().expect("event memory lock").clone() // lint: allow(panic-in-lib) poisoned event lock is unrecoverable (lint: allow(panic-in-lib) poisoned event lock is unrecoverable) // lint: lock-order(orchestrator.event_memory)
+        crate::lock(&self.memory).clone() // lint: lock-order(orchestrator.event_memory)
     }
 }
 

@@ -53,20 +53,25 @@
 //! ## Two front-ends, one engine underneath
 //!
 //! [`pool`] (scoped threads pulling closures) and [`coord`] (TCP sessions
-//! handing out specs) differ only in how work reaches an executor and in
-//! what a failed attempt costs. Everything below that exists once:
+//! handing out specs) differ only in how work reaches an executor. Both
+//! drive one pure [`Machine`], which alone decides who gets a job, what a
+//! failed, lost or tripped attempt costs, and which results are believed.
+//! Everything below the transport exists once:
 //!
 //! | step | where | used by |
 //! |---|---|---|
-//! | validated graph, ready-[`Frontier`] | [`dag`] | both |
+//! | validated graph, ready-[`Frontier`] | [`dag`] | the machine |
+//! | assignment, retry and backoff, stale results, first hard failure | [`machine`] | both |
 //! | open / recover / commit a run directory | [`Manifest::open`], [`Manifest::recover`], [`Manifest::commit`] | both |
 //! | persist-phase faults (`slow-io`, `corrupt-*`) | [`chaos::put_with_fault`] | pool, worker |
-//! | first hard failure: record, cancel, notify | `dag::fail_first` | both |
 //! | attempt faults (`panic` / `transient` / `hang`) | per engine | the pool really panics inside `catch_unwind`; a worker sends `Fail` |
-//! | retry policy | per engine | the pool retries in-thread with backoff; the coordinator requeues |
+//! | retry delay | `Requeue{after}` | the pool's `RunOptions::backoff`; zero for the coordinator |
 //! | write-ahead journal | [`journal`] | coordinator only |
 
 #![warn(missing_docs)]
+
+use std::sync::{Condvar, LockResult, Mutex, MutexGuard};
+use std::time::Duration;
 
 pub mod backoff;
 pub mod cancel;
@@ -75,6 +80,7 @@ pub mod coord;
 pub mod dag;
 pub mod events;
 pub mod journal;
+pub mod machine;
 pub mod manifest;
 pub mod netfault;
 pub mod pool;
@@ -94,6 +100,7 @@ pub use coord::{
 pub use dag::{Frontier, Graph, JobInputs, JobSpec, OrchestratorError, Plan};
 pub use events::{Event, EventLog};
 pub use journal::{Journal, JournalRecord};
+pub use machine::{Input, Machine, Output};
 pub use manifest::{
     atomic_write, fnv1a64, quarantine, JobStats, Manifest, ManifestEntry, Probed,
 };
@@ -102,3 +109,29 @@ pub use store::{FsStore, GcReport, ObjectStore, PutOutcome};
 pub use timing::{measure, thread_cpu_seconds, Heartbeat};
 pub use watchdog::{WatchGuard, Watchdog, WatchdogOptions};
 pub use worker::{run_worker, ExecutorRegistry, WorkerOptions, WorkerReport};
+
+/// Locks a mutex of this crate. A poisoned lock means a thread panicked
+/// while holding it, outside any `catch_unwind`: the state it guards may
+/// be torn and no retry policy can repair that, so the panic propagates.
+/// [`wait_timeout`] and [`into_inner`] follow the same rule.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    unpoisoned(m.lock())
+}
+
+/// [`Condvar::wait_timeout`] under [`lock`]'s poisoning rule.
+pub(crate) fn wait_timeout<'a, T>(
+    cond: &Condvar,
+    guard: MutexGuard<'a, T>,
+    dur: Duration,
+) -> MutexGuard<'a, T> {
+    unpoisoned(cond.wait_timeout(guard, dur)).0
+}
+
+/// [`Mutex::into_inner`] under [`lock`]'s poisoning rule.
+pub(crate) fn into_inner<T>(m: Mutex<T>) -> T {
+    unpoisoned(m.into_inner())
+}
+
+fn unpoisoned<G>(r: LockResult<G>) -> G {
+    r.expect("poisoned lock") // lint: allow(panic-in-lib) poisoned lock is unrecoverable (see `lock`)
+}

@@ -142,8 +142,7 @@ static ARMED: AtomicBool = AtomicBool::new(false);
 static STATE: Mutex<Option<Armed>> = Mutex::new(None);
 
 fn lock_state() -> std::sync::MutexGuard<'static, Option<Armed>> {
-    // lint: allow(panic-in-lib) poisoned netfault lock is unrecoverable
-    STATE.lock().expect("netfault lock") // lint: lock-order(orchestrator.netfault)
+    crate::lock(&STATE) // lint: lock-order(orchestrator.netfault)
 }
 
 /// Arms `plan` process-wide (tests and the binaries' env hook). Replaces

@@ -1,34 +1,35 @@
-//! The bounded worker pool that executes a [`Plan`].
+//! The bounded worker pool that executes a [`Plan`]: the in-process
+//! driver of the [`Machine`].
 //!
-//! Workers are scoped threads pulling ready jobs from a shared queue; a
-//! job becomes ready when every dependency has published its output. Each
-//! attempt runs under `catch_unwind`, so a panicking job is a *retried*
-//! job, not a dead run; retries back off exponentially (bounded) and the
-//! backoff wakes early when the run is cancelled. Every attempt carries a
-//! [`CancelToken`] and a [`Heartbeat`] so the watchdog can convert a hung
-//! attempt into an ordinary retryable failure. Outputs are pure functions
-//! of job inputs, which makes results identical at any worker count — the
-//! scheduler only decides *when*, never *what*.
+//! Workers are scoped threads that claim jobs from the machine and run
+//! them as closures. Each attempt runs under `catch_unwind`, so a
+//! panicking job is a failed attempt, not a dead run; the machine decides
+//! whether it is retried and after which delay ([`RunOptions::backoff`],
+//! doubling per retry, capped at 2 s), and a failed run retries nothing
+//! and wakes every waiting worker. Every attempt carries a
+//! [`CancelToken`] and a [`Heartbeat`] so the watchdog can turn a hung
+//! attempt into an ordinary failed one. Outputs are pure functions of job
+//! inputs, which makes results identical at any worker count — the
+//! machine only decides *when*, never *what*.
 //!
-//! This module is the in-process *front-end* only: scoped threads
-//! pulling closures, real panics, retry-in-thread with backoff. What it
-//! schedules over ([`crate::dag::Graph`], [`crate::dag::Frontier`]), how
-//! a run directory is opened, recovered and committed
-//! ([`Manifest::open`] / [`Manifest::recover`] — here as its two halves,
-//! [`Manifest::probe`] on the workers and [`Manifest::adopt`] in plan
-//! order — / [`Manifest::commit`]),
-//! and how persist-phase chaos faults strike a checkpoint write
-//! ([`chaos::put_with_fault`]) are shared with the process coordinator
-//! in [`crate::coord`].
+//! What this driver keeps for itself: the threads, the chaos plan's
+//! attempt faults (a real panic, a transient error, a hang), resume
+//! recovery with [`Manifest::probe`] on the workers and
+//! [`Manifest::adopt`] in plan order, and persist-before-publish: a
+//! result reaches the store and the manifest ([`chaos::put_with_fault`],
+//! [`Manifest::commit`]) before the machine hears of it, so the manifest
+//! only ever references payloads that are fully on disk.
 
 use crate::cancel::CancelToken;
 use crate::chaos::{self, ChaosPlan, FaultClass};
-use crate::dag::{fail_first, panic_message, Frontier, JobInputs, OrchestratorError, Plan};
+use crate::dag::{panic_message, JobInputs, JobSpec, OrchestratorError, Plan};
 use crate::events::{Event, EventLog};
+use crate::machine::{run_failed, Input, Machine, Output};
 use crate::manifest::{fnv1a64, JobStats, Manifest, ManifestEntry, Probed};
 use crate::store::FsStore;
 use crate::timing::{measure, Heartbeat, Stopwatch};
 use crate::watchdog::{Watchdog, WatchdogOptions};
+use crate::{into_inner, lock, wait_timeout};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -49,8 +50,8 @@ pub struct RunOptions {
     pub workers: usize,
     /// Retries after the first attempt before a job hard-fails.
     pub max_retries: u32,
-    /// Base backoff slept after a failed attempt; doubles per retry,
-    /// capped at 2 s, and wakes early when the run is cancelled.
+    /// Base delay before a failed job is retried; doubles per retry,
+    /// capped at 2 s, and abandoned when the run fails.
     pub backoff: Duration,
     /// Run directory for checkpoints/manifest; `None` disables persistence.
     pub checkpoint_dir: Option<PathBuf>,
@@ -100,23 +101,40 @@ pub struct RunReport<P> {
     pub skipped: u64,
 }
 
-/// Scheduler bookkeeping shared by the workers.
-struct SchedState<P> {
-    frontier: Frontier,
-    /// Published outputs (resumed and executed), by job index.
+/// The machine and the payloads it let through, under one lock.
+struct Sched<P> {
+    machine: Machine,
     outputs: BTreeMap<usize, Arc<P>>,
-    /// Stats of resumed and executed jobs, by job index.
-    stats: Vec<Option<JobStats>>,
-    /// First hard failure; set once, cancels all pending work.
-    failure: Option<OrchestratorError>,
 }
 
 struct Shared<P> {
-    state: Mutex<SchedState<P>>,
+    sched: Mutex<Sched<P>>,
+    /// Notified whenever a step may have made a job claimable or ended
+    /// the run.
     cond: Condvar,
-    /// Cancelled on the first hard failure, so backoffs and injected
-    /// hangs wake instead of running to their full length.
+    /// Cancelled on the first hard failure, so injected hangs and slow
+    /// writes wake instead of running to their full length.
     run_cancel: CancelToken,
+    /// The machine's clock.
+    clock: Stopwatch,
+    /// Written by workers after their payloads are persisted.
+    manifest: Mutex<Manifest>,
+}
+
+impl<P> Shared<P> {
+    /// The machine's run time.
+    fn now(&self) -> Duration {
+        Duration::from_secs_f64(self.clock.elapsed_seconds())
+    }
+
+    /// Steps the machine; the step that fails the run cancels it.
+    fn step(&self, sched: &mut Sched<P>, input: Input<'_>) -> Vec<Output> {
+        let out = sched.machine.step(self.now(), input);
+        if let Some(err) = sched.machine.failure() {
+            self.run_cancel.cancel(&run_failed(err));
+        }
+        out
+    }
 }
 
 /// Executes a plan to completion on a bounded worker pool.
@@ -153,8 +171,8 @@ where
     } else {
         opts.workers
     };
-    let mut resumed: BTreeMap<usize, Arc<P>> = BTreeMap::new();
-    let mut stats: Vec<Option<JobStats>> = (0..n).map(|_| None).collect();
+    let mut resumed = BTreeMap::new();
+    let mut outputs = BTreeMap::new();
     if let Some((dir, _)) = &run_dir {
         if opts.resume {
             // Reading, digesting and decoding a payload touches nothing
@@ -164,8 +182,8 @@ where
             let probed = probe_jobs(&manifest, dir, plan, pool_size);
             for (i, (job, found)) in plan.jobs.iter().zip(probed).enumerate() {
                 if let Some((payload, entry)) = manifest.adopt(dir, &job.id, events, found) {
-                    stats[i] = Some(entry.stats());
-                    resumed.insert(i, Arc::new(payload));
+                    resumed.insert(i, (entry.digest, entry.stats()));
+                    outputs.insert(i, Arc::new(payload));
                 }
             }
         }
@@ -189,32 +207,25 @@ where
         }
     }
 
+    let machine = Machine::new(&plan.graph, opts.max_retries, opts.backoff, resumed);
     let shared = Shared {
-        state: Mutex::new(SchedState {
-            frontier: Frontier::seed(&plan.graph, |i| resumed.contains_key(&i)),
-            outputs: resumed,
-            stats,
-            failure: None,
-        }),
+        sched: Mutex::new(Sched { machine, outputs }),
         cond: Condvar::new(),
         run_cancel: CancelToken::new(),
+        clock: Stopwatch::start(),
+        manifest: Mutex::new(manifest),
     };
-    let manifest = Mutex::new(manifest);
     let watchdog = Watchdog::new(opts.watchdog.clone());
 
     if pending > 0 {
         std::thread::scope(|s| {
             let wd_handle = watchdog
                 .enabled()
-                .then(|| s.spawn(|| watchdog.run(events)));
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(|| {
-                        worker_loop(
-                            plan, opts, events, &shared, &manifest, &watchdog,
-                            run_dir.as_ref(),
-                        )
-                    })
+                .then(|| s.spawn(|| watchdog.run(events, |_| {})));
+            let (shared, watchdog, run_dir) = (&shared, &watchdog, run_dir.as_ref());
+            let handles: Vec<_> = (0..workers as u64)
+                .map(|t| {
+                    s.spawn(move || worker_loop(t, plan, opts, events, shared, watchdog, run_dir))
                 })
                 .collect();
             let panicked = handles.into_iter().find_map(|h| h.join().err());
@@ -231,21 +242,12 @@ where
     }
 
     // ---- report -------------------------------------------------------
-    // lint: allow(panic-in-lib) poisoned scheduler lock is unrecoverable (see `lock`)
-    let mut st = shared.state.into_inner().expect("scheduler state");
-    if let Some(err) = st.failure.take() {
-        return Err(err);
-    }
-    let mut outputs = BTreeMap::new();
-    let mut stats = BTreeMap::new();
-    for (i, job) in plan.jobs.iter().enumerate() {
-        // lint: allow(panic-in-lib) failure was None, so every job published an output
-        let p = st.outputs.remove(&i).expect("completed run has every output");
-        outputs.insert(job.id.clone(), p);
-        if let Some(js) = st.stats[i].take() {
-            stats.insert(job.id.clone(), js);
-        }
-    }
+    let sched = into_inner(shared.sched);
+    let done = sched.machine.finish()?;
+    let id = |i: usize| plan.jobs[i].id.clone();
+    let outputs = sched.outputs.into_iter().map(|(i, p)| (id(i), p)).collect();
+    let stats: BTreeMap<String, JobStats> =
+        done.into_iter().enumerate().map(|(i, (_, s))| (id(i), s)).collect();
     let cpu_seconds: f64 = stats.values().map(|s| s.cpu_seconds).sum();
     let skipped = stats.values().filter(|s| s.skipped).count() as u64;
     let completed = n as u64 - skipped;
@@ -300,254 +302,177 @@ where
     probed
 }
 
-/// One worker: pull ready jobs until the run completes or hard-fails.
+/// Worker `t`: claim, run and report attempts until the machine drains.
 fn worker_loop<P>(
+    t: u64,
     plan: &Plan<'_, P>,
     opts: &RunOptions,
     events: &EventLog,
     shared: &Shared<P>,
-    manifest: &Mutex<Manifest>,
     watchdog: &Watchdog,
     run_dir: Option<&(&Path, FsStore)>,
 ) where
     P: Serialize + Deserialize + Send + Sync,
 {
-    let persist_ctx = run_dir.map(|(dir, store)| PersistCtx {
-        dir,
-        store,
-        manifest,
-        chaos: opts.chaos.as_ref(),
-        run_cancel: &shared.run_cancel,
-        keep: opts.keep_generations,
-    });
     loop {
-        // Claim a ready job (or leave: run finished / failed).
-        let job_idx = {
-            let mut st = lock(&shared.state, "scheduler state"); // lint: lock-order(orchestrator.sched_state)
+        // Claim a job (or leave: run finished or failed), snapshotting
+        // its dependencies' outputs (Arc clones; cheap).
+        let (job_idx, inputs, claimed) = {
+            let mut sched = lock(&shared.sched); // lint: lock-order(orchestrator.machine)
             loop {
-                if st.failure.is_some() || st.frontier.drained() {
-                    return;
+                let out = shared.step(&mut sched, Input::Claim { owner: t, worker: "pool" });
+                match out.first() {
+                    Some(&Output::Assign { job, attempt }) => {
+                        let deps = plan.jobs[job]
+                            .deps
+                            .iter()
+                            .zip(plan.graph.deps(job))
+                            .map(|(d, di)| (d.clone(), Arc::clone(&sched.outputs[di])))
+                            .collect();
+                        let inputs = JobInputs {
+                            deps,
+                            attempt,
+                            cancel: CancelToken::new(),
+                            heartbeat: Heartbeat::new(),
+                        };
+                        break (job, inputs, out);
+                    }
+                    Some(Output::Wait { until }) => {
+                        let due = until.map(|u| u.saturating_sub(shared.now()));
+                        let nap = due.map_or(CLAIM_POLL, |d| d.min(CLAIM_POLL));
+                        sched = wait_timeout(&shared.cond, sched, nap);
+                    }
+                    _ => return,
                 }
-                if let Some(i) = st.frontier.pop() {
-                    break i;
-                }
-                let (guard, _timeout) = shared
-                    .cond
-                    .wait_timeout(st, CLAIM_POLL)
-                    // lint: allow(panic-in-lib) poisoned scheduler lock is unrecoverable (see `lock`)
-                    .expect("scheduler state");
-                st = guard;
             }
         };
+        publish(events, claimed);
         let job = &plan.jobs[job_idx];
 
-        // Snapshot dependency outputs (Arc clones; cheap).
-        let deps: BTreeMap<String, Arc<P>> = {
-            let st = lock(&shared.state, "scheduler state"); // lint: lock-order(orchestrator.sched_state)
-            job.deps
-                .iter()
-                .zip(plan.graph.deps(job_idx))
-                .map(|(d, di)| (d.clone(), Arc::clone(&st.outputs[di])))
-                .collect()
-        };
-
-        let (outcome, wall, cpu) = measure(|| {
-            execute_with_retry(job_idx, plan, opts, events, deps, watchdog, &shared.run_cancel)
+        let (result, wall_seconds, cpu_seconds) =
+            measure(|| run_attempt(job, &inputs, opts, watchdog, &shared.run_cancel));
+        let attempts = inputs.attempt + 1;
+        let stats = JobStats { attempts, wall_seconds, cpu_seconds, skipped: false };
+        // Persist *before* publishing: the manifest only ever references
+        // payloads that are fully on disk.
+        let persisted = result.map(|payload| {
+            let digest = match run_dir {
+                Some(rd) => persist(rd, shared, opts, &job.id, &payload, &stats),
+                None => Ok(0),
+            };
+            (payload, digest)
         });
-        match outcome {
-            Ok((payload, attempts)) => {
-                let stats = JobStats {
-                    attempts,
-                    wall_seconds: wall,
-                    cpu_seconds: cpu,
-                    skipped: false,
-                };
-                // Persist *before* publishing: the manifest only ever
-                // references payloads that are fully on disk.
-                if let Some(ctx) = &persist_ctx {
-                    if let Err(err) = persist(ctx, &job.id, &payload, &stats) {
-                        fail_run(shared, err);
-                        return;
-                    }
-                }
+        let (input, payload) = match persisted {
+            Ok((payload, Ok(digest))) => {
+                let (job, verified) = (job_idx, Ok(()));
+                let complete =
+                    Input::Complete { owner: t, job, digest, verified, wall_seconds, cpu_seconds };
+                (complete, Some(payload))
+            }
+            Ok((_, Err(err))) => (Input::Abort(err), None),
+            Err(error) => (Input::Fail { owner: t, job: job_idx, error }, None),
+        };
+        let out = {
+            let mut sched = lock(&shared.sched); // lint: lock-order(orchestrator.machine)
+            let out = shared.step(&mut sched, input);
+            let committed = out.iter().any(|o| matches!(o, Output::Commit { .. }));
+            if let (Some(p), true) = (payload, committed) {
+                sched.outputs.insert(job_idx, Arc::new(p));
+            }
+            shared.cond.notify_all();
+            out
+        };
+        publish(events, out);
+    }
+}
+
+/// Carries out what the machine's outputs ask of the pool beyond the
+/// scheduling itself: telemetry and the event stream.
+fn publish(events: &EventLog, out: Vec<Output>) {
+    for o in out {
+        match o {
+            Output::Commit { stats, .. } => {
                 telemetry::metrics::counter("orchestrator.jobs_completed").inc();
                 telemetry::metrics::histogram(
                     "orchestrator.job_wall_us",
                     &telemetry::metrics::DURATION_US_EDGES,
                 )
-                .record(wall * 1e6);
-                events.emit(Event::JobFinished {
-                    job: job.id.clone(),
-                    attempts,
-                    wall_seconds: wall,
-                    cpu_seconds: cpu,
-                });
-                let mut st = lock(&shared.state, "scheduler state"); // lint: lock-order(orchestrator.sched_state)
-                st.outputs.insert(job_idx, Arc::new(payload));
-                st.stats[job_idx] = Some(stats);
-                st.frontier.complete(job_idx);
-                shared.cond.notify_all();
+                .record(stats.wall_seconds * 1e6);
             }
-            Err((error, attempts)) => {
-                telemetry::metrics::counter("orchestrator.jobs_failed").inc();
-                events.emit(Event::JobFailed {
-                    job: job.id.clone(),
-                    attempts,
-                    error: error.clone(),
-                });
-                fail_run(
-                    shared,
-                    OrchestratorError::JobFailed {
-                        job: job.id.clone(),
-                        attempts,
-                        error,
-                    },
-                );
-                return;
+            Output::Requeue { .. } => telemetry::metrics::counter("orchestrator.retries").inc(),
+            Output::JobFailed { .. } => {
+                telemetry::metrics::counter("orchestrator.jobs_failed").inc()
             }
+            Output::Event(ev) => events.emit(ev),
+            _ => {}
         }
     }
 }
 
-/// Runs one job with fault injection, panic isolation, watchdog
-/// supervision, and bounded retry/backoff. Returns `(payload, attempts)`
-/// or `(error, attempts)`.
-fn execute_with_retry<P>(
-    job_idx: usize,
-    plan: &Plan<'_, P>,
+/// Runs one attempt of `job` with the chaos plan's attempt fault, panic
+/// isolation and watchdog supervision.
+fn run_attempt<P>(
+    job: &JobSpec<'_, P>,
+    inputs: &JobInputs<P>,
     opts: &RunOptions,
-    events: &EventLog,
-    deps: BTreeMap<String, Arc<P>>,
     watchdog: &Watchdog,
     run_cancel: &CancelToken,
-) -> Result<(P, u32), (String, u32)>
-where
-    P: Send + Sync,
-{
-    let job = &plan.jobs[job_idx];
-    let mut inputs = JobInputs {
-        deps,
-        attempt: 0,
-        cancel: CancelToken::new(),
-        heartbeat: Heartbeat::new(),
-    };
-    let mut attempt = 0u32;
-    loop {
-        // Fresh token + heartbeat per attempt: a watchdog trip on attempt
-        // N must not poison attempt N+1.
-        inputs.attempt = attempt;
-        inputs.cancel = CancelToken::new();
-        inputs.heartbeat = Heartbeat::new();
-        events.emit(Event::JobStarted {
-            job: job.id.clone(),
-            attempt,
-        });
-        let result: Result<P, String> = {
-            let _span = telemetry::span!("job[{}]/attempt[{}]", job.id, attempt);
-            let _watch =
-                watchdog.register(&job.id, attempt, inputs.heartbeat.clone(), inputs.cancel.clone());
-            let fault = opts.chaos.as_ref().and_then(|c| c.attempt_fault(&job.id, attempt));
-            match catch_unwind(AssertUnwindSafe(|| {
-                if let Some(entry) = fault {
-                    match entry.class {
-                        FaultClass::Panic => {
-                            // lint: allow(panic-in-lib) injected chaos panic, caught by this very catch_unwind
-                            panic!("injected panic ({}/{})", attempt + 1, entry.count)
+) -> Result<P, String> {
+    let attempt = inputs.attempt;
+    let _span = telemetry::span!("job[{}]/attempt[{}]", job.id, attempt);
+    let _watch =
+        watchdog.register(&job.id, attempt, inputs.heartbeat.clone(), inputs.cancel.clone());
+    let fault = opts.chaos.as_ref().and_then(|c| c.attempt_fault(&job.id, attempt));
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        if let Some(entry) = fault {
+            match entry.class {
+                FaultClass::Panic => {
+                    // lint: allow(panic-in-lib) injected chaos panic, caught by this very catch_unwind
+                    panic!("injected panic ({}/{})", attempt + 1, entry.count)
+                }
+                FaultClass::Transient => {
+                    return Err(format!("injected fault ({}/{})", attempt + 1, entry.count))
+                }
+                FaultClass::Hang => {
+                    // Block until the watchdog (or run failure) cancels
+                    // this attempt.
+                    // lint: allow(unbounded-wait) deliberate injected hang, released by the watchdog or run cancel
+                    while !inputs.cancel.wait_timeout(Duration::from_millis(50)) {
+                        if run_cancel.is_cancelled() {
+                            break;
                         }
-                        FaultClass::Transient => {
-                            return Err(format!("injected fault ({}/{})", attempt + 1, entry.count))
-                        }
-                        FaultClass::Hang => {
-                            // Block until the watchdog (or run failure)
-                            // cancels this attempt.
-                            // lint: allow(unbounded-wait) deliberate injected hang, released by the watchdog or run cancel
-                            while !inputs.cancel.wait_timeout(Duration::from_millis(50)) {
-                                if run_cancel.is_cancelled() {
-                                    break;
-                                }
-                            }
-                            let reason = inputs
-                                .cancel
-                                .reason()
-                                .or_else(|| run_cancel.reason())
-                                .unwrap_or_else(|| "cancelled".into());
-                            return Err(format!(
-                                "injected hang ({}/{}) cancelled: {reason}",
-                                attempt + 1,
-                                entry.count
-                            ));
-                        }
-                        _ => {}
                     }
+                    let reason = inputs
+                        .cancel
+                        .reason()
+                        .or_else(|| run_cancel.reason())
+                        .unwrap_or_else(|| "cancelled".into());
+                    return Err(format!(
+                        "injected hang ({}/{}) cancelled: {reason}",
+                        attempt + 1,
+                        entry.count
+                    ));
                 }
-                (job.run)(&inputs)
-            })) {
-                Ok(r) => r,
-                Err(panic) => Err(format!("panic: {}", panic_message(&*panic))),
+                _ => {}
             }
-        };
-        match result {
-            Ok(p) => return Ok((p, attempt + 1)),
-            Err(e) if attempt < opts.max_retries => {
-                let backoff = backoff_for(opts.backoff, attempt);
-                telemetry::metrics::counter("orchestrator.retries").inc();
-                events.emit(Event::JobRetried {
-                    job: job.id.clone(),
-                    attempt,
-                    error: e.clone(),
-                    backoff_ms: backoff.as_millis() as u64,
-                });
-                // Interruptible backoff: a cancelled run must not wait out
-                // the full (up to 2 s) backoff before winding down.
-                if run_cancel.wait_timeout(backoff) {
-                    let reason = run_cancel.reason().unwrap_or_default();
-                    return Err((format!("{e}; retry abandoned: {reason}"), attempt + 1));
-                }
-                attempt += 1;
-            }
-            Err(e) => return Err((e, attempt + 1)),
         }
-    }
+        (job.run)(inputs)
+    }));
+    result.unwrap_or_else(|panic| Err(format!("panic: {}", panic_message(&*panic))))
 }
 
-/// Exponential backoff, doubling per retry and capped at 2 s.
-fn backoff_for(base: Duration, attempt: u32) -> Duration {
-    base.saturating_mul(1u32 << attempt.min(6)).min(Duration::from_secs(2))
-}
-
-/// Locks a scheduler mutex. A poisoned lock means a worker panicked
-/// *outside* `catch_unwind` — scheduler state may be torn, and no retry
-/// policy can repair it, so propagating the panic is the only safe move.
-fn lock<'a, T>(m: &'a Mutex<T>, what: &'static str) -> std::sync::MutexGuard<'a, T> {
-    m.lock().expect(what) // lint: allow(panic-in-lib) poisoned scheduler lock is unrecoverable
-}
-
-/// Fails the run (see [`fail_first`]): pending jobs are cancelled; running
-/// jobs finish and persist.
-fn fail_run<P>(shared: &Shared<P>, err: OrchestratorError) {
-    let mut st = lock(&shared.state, "scheduler state"); // lint: lock-order(orchestrator.sched_state)
-    fail_first(&mut st.failure, err, &shared.run_cancel, &shared.cond);
-}
-
-/// Everything the checkpoint-persistence path needs, bundled per worker.
-struct PersistCtx<'a> {
-    dir: &'a Path,
-    store: &'a FsStore,
-    manifest: &'a Mutex<Manifest>,
-    chaos: Option<&'a ChaosPlan>,
-    run_cancel: &'a CancelToken,
-    keep: usize,
-}
-
-/// Serializes a payload, writes it into the content-addressed store
-/// (through any persist-phase chaos fault planned for the job), and
-/// commits a new manifest generation referencing the object's digest.
+/// Serializes a payload, writes it into the run directory's
+/// content-addressed store (through any persist-phase chaos fault planned
+/// for the job), and commits a new manifest generation referencing the
+/// object's digest, which it returns.
 fn persist<P: Serialize>(
-    ctx: &PersistCtx<'_>,
+    (dir, store): &(&Path, FsStore),
+    shared: &Shared<P>,
+    opts: &RunOptions,
     id: &str,
     payload: &P,
     stats: &JobStats,
-) -> Result<(), OrchestratorError> {
+) -> Result<u64, OrchestratorError> {
     let text = serde_json::to_string(payload).map_err(|e| OrchestratorError::Codec {
         job: id.to_string(),
         message: e.to_string(),
@@ -556,37 +481,24 @@ fn persist<P: Serialize>(
     telemetry::metrics::histogram("orchestrator.checkpoint_bytes", &telemetry::metrics::BYTES_EDGES)
         .record(text.len() as f64);
     let final_attempt = stats.attempts.saturating_sub(1);
-    let (digest, landed) = chaos::put_with_fault(
-        ctx.store,
-        text.as_bytes(),
-        ctx.chaos,
-        id,
-        final_attempt,
-        ctx.run_cancel,
-    )
-    .map_err(|e| OrchestratorError::io(ctx.store.object_path(fnv1a64(text.as_bytes())), e))?;
+    let chaos = opts.chaos.as_ref();
+    let (digest, landed) =
+        chaos::put_with_fault(store, text.as_bytes(), chaos, id, final_attempt, &shared.run_cancel)
+            .map_err(|e| OrchestratorError::io(store.object_path(fnv1a64(text.as_bytes())), e))?;
     if !landed {
         // Torn write: the run keeps the in-memory payload, the manifest
         // never learns about this generation.
-        return Ok(());
+        return Ok(digest);
     }
-    let mut m = lock(ctx.manifest, "manifest lock"); // lint: lock-order(orchestrator.manifest)
-    m.commit(ctx.dir, ctx.store, id, digest, stats, ctx.keep)
-        .map_err(|e| OrchestratorError::io(Manifest::path(ctx.dir), e))
+    let mut m = lock(&shared.manifest); // lint: lock-order(orchestrator.manifest)
+    m.commit(dir, store, id, digest, stats, opts.keep_generations)
+        .map_err(|e| OrchestratorError::io(Manifest::path(dir), e))?;
+    Ok(digest)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn backoff_doubles_and_caps() {
-        let b = Duration::from_millis(50);
-        assert_eq!(backoff_for(b, 0), Duration::from_millis(50));
-        assert_eq!(backoff_for(b, 1), Duration::from_millis(100));
-        assert_eq!(backoff_for(b, 3), Duration::from_millis(400));
-        assert_eq!(backoff_for(b, 30), Duration::from_secs(2), "capped");
-    }
 
     #[test]
     fn run_options_default_bounds_generations_and_disables_chaos() {

@@ -74,8 +74,7 @@ pub struct WatchGuard<'a> {
 
 impl Drop for WatchGuard<'_> {
     fn drop(&mut self) {
-        // lint: allow(panic-in-lib) poisoned watchdog lock is unrecoverable
-        self.dog.watches.lock().expect("watchdog lock").remove(&self.id); // lint: lock-order(orchestrator.watchdog_watches)
+        crate::lock(&self.dog.watches).remove(&self.id); // lint: lock-order(orchestrator.watchdog_watches)
     }
 }
 
@@ -113,8 +112,7 @@ impl Watchdog {
             token,
             tripped: false,
         };
-        // lint: allow(panic-in-lib) poisoned watchdog lock is unrecoverable
-        self.watches.lock().expect("watchdog lock").insert(id, watch); // lint: lock-order(orchestrator.watchdog_watches)
+        crate::lock(&self.watches).insert(id, watch); // lint: lock-order(orchestrator.watchdog_watches)
         WatchGuard { dog: self, id }
     }
 
@@ -124,10 +122,11 @@ impl Watchdog {
     }
 
     /// The polling loop body; runs on a dedicated thread inside the worker
-    /// scope until [`Watchdog::stop`].
-    pub fn run(&self, events: &EventLog) {
+    /// scope until [`Watchdog::stop`]. Every trip is emitted as a
+    /// `WatchdogCancelled` event, then handed to `on_trip`.
+    pub fn run(&self, events: &EventLog, on_trip: impl Fn(&Event)) {
         while !self.shutdown.wait_timeout(self.opts.poll) {
-            self.sweep(events);
+            self.sweep(events, &on_trip);
         }
     }
 
@@ -138,11 +137,10 @@ impl Watchdog {
     /// file I/O, and holding `watches` across that both stalls every
     /// `register`/`beat` caller behind slow I/O and creates a
     /// watches→sinks lock-order edge the lint's canonical ranks forbid.
-    fn sweep(&self, events: &EventLog) {
+    fn sweep(&self, events: &EventLog, on_trip: &dyn Fn(&Event)) {
         let mut tripped = Vec::new();
         {
-            // lint: allow(panic-in-lib) poisoned watchdog lock is unrecoverable
-            let mut watches = self.watches.lock().expect("watchdog lock"); // lint: lock-order(orchestrator.watchdog_watches)
+            let mut watches = crate::lock(&self.watches); // lint: lock-order(orchestrator.watchdog_watches)
             for watch in watches.values_mut() {
                 if watch.tripped || watch.token.is_cancelled() {
                     continue;
@@ -175,7 +173,8 @@ impl Watchdog {
         }
         for ev in tripped {
             telemetry::metrics::counter("orchestrator.watchdog_cancels").inc();
-            events.emit(ev);
+            events.emit(ev.clone());
+            on_trip(&ev);
         }
     }
 }
@@ -199,8 +198,8 @@ mod tests {
         let events = EventLog::new();
         let token = CancelToken::new();
         let _guard = dog.register("chunk-1", 2, Heartbeat::new(), token.clone());
-        dog.sweep(&events);
-        dog.sweep(&events);
+        dog.sweep(&events, &|_| {});
+        dog.sweep(&events, &|_| {});
         assert!(token.is_cancelled());
         assert!(token.reason().unwrap().contains("deadline exceeded"));
         let cancels: Vec<_> = events
@@ -245,7 +244,7 @@ mod tests {
         }));
         let token = CancelToken::new();
         let _guard = dog.register("chunk-1", 1, Heartbeat::new(), token.clone());
-        dog.sweep(&events);
+        dog.sweep(&events, &|_| {});
         assert!(token.is_cancelled());
         assert_eq!(events.events().len(), 1);
         assert!(
@@ -260,14 +259,14 @@ mod tests {
         let events = EventLog::new();
         let silent = CancelToken::new();
         let _g1 = dog.register("silent", 0, Heartbeat::new(), silent.clone());
-        dog.sweep(&events);
+        dog.sweep(&events, &|_| {});
         assert!(!silent.is_cancelled(), "no beat yet => not stale");
 
         let beaten = CancelToken::new();
         let hb = Heartbeat::new();
         hb.beat(1);
         let _g2 = dog.register("beaten", 0, hb, beaten.clone());
-        dog.sweep(&events);
+        dog.sweep(&events, &|_| {});
         assert!(beaten.is_cancelled());
         assert!(beaten.reason().unwrap().contains("heartbeat stale"));
     }
@@ -278,11 +277,11 @@ mod tests {
         let events = EventLog::new();
         let token = CancelToken::new();
         drop(dog.register("gone", 0, Heartbeat::new(), token.clone()));
-        dog.sweep(&events);
+        dog.sweep(&events, &|_| {});
         assert!(!token.is_cancelled(), "unregistered watches are not swept");
         assert!(!Watchdog::new(WatchdogOptions::default()).enabled());
         std::thread::scope(|s| {
-            let h = s.spawn(|| dog.run(&events));
+            let h = s.spawn(|| dog.run(&events, |_| {}));
             dog.stop();
             h.join().unwrap();
         });

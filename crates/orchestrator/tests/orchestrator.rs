@@ -92,6 +92,43 @@ fn flaky_job_is_retried_until_it_succeeds() {
 }
 
 #[test]
+fn job_stats_time_only_the_attempt_that_produced_the_result() {
+    // The first attempt burns 300 ms and fails, the retry waits out a
+    // 300 ms backoff and then succeeds at once: neither the failed attempt
+    // nor the backoff is in the job's wall time.
+    let attempts = AtomicU32::new(0);
+    let plan = Plan::new(vec![JobSpec::new(
+        "slow-then-fast",
+        Vec::<String>::new(),
+        |_inp: &orchestrator::JobInputs<u64>| {
+            if attempts.fetch_add(1, Ordering::SeqCst) == 0 {
+                std::thread::sleep(std::time::Duration::from_millis(300));
+                return Err("slow failure".into());
+            }
+            Ok(1)
+        },
+    )])
+    .unwrap();
+    let events = EventLog::new();
+    let opts = RunOptions {
+        workers: 1,
+        backoff: std::time::Duration::from_millis(300),
+        ..Default::default()
+    };
+    let report = run(&plan, &opts, &events).unwrap();
+    let stats = &report.stats["slow-then-fast"];
+    assert_eq!(stats.attempts, 2);
+    assert!(report.wall_seconds >= 0.6, "{}", report.wall_seconds);
+    assert!(stats.wall_seconds < 0.3, "{stats:?}");
+    assert_eq!(report.cpu_seconds, stats.cpu_seconds);
+    let finished = events.events().into_iter().find_map(|e| match e {
+        Event::JobFinished { wall_seconds, .. } => Some(wall_seconds),
+        _ => None,
+    });
+    assert_eq!(finished, Some(stats.wall_seconds));
+}
+
+#[test]
 fn panicking_job_is_caught_and_retried() {
     let attempts = AtomicU32::new(0);
     let plan = Plan::new(vec![JobSpec::new(

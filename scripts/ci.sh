@@ -10,7 +10,7 @@
 #   scripts/ci.sh        # run the full gate
 #   scripts/ci.sh chaos  # fault-matrix smoke through the CLI
 #   scripts/ci.sh serve  # netshared daemon + pull-client serving smoke
-#   scripts/ci.sh scale  # coordinator + worker processes + kill-worker + gc
+#   scripts/ci.sh scale  # coordinator + worker processes + kill-worker, attempt faults, gc
 #   scripts/ci.sh serve-chaos  # netfault matrix + daemon kill -9 + kill-coord
 #   scripts/ci.sh nsbench  # the frozen benchmark's unit tests + smoke run
 #   scripts/ci.sh avx2     # the bit-equality gates release-built, then for 256-bit vectors
@@ -271,6 +271,19 @@ if [[ "${1:-}" == "scale" ]]; then
   diff <(cd "$sc/base/objects" && sha256sum *.json | sort) \
        <(cd "$sc/faulted/objects" && sha256sum *.json | sort)
   echo "scale[kill-worker]: worker died, jobs requeued, artifacts identical"
+
+  # Attempt faults through the coordinator: the worker reports the failed
+  # attempt, the job machine requeues it (the same retry policy the pool
+  # runs, `ci.sh chaos`), and the digests match the baseline.
+  for case in "panic:injected panic" "transient:injected transient fault"; do
+    class="${case%%:*}"; needle="${case#*:}"
+    NETSHARE_INJECT_FAULT="chunk-1:$class:1" timeout 120 \
+      "$cli" coord "$sc/$class" "${common[@]}" > "$sc/$class.digests"
+    cmp "$sc/base.digests" "$sc/$class.digests"
+    grep '"JobRetried"' "$sc/$class/events.jsonl" | grep -qF "$needle" \
+      || { echo "scale[$class]: no JobRetried carrying \"$needle\"" >&2; exit 1; }
+    echo "scale[$class]: attempt retried through the coordinator, digests identical"
+  done
 
   # GC: a planted unreferenced object is removed; every live object stays.
   live_count="$(ls "$sc/base/objects" | wc -l)"

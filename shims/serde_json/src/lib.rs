@@ -272,7 +272,10 @@ impl<'a> Parser<'a> {
                                     return Err(Error("lone high surrogate".into()));
                                 }
                                 let lo = self.parse_hex4()?;
-                                0x10000 + ((hi - 0xD800) << 10) + (lo.wrapping_sub(0xDC00))
+                                if !(0xDC00..0xE000).contains(&lo) {
+                                    return Err(Error("invalid surrogate pair".into()));
+                                }
+                                0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
                             } else {
                                 hi
                             };
@@ -392,5 +395,33 @@ mod tests {
         assert!(from_str::<u32>("12 34").is_err());
         assert!(from_str::<Vec<u32>>("[1, 2").is_err());
         assert!(from_str::<String>("\"abc").is_err());
+    }
+
+    #[test]
+    fn junk_surrogate_escapes_are_errors_and_valid_pairs_decode() {
+        let pair = |hi: u32, lo: u32| from_str::<String>(&format!("\"\\u{hi:04x}\\u{lo:04x}\""));
+        // Every high surrogate before a `\u` escape that is not a low one,
+        // exhaustively for the two extreme highs and sampled for the rest.
+        let not_low = (0..0x1_0000u32).filter(|lo| !(0xDC00..0xE000).contains(lo));
+        for lo in not_low {
+            for hi in [0xD800, 0xDBFF] {
+                let err = pair(hi, lo).unwrap_err();
+                assert!(err.to_string().contains("invalid surrogate pair"), "{hi:x} {lo:x}: {err}");
+            }
+        }
+        for hi in 0xD800..0xDC00u32 {
+            for lo in [0x0000, 0x0041, 0xD7FF, 0xD800, hi, 0xDBFF, 0xE000, 0xFFFF] {
+                assert!(pair(hi, lo).is_err(), "{hi:x} {lo:x}");
+            }
+            for lo in [0xDC00, 0xDC01, 0xDE00, 0xDFFF] {
+                let want: String =
+                    char::decode_utf16([hi as u16, lo as u16]).map(|c| c.unwrap()).collect();
+                assert_eq!(pair(hi, lo).unwrap(), want, "{hi:x} {lo:x}");
+            }
+        }
+        // A high surrogate alone, or a low one first, is an error too.
+        assert!(from_str::<String>(r#""\ud800""#).is_err());
+        assert!(from_str::<String>(r#""\ud800\n""#).is_err());
+        assert!(from_str::<String>(r#""\udc00\ud800""#).is_err());
     }
 }
