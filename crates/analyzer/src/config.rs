@@ -333,7 +333,7 @@ impl Default for Config {
                 "orchestrator.event_memory",
                 "orchestrator.manifest",
                 "orchestrator.journal",
-                "orchestrator.netfault",
+                "orchestrator.fault",
                 "netshared.session_registry",
                 "netshared.credit_budget",
                 "netshared.stream_state",

@@ -64,15 +64,13 @@
 //! serving fault — the server stayed down, draining, or overloaded —
 //! so re-running later may succeed, unlike exit 1).
 //!
-//! Chaos hooks for CI: `NETSHARE_INJECT_FAULT` takes a comma-separated
-//! list of `job:class:count` entries (classes `panic`, `transient`,
-//! `hang`, `slow-io`, `corrupt-flip`, `corrupt-truncate`, `corrupt-torn`,
-//! `kill-worker`, `kill-coord`; legacy `job:count` means transient), and
-//! `NETSHARE_INJECT_DIVERGENCE` takes `job:step` to poison a model
-//! mid-training. `NETSHARE_INJECT_NETFAULT` arms deterministic
-//! socket-layer faults in *this* process (classes `torn-frame`, `stall`,
-//! `reset`, `garbage-bytes`, as `class:count` joined by `;`). Malformed
-//! specs are usage errors (exit 2) that cite the grammar.
+//! Fault hooks for CI: `NETSHARE_INJECT_FAULT` holds one fault plan in
+//! the grammar of DESIGN.md §9 — `;`-joined job items
+//! (`job:class[:count]`, legacy `job:count` = transient), wire items
+//! (`class:count`, striking *this* process's sockets) and an optional
+//! `seed=U64` — and `NETSHARE_INJECT_DIVERGENCE` takes `job:step` to
+//! poison a model mid-training. Malformed specs are usage errors (exit 2)
+//! that cite the grammar.
 
 use netshare::flowcodec::FlowCodec;
 use netshare::packetcodec::PacketCodec;
@@ -107,28 +105,15 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-/// Validates the chaos/divergence environment hooks before any input is
-/// read: a typo'd spec must be exit-code-2 loud, not silently ignored.
-/// Split out from [`parse_options`] so tests can exercise the grammar
-/// checks without mutating the process environment.
-fn validate_injection_env(
-    fault: Option<&str>,
-    divergence: Option<&str>,
-    netfault: Option<&str>,
-) -> Result<(), String> {
-    if let Some(spec) = fault {
-        orchestrator::ChaosPlan::parse(spec)
-            .map_err(|e| format!("NETSHARE_INJECT_FAULT: {e}"))?;
+/// Validates the divergence hook before any input is read: a typo'd spec
+/// must be exit-code-2 loud, not silently ignored. Split out from
+/// [`parse_options`] so tests can exercise the grammar check without
+/// mutating the process environment.
+fn validate_divergence(spec: Option<&str>) -> Result<(), String> {
+    match spec.map(netshare::parse_divergence_spec) {
+        Some(Err(e)) => Err(format!("NETSHARE_INJECT_DIVERGENCE: {e}")),
+        _ => Ok(()),
     }
-    if let Some(spec) = divergence {
-        netshare::parse_divergence_spec(spec)
-            .map_err(|e| format!("NETSHARE_INJECT_DIVERGENCE: {e}"))?;
-    }
-    if let Some(spec) = netfault {
-        orchestrator::NetFaultPlan::parse(spec)
-            .map_err(|e| format!("NETSHARE_INJECT_NETFAULT: {e}"))?;
-    }
-    Ok(())
 }
 
 fn parse_options(args: &[String]) -> Result<Options, String> {
@@ -203,13 +188,10 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
     if cfg.orchestrator.resume && cfg.orchestrator.checkpoint_dir.is_none() {
         return Err("--resume requires --ckpt-dir".into());
     }
-    // CI chaos hooks; the config fields are the programmatic path. Both
-    // specs are grammar-checked here so a typo exits 2 before training.
-    let fault = std::env::var("NETSHARE_INJECT_FAULT").ok();
+    // The CI divergence hook; the config field is the programmatic path
+    // (the fault plan is read in `main`).
     let divergence = std::env::var("NETSHARE_INJECT_DIVERGENCE").ok();
-    let netfault = std::env::var("NETSHARE_INJECT_NETFAULT").ok();
-    validate_injection_env(fault.as_deref(), divergence.as_deref(), netfault.as_deref())?;
-    cfg.orchestrator.fault_spec = fault;
+    validate_divergence(divergence.as_deref())?;
     cfg.orchestrator.divergence_spec = divergence;
     Ok(Options { n, cfg, private_ips, metrics_out })
 }
@@ -269,9 +251,6 @@ fn parse_pull_options(addr: &str, artifact: &str, args: &[String]) -> Result<Pul
     if pull.backoff_ms == 0 {
         return Err("--backoff-ms must be at least 1".into());
     }
-    // The netfault hook arms in `main`; grammar-check it here so a typo
-    // is a loud usage error before the daemon is dialled.
-    validate_injection_env(None, None, std::env::var("NETSHARE_INJECT_NETFAULT").ok().as_deref())?;
     Ok(pull)
 }
 
@@ -349,13 +328,6 @@ fn parse_coord_options(dir: &str, args: &[String]) -> Result<CoordArgs, String> 
     if coord.chunks == 0 {
         return Err("--chunks must be at least 1".into());
     }
-    // The chaos hook rides the same env var as synth runs; grammar-check
-    // it here so a typo is a loud usage error before anything binds.
-    validate_injection_env(
-        std::env::var("NETSHARE_INJECT_FAULT").ok().as_deref(),
-        None,
-        std::env::var("NETSHARE_INJECT_NETFAULT").ok().as_deref(),
-    )?;
     Ok(coord)
 }
 
@@ -563,7 +535,7 @@ fn run_gc(dir: &str) -> Result<(), RunError> {
 
 /// Binds a coordinator, spawns `netshare_worker` processes against it,
 /// and serves a deterministic sim plan from the run directory's store.
-fn run_coord(args: &CoordArgs) -> Result<(), RunError> {
+fn run_coord(args: &CoordArgs, faults: Option<orchestrator::FaultPlan>) -> Result<(), RunError> {
     let dir = std::path::PathBuf::from(&args.dir);
     std::fs::create_dir_all(&dir)
         .map_err(|e| RunError::Runtime(format!("create {}: {e}", dir.display())))?;
@@ -573,7 +545,7 @@ fn run_coord(args: &CoordArgs) -> Result<(), RunError> {
         resume: args.resume,
         max_retries: args.retries,
         keep_generations: args.keep_generations,
-        fault_spec: std::env::var("NETSHARE_INJECT_FAULT").ok(),
+        faults,
         watchdog: orchestrator::WatchdogOptions {
             max_job_secs: args.max_job_secs,
             // Always armed for multi-process runs: stale heartbeats are
@@ -664,17 +636,24 @@ fn main() -> ExitCode {
             return usage();
         }
     };
-    // Parsing already grammar-checked the spec; arming is per-process, so
-    // a coord run's spawned workers re-arm from their inherited env.
-    if let Err(e) = orchestrator::netfault::init_from_env() {
-        eprintln!("error: {e}");
-        return ExitCode::from(2);
-    }
+    // The fault plan is parsed once, before any input is read: its wire
+    // faults arm this process (a coord run's spawned workers re-arm from
+    // their inherited environment), its job faults go to the jobs' engine.
+    let faults = match orchestrator::fault::init_from_env() {
+        Ok(faults) => faults,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return usage();
+        }
+    };
     let result = match command {
         Command::Pull(pull) => run_pull(&pull),
-        Command::Coord(coord) => run_coord(&coord),
+        Command::Coord(coord) => run_coord(&coord, faults),
         Command::Gc { dir } => run_gc(&dir),
-        Command::Synth { mode, input, output, opts } => run(&mode, &input, &output, &opts),
+        Command::Synth { mode, input, output, mut opts } => {
+            opts.cfg.orchestrator.faults = faults;
+            run(&mode, &input, &output, &opts)
+        }
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -769,30 +748,13 @@ mod tests {
     }
 
     #[test]
-    fn injection_env_grammar_is_validated() {
-        assert!(validate_injection_env(None, None, None).is_ok());
-        assert!(validate_injection_env(Some("chunk-1:1"), None, None).is_ok(), "legacy grammar");
-        assert!(validate_injection_env(Some("chunk-1:hang:2"), Some("chunk-1:40"), None).is_ok());
-        let err = validate_injection_env(Some("chunk-1:bogus"), None, None).unwrap_err();
-        assert!(
-            err.contains("NETSHARE_INJECT_FAULT") && err.contains("expected"),
-            "names the variable and the grammar: {err}"
-        );
-        let err = validate_injection_env(None, Some("no-step"), None).unwrap_err();
+    fn divergence_env_grammar_is_validated() {
+        assert!(validate_divergence(None).is_ok());
+        assert!(validate_divergence(Some("chunk-1:40")).is_ok());
+        let err = validate_divergence(Some("no-step")).unwrap_err();
         assert!(
             err.contains("NETSHARE_INJECT_DIVERGENCE") && err.contains("expected `job:step`"),
             "{err}"
-        );
-    }
-
-    #[test]
-    fn netfault_env_grammar_is_validated() {
-        assert!(validate_injection_env(None, None, Some("torn-frame:1")).is_ok());
-        assert!(validate_injection_env(None, None, Some("stall:2;garbage-bytes:1;seed=9")).is_ok());
-        let err = validate_injection_env(None, None, Some("melt:1")).unwrap_err();
-        assert!(
-            err.contains("NETSHARE_INJECT_NETFAULT") && err.contains("torn-frame"),
-            "names the variable and cites the grammar: {err}"
         );
     }
 

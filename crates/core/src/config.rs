@@ -23,11 +23,11 @@ pub struct OrchestratorOptions {
     /// Retries after a job's first failed attempt (panic or error) before
     /// the run fails. `None` uses the orchestrator default.
     pub max_retries: Option<u32>,
-    /// Test/CI fault injection (the chaos plan): comma-separated
-    /// `job:class:count` entries (legacy `job:count` = transient). Also
-    /// settable via `NETSHARE_INJECT_FAULT`. Malformed specs are a
-    /// configuration error, never silently ignored.
-    pub fault_spec: Option<String>,
+    /// Test/CI fault injection: a parsed plan of the `;`-joined grammar in
+    /// DESIGN.md §9, which `netshare_cli` reads from
+    /// `NETSHARE_INJECT_FAULT`. Its attempt and persist faults strike the
+    /// training jobs.
+    pub faults: Option<orchestrator::FaultPlan>,
     /// Watchdog wall-clock budget per job attempt (seconds); an attempt
     /// running past it is cooperatively cancelled and retried. `None`
     /// disables the deadline.

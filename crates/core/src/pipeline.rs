@@ -19,7 +19,7 @@ use doppelganger::{
 use nettrace::{FlowTrace, PacketTrace};
 use orchestrator::store::GetError;
 use orchestrator::{
-    ChaosPlan, Event, EventLog, FsStore, JobInputs, JobSpec, ObjectStore, OrchestratorError, Plan,
+    Event, EventLog, FsStore, JobInputs, JobSpec, ObjectStore, OrchestratorError, Plan,
     RunOptions, WatchdogOptions,
 };
 use serde::{Deserialize, Serialize};
@@ -479,10 +479,9 @@ fn load_codec(dir: &Path, store: &FsStore, key: &str, events: &EventLog) -> Opti
 }
 
 /// What a fit sets up before it does any work, and takes down on every
-/// way out: the validated injection specs, the run's event stream, and
+/// way out: the validated divergence spec, the run's event stream, and
 /// this run's taps on the two process-global observers.
 struct FitRun {
-    chaos: Option<ChaosPlan>,
     divergence: Option<(String, u64)>,
     events: std::sync::Arc<EventLog>,
 }
@@ -490,15 +489,9 @@ struct FitRun {
 impl FitRun {
     fn open(cfg: &NetShareConfig) -> Result<Self, PipelineError> {
         let orch = &cfg.orchestrator;
-        // Injection specs are validated up front: a typo in a chaos knob
-        // must abort the run with exit-code-2 semantics, not silently
-        // train without the fault the CI run was counting on.
-        let chaos = orch
-            .fault_spec
-            .as_deref()
-            .map(ChaosPlan::parse)
-            .transpose()
-            .map_err(PipelineError::Config)?;
+        // The divergence spec is validated up front: a typo must abort the
+        // run with exit-code-2 semantics, not silently train without the
+        // fault the CI run was counting on.
         let divergence = orch
             .divergence_spec
             .as_deref()
@@ -516,7 +509,7 @@ impl FitRun {
         }
         let events = std::sync::Arc::new(events);
         // From here on the taps are installed, and `Drop` removes them.
-        let run = FitRun { chaos, divergence, events };
+        let run = FitRun { divergence, events };
         // With the sanitizer compiled in, route its trips into this run's
         // event stream: the hook fires on the tripping worker thread just
         // before the fatal panic, so the layer-attributed diagnostic is on
@@ -776,7 +769,7 @@ fn train_chunks(
             record_spec.dim(),
             &datasets.iter().map(|d| d.as_ref().map_or(0, |d| d.len())).collect::<Vec<_>>(),
         ),
-        chaos: run.chaos.clone(),
+        faults: orch.faults.clone(),
         keep_generations: orch.keep_generations.unwrap_or(defaults.keep_generations),
         watchdog: WatchdogOptions {
             max_job_secs: orch.max_job_secs,
@@ -992,14 +985,8 @@ mod tests {
     }
 
     #[test]
-    fn malformed_injection_specs_are_config_errors() {
+    fn malformed_divergence_spec_is_a_config_error() {
         let real = synth_flows(DatasetKind::Ugr16, 200, 7);
-        let mut cfg = tiny_cfg();
-        cfg.orchestrator.fault_spec = Some("chunk-1:bogus".into());
-        assert!(matches!(
-            NetShare::fit_flows(&real, &cfg),
-            Err(PipelineError::Config(e)) if e.contains("invalid fault spec")
-        ));
         let mut cfg = tiny_cfg();
         cfg.orchestrator.divergence_spec = Some("no-step".into());
         assert!(matches!(

@@ -75,7 +75,7 @@ fn killed_run_resumes_from_manifest_and_matches_uninterrupted() {
     cfg.orchestrator.checkpoint_dir = Some(dir.clone());
     cfg.orchestrator.resume = true;
     cfg.orchestrator.max_retries = Some(0);
-    cfg.orchestrator.fault_spec = Some("chunk-1:99".into());
+    cfg.orchestrator.faults = Some(orchestrator::FaultPlan::parse("chunk-1:99").unwrap());
     assert!(
         NetShare::fit_flows(&real, &cfg).is_err(),
         "the faulted run must fail"
@@ -86,7 +86,7 @@ fn killed_run_resumes_from_manifest_and_matches_uninterrupted() {
     );
 
     // Resume: same config, fault removed. Finished jobs are skipped.
-    cfg.orchestrator.fault_spec = None;
+    cfg.orchestrator.faults = None;
     cfg.orchestrator.max_retries = None;
     let (resumed, events) = fit_and_generate(&real, &cfg);
     assert_eq!(
@@ -117,7 +117,7 @@ fn injected_fault_is_retried_and_logged() {
     let dir = tmp_dir("fault");
     let mut cfg = tiny_cfg(31);
     cfg.orchestrator.checkpoint_dir = Some(dir.clone());
-    cfg.orchestrator.fault_spec = Some("chunk-1:1".into());
+    cfg.orchestrator.faults = Some(orchestrator::FaultPlan::parse("chunk-1:1").unwrap());
     let (trace, events) = fit_and_generate(&real, &cfg);
     assert_eq!(
         trace, reference,
@@ -125,7 +125,7 @@ fn injected_fault_is_retried_and_logged() {
     );
     let retried = events.iter().any(|e| {
         matches!(e, Event::JobRetried { job, error, .. }
-                 if job == "chunk-1" && error.contains("injected fault"))
+                 if job == "chunk-1" && error.contains("injected transient fault"))
     });
     assert!(retried, "the injected fault must surface as a JobRetried event");
 
@@ -170,7 +170,7 @@ fn hung_job_is_cancelled_by_the_watchdog_and_retried() {
     let (reference, _) = fit_and_generate(&real, &tiny_cfg(37));
 
     let mut cfg = tiny_cfg(37);
-    cfg.orchestrator.fault_spec = Some("chunk-1:hang:1".into());
+    cfg.orchestrator.faults = Some(orchestrator::FaultPlan::parse("chunk-1:hang:1").unwrap());
     cfg.orchestrator.max_job_secs = Some(3.0);
     let (trace, events) = fit_and_generate(&real, &cfg);
     assert_eq!(

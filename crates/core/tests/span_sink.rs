@@ -34,7 +34,7 @@ fn spans_after_a_fit_returns_reach_no_run() {
 
     // The error exit: chunk-1 faults on its only attempt.
     cfg.orchestrator.max_retries = Some(0);
-    cfg.orchestrator.fault_spec = Some("chunk-1:99".into());
+    cfg.orchestrator.faults = Some(orchestrator::FaultPlan::parse("chunk-1:99").unwrap());
     assert!(NetShare::fit_flows(&real, &cfg).is_err());
     let after_failed_fit = std::fs::read_to_string(&events).unwrap();
     assert!(after_failed_fit.len() > after_fit.len(), "the failed fit appends to the same file");

@@ -171,9 +171,9 @@ fn main() {
             std::process::exit(2);
         }
     };
-    // Arm deterministic socket-fault injection when the chaos harness
-    // asks for it; a malformed spec is a usage error, same as a flag.
-    if let Err(e) = orchestrator::netfault::init_from_env() {
+    // Arm the fault plan's wire faults when the chaos harness asks for
+    // them; a malformed spec is a usage error, same as a flag.
+    if let Err(e) = orchestrator::fault::init_from_env() {
         eprintln!("netshared: {e}");
         std::process::exit(2);
     }

@@ -16,6 +16,7 @@
 //! be delivered), and everything else waits.
 
 use crate::server::ServerStats;
+use crate::{lock, wait_timeout};
 use orchestrator::CancelToken;
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
@@ -103,8 +104,7 @@ impl StreamBuf {
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, BufState> {
-        // lint: allow(panic-in-lib) poisoned stream buffer lock is unrecoverable
-        self.state.lock().expect("stream buffer lock") // lint: lock-order(netshared.stream_state)
+        lock(&self.state) // lint: lock-order(netshared.stream_state)
     }
 
     /// Appends one encoded frame, blocking while the buffer is full.
@@ -132,11 +132,7 @@ impl StreamBuf {
                 }
             }
             st.waiting_push += 1;
-            let (guard, _) = self
-                .push_cv
-                .wait_timeout(st, WAIT_POLL)
-                .expect("stream buffer lock"); // lint: allow(panic-in-lib) poisoned stream buffer lock is unrecoverable
-            st = guard;
+            st = wait_timeout(&self.push_cv, st, WAIT_POLL);
             st.waiting_push -= 1;
         }
         if st.closed || (token.is_cancelled() && st.stats.buffered_bytes + len > self.capacity) {
@@ -186,11 +182,7 @@ impl StreamBuf {
                 return Pulled::Closed;
             }
             st.waiting_pull += 1;
-            let (guard, _) = self
-                .pull_cv
-                .wait_timeout(st, WAIT_POLL)
-                .expect("stream buffer lock"); // lint: allow(panic-in-lib) poisoned stream buffer lock is unrecoverable
-            st = guard;
+            st = wait_timeout(&self.pull_cv, st, WAIT_POLL);
             st.waiting_pull -= 1;
         }
     }

@@ -48,3 +48,26 @@ pub use client::{pull, PullConfig, PullError, PullResult};
 pub use demo::{demo_bundle, demo_config};
 pub use protocol::{Frame, ProtoError, MAX_FRAME_BYTES, PROTOCOL_VERSION};
 pub use server::{Server, ServerConfig, ServerStats};
+
+use std::sync::{Condvar, LockResult, Mutex, MutexGuard};
+
+/// Locks a mutex of this crate. A poisoned lock means a thread panicked
+/// while holding it: the state it guards may be torn and no session can
+/// repair that, so the panic propagates. [`wait_timeout`] follows the
+/// same rule.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    unpoisoned(m.lock())
+}
+
+/// [`Condvar::wait_timeout`] under [`lock`]'s poisoning rule.
+pub(crate) fn wait_timeout<'a, T>(
+    cond: &Condvar,
+    guard: MutexGuard<'a, T>,
+    dur: std::time::Duration,
+) -> MutexGuard<'a, T> {
+    unpoisoned(cond.wait_timeout(guard, dur)).0
+}
+
+fn unpoisoned<G>(r: LockResult<G>) -> G {
+    r.expect("poisoned lock") // lint: allow(panic-in-lib) poisoned lock is unrecoverable (see `lock`)
+}

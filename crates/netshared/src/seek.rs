@@ -16,6 +16,7 @@
 //! Any process regenerates every entry from the bundle: nothing is ever
 //! invalidated, and a missing entry costs a replay, never bytes.
 
+use crate::lock;
 use doppelganger::{ArtifactBundle, CursorMark};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -48,8 +49,7 @@ impl SeekIndex {
     /// The last recorded boundary of `stream` at or before frame
     /// `from_seq` that a `count`-sample stream passes through.
     pub fn nearest(&self, stream: u64, from_seq: u64, count: u64) -> Option<Entry> {
-        // lint: allow(panic-in-lib) poisoned seek index lock is unrecoverable
-        let by_stream = self.by_stream.lock().expect("seek index lock"); // lint: lock-order(netshared.seek_index)
+        let by_stream = lock(&self.by_stream); // lint: lock-order(netshared.seek_index)
         let entries = by_stream.get(&stream)?;
         // Seq and sample count both grow along the list.
         let after = entries
@@ -67,8 +67,7 @@ impl SeekIndex {
             return; // where every cold stream starts anyway
         }
         {
-            // lint: allow(panic-in-lib) poisoned seek index lock is unrecoverable
-            let mut by_stream = self.by_stream.lock().expect("seek index lock"); // lint: lock-order(netshared.seek_index)
+            let mut by_stream = lock(&self.by_stream); // lint: lock-order(netshared.seek_index)
             if by_stream.len() >= MAX_STREAM_IDS && !by_stream.contains_key(&stream) {
                 return;
             }

@@ -17,6 +17,7 @@
 //!    waits, and socket I/O all poll the token, so sessions unwind, and
 //!    every thread is joined before `shutdown` returns.
 
+use crate::lock;
 use crate::protocol::{self, Frame, ERR_OVERLOADED};
 use crate::seek::{SeekIndex, Served};
 use crate::session::{run_session, SessionCtx};
@@ -269,9 +270,7 @@ impl Server {
                             };
                             let handle =
                                 std::thread::spawn(move || run_session(sock, ctx));
-                            let mut sessions = sessions
-                                .lock() // lint: lock-order(netshared.session_registry)
-                                .expect("session registry lock"); // lint: allow(panic-in-lib) poisoned session registry lock is unrecoverable
+                            let mut sessions = lock(&sessions); // lint: lock-order(netshared.session_registry)
                             sessions.retain(|(_, done)| !done.is_finished());
                             sessions.push((session_token, handle));
                         }
@@ -346,8 +345,7 @@ impl Server {
             let _ = CancelToken::new().wait_timeout(DRAIN_POLL);
         }
         // Phase 2: cancel whatever is left and join every session.
-        // lint: allow(panic-in-lib) poisoned session registry lock is unrecoverable
-        let sessions = std::mem::take(&mut *self.sessions.lock().expect("session registry lock")); // lint: lock-order(netshared.session_registry)
+        let sessions = std::mem::take(&mut *lock(&self.sessions)); // lint: lock-order(netshared.session_registry)
         let lingering = self.stats.sessions_open.load(Ordering::Relaxed).max(0) as usize;
         for (token, _) in &sessions {
             token.cancel("server shutdown");

@@ -19,6 +19,7 @@
 //!   session unwinds without orphaned threads.
 
 use crate::buffer::{Pulled, StreamBuf};
+use crate::{lock, wait_timeout};
 use crate::protocol::{
     self, EncodedSamples, Frame, ProtoError, ERR_DRAINING, ERR_MALFORMED, ERR_OVERSIZED, ERR_PROTOCOL,
     ERR_UNKNOWN_ARTIFACT, ERR_VERSION, PROTOCOL_VERSION,
@@ -59,8 +60,7 @@ impl CreditGate {
     }
 
     fn add(&self, frames: u32) {
-        // lint: allow(panic-in-lib) poisoned credit lock is unrecoverable
-        let mut budget = self.budget.lock().expect("credit lock"); // lint: lock-order(netshared.credit_budget)
+        let mut budget = lock(&self.budget); // lint: lock-order(netshared.credit_budget)
         *budget += u64::from(frames);
         self.cv.notify_all();
     }
@@ -69,8 +69,7 @@ impl CreditGate {
     /// `netshared.stream.credit_stalls` per stall episode. `false` means
     /// the token fired first.
     fn take(&self, token: &CancelToken) -> bool {
-        // lint: allow(panic-in-lib) poisoned credit lock is unrecoverable
-        let mut budget = self.budget.lock().expect("credit lock"); // lint: lock-order(netshared.credit_budget)
+        let mut budget = lock(&self.budget); // lint: lock-order(netshared.credit_budget)
         let mut stalled = false;
         while *budget == 0 {
             if token.is_cancelled() {
@@ -81,11 +80,7 @@ impl CreditGate {
                 telemetry::metrics::counter("netshared.stream.credit_stalls").inc();
                 self.stats.credit_stalls.fetch_add(1, Ordering::Relaxed);
             }
-            let (guard, _) = self
-                .cv
-                .wait_timeout(budget, CREDIT_POLL)
-                .expect("credit lock"); // lint: allow(panic-in-lib) poisoned credit lock is unrecoverable
-            budget = guard;
+            budget = wait_timeout(&self.cv, budget, CREDIT_POLL);
         }
         *budget -= 1;
         true
@@ -121,8 +116,7 @@ struct StreamHandle {
 /// Sends a frame on the shared write half, swallowing I/O errors (the
 /// read side will observe the broken connection and tear down).
 fn send(writer: &Mutex<TcpStream>, frame: &Frame, token: &CancelToken) -> bool {
-    // lint: allow(panic-in-lib) poisoned socket write lock is unrecoverable
-    let mut sock = writer.lock().expect("socket write lock"); // lint: lock-order(netshared.socket_writer)
+    let mut sock = lock(writer); // lint: lock-order(netshared.socket_writer)
     protocol::write_frame(&mut sock, frame, token).is_ok()
 }
 
@@ -322,8 +316,7 @@ fn dispatch(
         }
         match buf.pull(&token) {
             Pulled::Frame(_, bytes) => {
-                // lint: allow(panic-in-lib) poisoned socket write lock is unrecoverable
-                let mut sock = writer.lock().expect("socket write lock"); // lint: lock-order(netshared.socket_writer)
+                let mut sock = lock(&writer); // lint: lock-order(netshared.socket_writer)
                 if protocol::write_encoded(&mut sock, &bytes, &token).is_err() {
                     break;
                 }

@@ -9,8 +9,8 @@
 //!   reconnect in lockstep.
 //! * **Determinism**: jitter derives from a caller-supplied seed and the
 //!   attempt number — never ambient entropy — so chaos runs replay
-//!   identically (the same invariant `ChaosPlan` keeps on the disk
-//!   path).
+//!   identically (the same invariant `FaultPlan` keeps for its corruption
+//!   positions).
 //! * **Auditability**: fixed-sleep retry loops in lib code are denied by
 //!   the `unbounded-wait` lint; a loop that sleeps via [`Backoff`] is
 //!   the sanctioned form.

@@ -84,9 +84,10 @@ fn main() {
             std::process::exit(2);
         }
     };
-    // Arm socket-fault injection from the environment a `coord` parent
-    // passed down; malformed specs are usage errors here too.
-    if let Err(e) = orchestrator::netfault::init_from_env() {
+    // Arm the wire faults of the plan a `coord` parent passed down in the
+    // environment (job faults arrive in `CoordHello`); malformed specs
+    // are usage errors here too.
+    if let Err(e) = orchestrator::fault::init_from_env() {
         eprintln!("netshare_worker: {e}");
         std::process::exit(2);
     }

@@ -55,7 +55,7 @@
 //! [`Manifest::commit`], as in the pool.
 
 use crate::cancel::CancelToken;
-use crate::chaos::ChaosPlan;
+use crate::fault::{FaultPlan, Phase};
 use crate::dag::{Graph, OrchestratorError};
 use crate::events::{Event, EventLog};
 use crate::journal::{Journal, JournalRecord};
@@ -108,9 +108,9 @@ pub enum CtrlFrame {
         /// Absolute run directory whose `objects/` store carries all
         /// payloads (coordinator and workers share one filesystem).
         store_dir: String,
-        /// Chaos plan the worker must apply to its own attempts
-        /// (grammar of [`crate::chaos::CHAOS_GRAMMAR`]); `None` = no
-        /// fault injection.
+        /// Fault plan the worker applies to its own attempts, as the
+        /// plan's canonical spec ([`crate::fault`]); `None` = no fault
+        /// injection.
         fault_spec: Option<String>,
     },
     /// Worker asks for a job.
@@ -273,9 +273,10 @@ pub struct CoordOptions {
     pub max_retries: u32,
     /// Verified checkpoint generations kept per job.
     pub keep_generations: usize,
-    /// Chaos plan forwarded verbatim to every worker (the coordinator
-    /// itself injects nothing — faults strike where work executes).
-    pub fault_spec: Option<String>,
+    /// Fault plan: forwarded to every worker, where attempt, persist and
+    /// process faults strike; the coordinator itself strikes only
+    /// `kill-coord`.
+    pub faults: Option<FaultPlan>,
     /// Hung-attempt limits; enable `heartbeat_timeout_secs` to detect
     /// SIGKILLed workers (their heartbeats stop mid-job).
     pub watchdog: WatchdogOptions,
@@ -291,7 +292,7 @@ impl Default for CoordOptions {
             resume: false,
             max_retries: 2,
             keep_generations: 3,
-            fault_spec: None,
+            faults: None,
             watchdog: WatchdogOptions::default(),
             drain: Duration::from_secs(2),
         }
@@ -471,13 +472,6 @@ impl Coordinator {
             .set_nonblocking(true)
             .map_err(|e| OrchestratorError::io(dir, format!("set_nonblocking: {e}")))?;
 
-        // `kill-coord` chaos fires coordinator-side in `commit`; every other
-        // class is interpreted worker-side (the spec travels in
-        // `CoordHello`). The CLI validated the spec, so a parse failure here
-        // just disables coordinator-side faults.
-        let chaos: Option<ChaosPlan> =
-            opts.fault_spec.as_deref().and_then(|s| ChaosPlan::parse(s).ok());
-
         let ctx = SessionCtx {
             plan,
             opts,
@@ -488,7 +482,6 @@ impl Coordinator {
             store: &store,
             store_dir: &store_dir,
             journal: &journal,
-            chaos: chaos.as_ref(),
         };
 
         // A tripped watch (deadline, or a heartbeat gone stale: a
@@ -581,7 +574,6 @@ struct SessionCtx<'a> {
     store: &'a FsStore,
     store_dir: &'a str,
     journal: &'a Journal,
-    chaos: Option<&'a ChaosPlan>,
 }
 
 impl SessionCtx<'_> {
@@ -661,7 +653,7 @@ fn session(mut sock: TcpStream, ctx: &SessionCtx<'_>) {
             version: COORD_VERSION,
             run_key: ctx.opts.run_key.clone(),
             store_dir: ctx.store_dir.to_string(),
-            fault_spec: ctx.opts.fault_spec.clone(),
+            fault_spec: ctx.opts.faults.as_ref().map(FaultPlan::to_string),
         },
         token,
     )
@@ -828,11 +820,12 @@ fn commit(
 ) -> Result<(), OrchestratorError> {
     let job = &ctx.plan.jobs[i].id;
     let _ = ctx.journal.append(&JournalRecord::Completed { job: job.clone(), digest });
-    if ctx.chaos.is_some_and(|plan| plan.coord_fault(job, stats.attempts - 1).is_some()) {
+    let attempt = stats.attempts - 1;
+    let kill = ctx.opts.faults.as_ref().and_then(|p| p.fault(Phase::Coordinator, job, attempt));
+    if let Some(entry) = kill {
         // `kill-coord`: die inside the journal→manifest window — the
         // exact crash `--resume` must heal.
-        eprintln!("coordinator: injected kill-coord while completing `{job}`");
-        std::process::abort();
+        let _ = entry.strike(attempt, &[]);
     }
     manifest
         .commit(ctx.dir, ctx.store, job, digest, stats, ctx.opts.keep_generations)

@@ -31,9 +31,10 @@
 //!   quarantining (`*.quarantine`) every corrupt file it walks past.
 //! * **Fault tolerance**: every attempt runs under `catch_unwind`; failures
 //!   (panics or `Err` returns) retry with bounded exponential backoff that
-//!   wakes early on cancellation. A seeded [`ChaosPlan`] injects panics,
-//!   transient errors, hangs, slow I/O, and checkpoint corruption so the
-//!   whole failure domain is exercised deterministically.
+//!   wakes early on cancellation. A seeded [`FaultPlan`] ([`fault`])
+//!   injects panics, transient errors, hangs, slow I/O, checkpoint
+//!   corruption, killed processes and broken sockets, so the whole
+//!   failure domain is exercised deterministically.
 //! * **Watchdog** ([`WatchdogOptions`]): each attempt carries a
 //!   [`CancelToken`] and a [`Heartbeat`]; a polling thread cancels
 //!   attempts that blow their deadline or stop beating, converting hangs
@@ -63,8 +64,8 @@
 //! | validated graph, ready-[`Frontier`] | [`dag`] | the machine |
 //! | assignment, retry and backoff, stale results, first hard failure | [`machine`] | both |
 //! | open / recover / commit a run directory | [`Manifest::open`], [`Manifest::recover`], [`Manifest::commit`] | both |
-//! | persist-phase faults (`slow-io`, `corrupt-*`) | [`chaos::put_with_fault`] | pool, worker |
-//! | attempt faults (`panic` / `transient` / `hang`) | per engine | the pool really panics inside `catch_unwind`; a worker sends `Fail` |
+//! | persist-phase faults (`slow-io`, `corrupt-*`) | [`fault::put_with_fault`] | pool, worker |
+//! | attempt faults (`panic` / `transient` / `hang`) | [`fault::FaultEntry::strike`] | pool and worker, each under its `catch_unwind` |
 //! | retry delay | `Requeue{after}` | the pool's `RunOptions::backoff`; zero for the coordinator |
 //! | write-ahead journal | [`journal`] | coordinator only |
 
@@ -75,14 +76,13 @@ use std::time::Duration;
 
 pub mod backoff;
 pub mod cancel;
-pub mod chaos;
 pub mod coord;
 pub mod dag;
 pub mod events;
+pub mod fault;
 pub mod journal;
 pub mod machine;
 pub mod manifest;
-pub mod netfault;
 pub mod pool;
 pub mod store;
 pub mod timing;
@@ -92,13 +92,12 @@ pub mod worker;
 
 pub use backoff::Backoff;
 pub use cancel::CancelToken;
-pub use chaos::{ChaosEntry, ChaosPlan, FaultClass, CHAOS_GRAMMAR};
-pub use netfault::{NetFaultClass, NetFaultPlan, NETFAULT_GRAMMAR};
 pub use coord::{
     sim_plan, CoordOptions, CoordReport, Coordinator, CtrlFrame, DistJob, DistPlan, COORD_VERSION,
 };
 pub use dag::{Frontier, Graph, JobInputs, JobSpec, OrchestratorError, Plan};
 pub use events::{Event, EventLog};
+pub use fault::{Fault, FaultPlan, FAULT_GRAMMAR};
 pub use journal::{Journal, JournalRecord};
 pub use machine::{Input, Machine, Output};
 pub use manifest::{

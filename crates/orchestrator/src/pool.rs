@@ -12,16 +12,16 @@
 //! inputs, which makes results identical at any worker count — the
 //! machine only decides *when*, never *what*.
 //!
-//! What this driver keeps for itself: the threads, the chaos plan's
-//! attempt faults (a real panic, a transient error, a hang), resume
-//! recovery with [`Manifest::probe`] on the workers and
+//! What this driver keeps for itself: the threads, where the fault
+//! plan's attempt faults strike (inside the attempt's `catch_unwind`),
+//! resume recovery with [`Manifest::probe`] on the workers and
 //! [`Manifest::adopt`] in plan order, and persist-before-publish: a
-//! result reaches the store and the manifest ([`chaos::put_with_fault`],
+//! result reaches the store and the manifest ([`fault::put_with_fault`],
 //! [`Manifest::commit`]) before the machine hears of it, so the manifest
 //! only ever references payloads that are fully on disk.
 
 use crate::cancel::CancelToken;
-use crate::chaos::{self, ChaosPlan, FaultClass};
+use crate::fault::{self, FaultPlan, Phase};
 use crate::dag::{panic_message, JobInputs, JobSpec, OrchestratorError, Plan};
 use crate::events::{Event, EventLog};
 use crate::machine::{run_failed, Input, Machine, Output};
@@ -60,8 +60,8 @@ pub struct RunOptions {
     /// Configuration fingerprint; a manifest written under a different key
     /// is ignored on resume (the run starts fresh).
     pub run_key: String,
-    /// Structured fault-injection plan (chaos testing).
-    pub chaos: Option<ChaosPlan>,
+    /// Fault-injection plan (chaos testing).
+    pub faults: Option<FaultPlan>,
     /// Verified checkpoint generations kept per job (older ones are
     /// deleted after each completion; clamped to at least 1).
     pub keep_generations: usize,
@@ -78,7 +78,7 @@ impl Default for RunOptions {
             checkpoint_dir: None,
             resume: false,
             run_key: "default".into(),
-            chaos: None,
+            faults: None,
             keep_generations: 3,
             watchdog: WatchdogOptions::default(),
         }
@@ -409,7 +409,7 @@ fn publish(events: &EventLog, out: Vec<Output>) {
     }
 }
 
-/// Runs one attempt of `job` with the chaos plan's attempt fault, panic
+/// Runs one attempt of `job` with the fault plan's attempt fault, panic
 /// isolation and watchdog supervision.
 fn run_attempt<P>(
     job: &JobSpec<'_, P>,
@@ -422,39 +422,11 @@ fn run_attempt<P>(
     let _span = telemetry::span!("job[{}]/attempt[{}]", job.id, attempt);
     let _watch =
         watchdog.register(&job.id, attempt, inputs.heartbeat.clone(), inputs.cancel.clone());
-    let fault = opts.chaos.as_ref().and_then(|c| c.attempt_fault(&job.id, attempt));
+    let fault = opts.faults.as_ref().and_then(|p| p.fault(Phase::Attempt, &job.id, attempt));
     let result = catch_unwind(AssertUnwindSafe(|| {
         if let Some(entry) = fault {
-            match entry.class {
-                FaultClass::Panic => {
-                    // lint: allow(panic-in-lib) injected chaos panic, caught by this very catch_unwind
-                    panic!("injected panic ({}/{})", attempt + 1, entry.count)
-                }
-                FaultClass::Transient => {
-                    return Err(format!("injected fault ({}/{})", attempt + 1, entry.count))
-                }
-                FaultClass::Hang => {
-                    // Block until the watchdog (or run failure) cancels
-                    // this attempt.
-                    // lint: allow(unbounded-wait) deliberate injected hang, released by the watchdog or run cancel
-                    while !inputs.cancel.wait_timeout(Duration::from_millis(50)) {
-                        if run_cancel.is_cancelled() {
-                            break;
-                        }
-                    }
-                    let reason = inputs
-                        .cancel
-                        .reason()
-                        .or_else(|| run_cancel.reason())
-                        .unwrap_or_else(|| "cancelled".into());
-                    return Err(format!(
-                        "injected hang ({}/{}) cancelled: {reason}",
-                        attempt + 1,
-                        entry.count
-                    ));
-                }
-                _ => {}
-            }
+            // A hang is released by the watchdog or by run failure.
+            entry.strike(attempt, &[&inputs.cancel, run_cancel])?;
         }
         (job.run)(inputs)
     }));
@@ -462,7 +434,7 @@ fn run_attempt<P>(
 }
 
 /// Serializes a payload, writes it into the run directory's
-/// content-addressed store (through any persist-phase chaos fault planned
+/// content-addressed store (through any persist-phase fault planned
 /// for the job), and commits a new manifest generation referencing the
 /// object's digest, which it returns.
 fn persist<P: Serialize>(
@@ -481,9 +453,9 @@ fn persist<P: Serialize>(
     telemetry::metrics::histogram("orchestrator.checkpoint_bytes", &telemetry::metrics::BYTES_EDGES)
         .record(text.len() as f64);
     let final_attempt = stats.attempts.saturating_sub(1);
-    let chaos = opts.chaos.as_ref();
+    let faults = opts.faults.as_ref();
     let (digest, landed) =
-        chaos::put_with_fault(store, text.as_bytes(), chaos, id, final_attempt, &shared.run_cancel)
+        fault::put_with_fault(store, text.as_bytes(), faults, id, final_attempt, &shared.run_cancel)
             .map_err(|e| OrchestratorError::io(store.object_path(fnv1a64(text.as_bytes())), e))?;
     if !landed {
         // Torn write: the run keeps the in-memory payload, the manifest
@@ -503,7 +475,7 @@ mod tests {
     #[test]
     fn run_options_default_bounds_generations_and_disables_chaos() {
         let opts = RunOptions::default();
-        assert!(opts.chaos.is_none());
+        assert!(opts.faults.is_none());
         assert_eq!(opts.keep_generations, 3);
         assert!(opts.watchdog.max_job_secs.is_none());
     }

@@ -17,7 +17,7 @@
 //! latency is bounded without platform-specific interruption machinery.
 
 use crate::cancel::CancelToken;
-use crate::netfault;
+use crate::fault::{self, Fault};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -106,25 +106,22 @@ pub fn read_full(
 }
 
 /// Writes `bytes` completely, resuming across socket timeouts (a short
-/// write keeps its offset) and aborting on `token`. An armed
-/// [`crate::netfault`] plan may strike here: `torn-frame` lands half the
-/// bytes and kills the write side, `reset` kills the socket outright.
+/// write keeps its offset) and aborting on `token`. An armed wire
+/// [`crate::fault`] may strike here: `torn-frame` lands half the bytes
+/// and kills the write side, `reset` kills the socket outright.
 pub fn write_all(
     stream: &mut TcpStream,
     bytes: &[u8],
     token: &CancelToken,
 ) -> Result<(), WireError> {
-    match netfault::next_write_fault() {
-        Some(netfault::WriteFault::Torn) => {
+    if let Some((class, _)) = fault::take(&[Fault::TornFrame, Fault::Reset]) {
+        if class == Fault::TornFrame {
             let _ = write_all_inner(stream, &bytes[..bytes.len() / 2], token);
             let _ = stream.shutdown(std::net::Shutdown::Write);
-            return Err(WireError::Io("injected net fault: torn-frame".into()));
-        }
-        Some(netfault::WriteFault::Reset) => {
+        } else {
             let _ = stream.shutdown(std::net::Shutdown::Both);
-            return Err(WireError::Io("injected net fault: reset".into()));
         }
-        None => {}
+        return Err(WireError::Io(format!("injected net fault: {}", class.name())));
     }
     write_all_inner(stream, bytes, token)
 }
@@ -163,19 +160,19 @@ pub fn frame(payload: &[u8], max: usize) -> Result<Vec<u8>, WireError> {
 
 /// Reads one length-prefixed frame and returns its payload bytes,
 /// validating the prefix against `1..=max` before allocating. An armed
-/// [`crate::netfault`] plan may strike here: `stall` delays the read by
-/// a bounded token-aware pause, `garbage-bytes` corrupts the payload
-/// after it arrives (so the caller's decoder meets a malformed frame).
+/// wire [`crate::fault`] may strike here: `stall` delays the read by a
+/// bounded token-aware pause, `garbage-bytes` corrupts the payload after
+/// it arrives (so the caller's decoder meets a malformed frame).
 pub fn read_frame_bytes(
     stream: &mut TcpStream,
     token: &CancelToken,
     max: usize,
 ) -> Result<Vec<u8>, WireError> {
-    let fault = netfault::next_read_fault();
-    if fault == Some(netfault::ReadFault::Stall) {
+    let struck = fault::take(&[Fault::Stall, Fault::GarbageBytes]);
+    if let Some((Fault::Stall, _)) = struck {
         // The delay is fixed and bounded; determinism lives in *which*
         // read stalls (firing order), not in wall-clock measurements.
-        let _ = token.wait_timeout(Duration::from_millis(250));
+        let _ = token.wait_timeout(fault::STALL);
     }
     let mut prefix = [0u8; 4];
     read_full(stream, &mut prefix, token, true)?;
@@ -185,8 +182,8 @@ pub fn read_frame_bytes(
     }
     let mut payload = vec![0u8; len];
     read_full(stream, &mut payload, token, false)?;
-    if let Some(netfault::ReadFault::Garbage(seed)) = fault {
-        netfault::garble(&mut payload, seed);
+    if let Some((Fault::GarbageBytes, seed)) = struck {
+        fault::garble(&mut payload, seed);
     }
     Ok(payload)
 }

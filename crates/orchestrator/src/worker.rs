@@ -16,14 +16,14 @@
 //! atomic writes mean a half-written object is never visible under its
 //! address.
 //!
-//! Chaos faults travel *with the work*: the coordinator forwards its
-//! fault spec in `CoordHello` and the worker applies attempt faults
-//! (panic/transient/hang → `Fail` frames), persist faults (slow-io and
-//! the corrupt-* classes strike the object bytes through the same
-//! [`put_with_fault`] the thread pool persists with, so the coordinator's
-//! digest verification must catch them), and the process fault
-//! (`kill-worker` → [`std::process::abort`], no cleanup, simulating
-//! SIGKILL/OOM-kill of a worker box).
+//! Faults travel *with the work*: the coordinator forwards its
+//! [`FaultPlan`] in `CoordHello` and the worker strikes attempt faults
+//! (panic/transient/hang, under a `catch_unwind` → `Fail` frames),
+//! persist faults (slow-io and the corrupt-* classes strike the object
+//! bytes through the same [`put_with_fault`] the thread pool persists
+//! with, so the coordinator's digest verification must catch them), and
+//! the process fault (`kill-worker` aborts the process, no cleanup,
+//! simulating SIGKILL/OOM-kill of a worker box).
 //!
 //! A dropped control channel is not fatal: the worker re-dials and
 //! re-handshakes up to [`WorkerOptions::reconnects`] times under seeded
@@ -37,7 +37,7 @@
 
 use crate::backoff::Backoff;
 use crate::cancel::CancelToken;
-use crate::chaos::{put_with_fault, ChaosPlan, FaultClass};
+use crate::fault::{put_with_fault, FaultPlan, Phase};
 use crate::coord::{read_ctrl, send_ctrl, CtrlError, CtrlFrame, COORD_VERSION};
 use crate::dag::panic_message;
 use crate::manifest::fnv1a64;
@@ -280,18 +280,15 @@ fn run_session(
         token,
     )
     .map_err(SessionError::Transport)?;
-    let (store_dir, chaos) = match read_session_ctrl(&mut sock, token)? {
+    let (store_dir, faults) = match read_session_ctrl(&mut sock, token)? {
         CtrlFrame::CoordHello { version, store_dir, fault_spec, .. } => {
             if version != COORD_VERSION {
                 return Err(SessionError::Fatal(format!(
                     "coordinator speaks v{version}, worker v{COORD_VERSION}"
                 )));
             }
-            let chaos = match fault_spec {
-                Some(spec) => Some(ChaosPlan::parse(&spec).map_err(SessionError::Fatal)?),
-                None => None,
-            };
-            (store_dir, chaos)
+            let faults = fault_spec.as_deref().map(FaultPlan::parse).transpose();
+            (store_dir, faults.map_err(SessionError::Fatal)?)
         }
         CtrlFrame::Error { code, message } => {
             return Err(SessionError::Fatal(format!("{code}: {message}")));
@@ -324,7 +321,7 @@ fn run_session(
                     &mut sock,
                     &store,
                     registry,
-                    chaos.as_ref(),
+                    faults.as_ref(),
                     &job,
                     attempt,
                     &spec,
@@ -382,14 +379,14 @@ fn connect_with_retry(
     }
 }
 
-/// Runs one assignment end to end: chaos gates, dependency fetch,
+/// Runs one assignment end to end: fault strikes, dependency fetch,
 /// executor under `catch_unwind` with heartbeat relay, persist, report.
 #[allow(clippy::too_many_arguments)]
 fn execute_assignment(
     sock: &mut TcpStream,
     store: &FsStore,
     registry: &ExecutorRegistry,
-    chaos: Option<&ChaosPlan>,
+    faults: Option<&FaultPlan>,
     job: &str,
     attempt: u32,
     spec: &str,
@@ -403,28 +400,21 @@ fn execute_assignment(
         send_ctrl(sock, &CtrlFrame::Fail { job: job.to_string(), error }, token)
     };
 
-    if let Some(plan) = chaos {
-        if plan.process_fault(job, attempt).is_some() {
-            // Simulated SIGKILL/OOM-kill: no unwinding, no Fail frame, no
-            // flushing — the coordinator finds out from the dead socket.
-            eprintln!("chaos: kill-worker fault on `{job}` attempt {attempt}, aborting");
-            std::process::abort();
-        }
-        if let Some(entry) = plan.attempt_fault(job, attempt) {
-            let error = match entry.class {
-                FaultClass::Hang => {
-                    // A real hang wedges this worker; the coordinator's
-                    // heartbeat watchdog requeues the job elsewhere. Block
-                    // until process shutdown, then report.
-                    // lint: allow(unbounded-wait) deliberate injected hang, released by process shutdown
-                    while !token.wait_timeout(Duration::from_millis(50)) {}
-                    "injected hang (released by shutdown)".to_string()
-                }
-                FaultClass::Panic => "injected panic (chaos)".to_string(),
-                _ => "injected transient fault (chaos)".to_string(),
-            };
-            return fail(sock, report, error);
-        }
+    let planned = |phase| faults.and_then(|p| p.fault(phase, job, attempt));
+    if let Some(entry) = planned(Phase::Process) {
+        // Simulated SIGKILL/OOM-kill: the coordinator finds out from the
+        // dead socket.
+        let _ = entry.strike(attempt, &[token]);
+    }
+    if let Some(entry) = planned(Phase::Attempt) {
+        // A hang wedges this worker until process shutdown; the
+        // coordinator's heartbeat watchdog requeues the job elsewhere.
+        let struck = std::panic::catch_unwind(|| entry.strike(attempt, &[token]));
+        let error = match struck {
+            Ok(result) => result.err().unwrap_or_default(),
+            Err(p) => format!("panicked: {}", panic_message(&*p)),
+        };
+        return fail(sock, report, error);
     }
 
     // Dependency payloads come from the store, digest-verified.
@@ -481,12 +471,12 @@ fn execute_assignment(
         Err(p) => return fail(sock, report, format!("panicked: {}", panic_message(&*p))),
     };
 
-    // Persist-phase chaos strikes the object bytes themselves; the
+    // Persist faults strike the object bytes themselves; the
     // coordinator's digest verification must catch every corrupt class
     // and requeue (the next attempt's put() heals the rotten object). A
     // torn write is reported like any other: the "process" died mid-write,
     // so the object never exists at the address it claims.
-    let (digest, _landed) = put_with_fault(store, payload.as_bytes(), chaos, job, attempt, token)
+    let (digest, _landed) = put_with_fault(store, payload.as_bytes(), faults, job, attempt, token)
         .map_err(|e| format!("persist: {e}"))?;
     telemetry::metrics::counter("worker.completions").inc();
     report.completed += 1;

@@ -6,9 +6,10 @@
 
 use orchestrator::coord::{CoordOptions, Coordinator};
 use orchestrator::{
-    run, sim_plan, ChaosPlan, Event, EventLog, FsStore, JobSpec, Manifest, ObjectStore, Plan,
+    run, sim_plan, Event, EventLog, FaultPlan, FsStore, JobSpec, Manifest, ObjectStore, Plan,
     RunOptions, WatchdogOptions,
 };
+use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -24,7 +25,7 @@ fn fast_retry(spec: &str) -> RunOptions {
     RunOptions {
         max_retries: 2,
         backoff: Duration::from_millis(1),
-        chaos: Some(ChaosPlan::parse(spec).unwrap()),
+        faults: Some(FaultPlan::parse(spec).unwrap()),
         ..Default::default()
     }
 }
@@ -131,7 +132,7 @@ fn slow_io_fault_delays_but_persists_a_verified_checkpoint() {
     let opts = RunOptions {
         checkpoint_dir: Some(dir.clone()),
         run_key: "cfg".into(),
-        chaos: Some(ChaosPlan::parse("j:slow-io:1").unwrap()),
+        faults: Some(FaultPlan::parse("j:slow-io:1").unwrap()),
         ..Default::default()
     };
     let report = run(&plan, &opts, &EventLog::new()).unwrap();
@@ -145,8 +146,14 @@ fn slow_io_fault_delays_but_persists_a_verified_checkpoint() {
 }
 
 #[test]
-fn corrupt_flip_is_detected_on_the_next_resume() {
-    let dir = tmp_dir("flip");
+fn corrupt_flip_and_truncate_are_detected_on_the_next_resume() {
+    for class in ["corrupt-flip", "corrupt-truncate"] {
+        rotten_checkpoint_is_quarantined_on_resume(class);
+    }
+}
+
+fn rotten_checkpoint_is_quarantined_on_resume(class: &str) {
+    let dir = tmp_dir(class);
     let make_plan = || {
         Plan::new(vec![JobSpec::new(
             "j",
@@ -158,7 +165,7 @@ fn corrupt_flip_is_detected_on_the_next_resume() {
     let mut opts = RunOptions {
         checkpoint_dir: Some(dir.clone()),
         run_key: "cfg".into(),
-        chaos: Some(ChaosPlan::parse("j:corrupt-flip:1").unwrap()),
+        faults: Some(FaultPlan::parse(&format!("j:{class}:1")).unwrap()),
         ..Default::default()
     };
     // The faulted run itself succeeds — corruption strikes the bytes at
@@ -166,18 +173,18 @@ fn corrupt_flip_is_detected_on_the_next_resume() {
     let first = run(&make_plan(), &opts, &EventLog::new()).unwrap();
     assert_eq!(first.outputs["j"].as_str(), "payload");
 
-    opts.chaos = None;
+    opts.faults = None;
     opts.resume = true;
     let events = EventLog::new();
     let second = run(&make_plan(), &opts, &events).unwrap();
-    assert_eq!(second.outputs["j"].as_str(), "payload", "job re-ran cleanly");
-    assert_eq!(second.skipped, 0, "rotted sole generation cannot be resumed");
+    assert_eq!(second.outputs["j"].as_str(), "payload", "{class}: job re-ran cleanly");
+    assert_eq!(second.skipped, 0, "{class}: rotted sole generation cannot be resumed");
     assert!(
         events
             .events()
             .iter()
             .any(|e| matches!(e, Event::CheckpointQuarantined { job, .. } if job == "j")),
-        "the rotted file was quarantined"
+        "{class}: the rotted file was quarantined"
     );
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -196,7 +203,7 @@ fn corrupt_torn_leaves_only_a_temp_fragment_that_resume_quarantines() {
     let mut opts = RunOptions {
         checkpoint_dir: Some(dir.clone()),
         run_key: "cfg".into(),
-        chaos: Some(ChaosPlan::parse("j:corrupt-torn:1").unwrap()),
+        faults: Some(FaultPlan::parse("j:corrupt-torn:1").unwrap()),
         ..Default::default()
     };
     let first = run(&make_plan(), &opts, &EventLog::new()).unwrap();
@@ -206,7 +213,7 @@ fn corrupt_torn_leaves_only_a_temp_fragment_that_resume_quarantines() {
         "torn write never produced a referenced payload object"
     );
 
-    opts.chaos = None;
+    opts.faults = None;
     opts.resume = true;
     let events = EventLog::new();
     let second = run(&make_plan(), &opts, &events).unwrap();
@@ -265,14 +272,14 @@ fn run_failure_wakes_a_backoff_instead_of_sleeping_it_out() {
 /// the report, the job→digest map, and the worker exit statuses.
 fn coordinated_subprocess_run(
     dir: &Path,
-    fault_spec: Option<&str>,
+    faults: Option<&str>,
     workers: usize,
     events: &EventLog,
 ) -> (orchestrator::CoordReport, Vec<Option<i32>>) {
     let plan = sim_plan(3, 256, 42);
     let opts = CoordOptions {
         run_key: "kw".into(),
-        fault_spec: fault_spec.map(String::from),
+        faults: faults.map(|spec| FaultPlan::parse(spec).unwrap()),
         // Heartbeat staleness is the SIGKILL detector for a worker that
         // dies *mid-execution*; connection loss covers death before it.
         watchdog: WatchdogOptions {
@@ -357,11 +364,67 @@ fn kill_worker_fault_requeues_and_artifacts_match_an_uninterrupted_run() {
 
 #[test]
 fn malformed_specs_name_the_grammar() {
-    for bad in ["j:bogus", "j:", ":1", "j:0", "seed=x", "j:panic:1:2"] {
-        let err = ChaosPlan::parse(bad).unwrap_err();
+    // `chunk-1:reset` puts a wire class after a job: the phases mismatch.
+    let specs = ["chunk-1:bogus", "chunk-1:reset", "j:", ":1", "j:0", "seed=x", "j:panic:1:2"];
+    for bad in specs {
+        let err = FaultPlan::parse(bad).unwrap_err();
         assert!(
             err.contains("expected") && err.contains(bad),
             "error must cite the item and the grammar: {err}"
         );
+    }
+}
+
+/// Every spec `scripts/ci.sh` and the test suites arm parses, and its
+/// canonical form names the same faults.
+#[test]
+fn specs_in_use_parse_to_their_canonical_form() {
+    for (spec, canonical) in [
+        ("chunk-1:1", "chunk-1:transient:1;seed=1852142707"),
+        ("chunk-1:99", "chunk-1:transient:99;seed=1852142707"),
+        ("chunk-1:panic:1", "chunk-1:panic:1;seed=1852142707"),
+        ("chunk-1:hang:1", "chunk-1:hang:1;seed=1852142707"),
+        ("chunk-2:kill-worker:1", "chunk-2:kill-worker:1;seed=1852142707"),
+        ("chunk-1:kill-coord:1", "chunk-1:kill-coord:1;seed=1852142707"),
+        ("j:corrupt-torn:1", "j:corrupt-torn:1;seed=1852142707"),
+        ("reset:1;seed=11", "reset:1;seed=11"),
+        ("stall:4;garbage-bytes:1;seed=11", "stall:4;garbage-bytes:1;seed=11"),
+        ("reset:20;seed=3", "reset:20;seed=3"),
+    ] {
+        assert_eq!(FaultPlan::parse(spec).unwrap().to_string(), canonical, "{spec}");
+    }
+}
+
+/// One item of a well-formed spec: a seed, a wire entry, a legacy job
+/// entry, or a job entry with a class and an optional count.
+fn item() -> impl Strategy<Value = String> {
+    const WIRE: [&str; 4] = ["torn-frame", "reset", "stall", "garbage-bytes"];
+    const JOB: [&str; 9] = [
+        "panic", "transient", "hang", "slow-io", "corrupt-flip", "corrupt-truncate",
+        "corrupt-torn", "kill-worker", "kill-coord",
+    ];
+    const JOBS: [&str; 5] = ["pretrain", "chunk-1", "chunk-12", "j", "a b"];
+    (0u8..5, any::<u64>(), 1u32..1000, 0usize..9, 0usize..5).prop_map(
+        |(form, seed, count, class, job)| match form {
+            0 => format!("seed={seed}"),
+            1 => format!("{}:{count}", WIRE[class % 4]),
+            2 => format!("{}:{count}", JOBS[job]),
+            3 => format!("{}:{}", JOBS[job], JOB[class]),
+            _ => format!(" {}:{}:{count} ", JOBS[job], JOB[class]),
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The canonical `Display` that `CoordHello` carries to workers
+    /// parses back to the same plan.
+    #[test]
+    fn a_plan_round_trips_through_its_canonical_form(
+        items in prop::collection::vec(item(), 1..8)
+    ) {
+        let plan = FaultPlan::parse(&items.join(";")).unwrap();
+        prop_assert_eq!(FaultPlan::parse(&plan.to_string()).unwrap(), plan);
     }
 }

@@ -6,7 +6,7 @@
 use orchestrator::coord::{CoordOptions, Coordinator, DistJob, DistPlan};
 use orchestrator::worker::{run_worker, ExecutorRegistry, WorkerOptions};
 use orchestrator::{
-    sim_plan, CancelToken, Event, EventLog, FsStore, Journal, JournalRecord, Manifest,
+    sim_plan, CancelToken, Event, EventLog, FaultPlan, FsStore, Journal, JournalRecord, Manifest,
     ObjectStore,
 };
 use std::path::{Path, PathBuf};
@@ -139,7 +139,7 @@ fn exhausted_retries_fail_the_run_and_disconnect_workers() {
     let dir = tmp_dir("fail");
     let plan = sim_plan(2, 32, 5);
     let opts = CoordOptions {
-        fault_spec: Some("chunk-1:transient:9".into()),
+        faults: Some(FaultPlan::parse("chunk-1:transient:9").unwrap()),
         max_retries: 1,
         ..Default::default()
     };
@@ -164,7 +164,7 @@ fn worker_side_faults_requeue_through_the_coordinator() {
     // chunk-1's first attempt fails worker-side; the coordinator requeues
     // and the second attempt (any worker) completes.
     let opts = CoordOptions {
-        fault_spec: Some("chunk-1:transient:1".into()),
+        faults: Some(FaultPlan::parse("chunk-1:transient:1").unwrap()),
         ..Default::default()
     };
     let events = EventLog::new();
@@ -185,32 +185,34 @@ fn worker_side_faults_requeue_through_the_coordinator() {
 
 #[test]
 fn corrupt_result_objects_are_caught_by_coordinator_verification() {
-    let dir = tmp_dir("verify");
-    let plan = sim_plan(1, 32, 13);
-    // The worker completes chunk-1 but flips a bit in the stored object;
-    // the coordinator's digest re-read must reject it and requeue, and the
-    // healthy second attempt's put() heals the rotten object in place.
-    let opts = CoordOptions {
-        fault_spec: Some("chunk-1:corrupt-flip:1".into()),
-        ..Default::default()
-    };
-    let events = EventLog::new();
-    let report = run_coordinated(&dir, &plan, &opts, 1, &events).unwrap();
-    assert_eq!(report.completed, 2);
-    let store = FsStore::open(&dir).unwrap();
-    for digest in report.digests.values() {
-        store.get(*digest).expect("every recorded object verifies");
+    for class in ["corrupt-flip", "corrupt-truncate"] {
+        let dir = tmp_dir(class);
+        let plan = sim_plan(1, 32, 13);
+        // The worker completes chunk-1 but rots the stored object; the
+        // coordinator's digest re-read must reject it and requeue, and the
+        // healthy second attempt's put() heals the rotten object in place.
+        let opts = CoordOptions {
+            faults: Some(FaultPlan::parse(&format!("chunk-1:{class}:1")).unwrap()),
+            ..Default::default()
+        };
+        let events = EventLog::new();
+        let report = run_coordinated(&dir, &plan, &opts, 1, &events).unwrap();
+        assert_eq!(report.completed, 2, "{class}");
+        let store = FsStore::open(&dir).unwrap();
+        for digest in report.digests.values() {
+            store.get(*digest).expect("every recorded object verifies");
+        }
+        assert!(
+            events.events().iter().any(|e| matches!(
+                e,
+                Event::JobRetried { job, error, .. }
+                    if job == "chunk-1" && error.contains("failed verification")
+            )),
+            "{class}: {:?}",
+            events.events()
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
-    assert!(
-        events.events().iter().any(|e| matches!(
-            e,
-            Event::JobRetried { job, error, .. }
-                if job == "chunk-1" && error.contains("failed verification")
-        )),
-        "{:?}",
-        events.events()
-    );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! cancellation, checkpoint + resume, and corruption recovery.
 
 use orchestrator::{
-    run, ChaosPlan, Event, EventLog, JobSpec, Manifest, OrchestratorError, Plan, RunOptions,
+    run, Event, EventLog, FaultPlan, JobSpec, Manifest, OrchestratorError, Plan, RunOptions,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -198,7 +198,7 @@ fn fault_hook_injects_failures_that_are_retried_and_logged() {
     let opts = RunOptions {
         max_retries: 2,
         backoff: std::time::Duration::from_millis(1),
-        chaos: Some(ChaosPlan::parse("chunk-0:1").unwrap()),
+        faults: Some(FaultPlan::parse("chunk-0:1").unwrap()),
         ..Default::default()
     };
     let report = run(&plan, &opts, &events).unwrap();
@@ -206,7 +206,7 @@ fn fault_hook_injects_failures_that_are_retried_and_logged() {
     assert_eq!(report.stats["chunk-0"].attempts, 2);
     let injected = events.events().iter().any(|e| {
         matches!(e, Event::JobRetried { job, error, .. }
-                 if job == "chunk-0" && error.contains("injected fault"))
+                 if job == "chunk-0" && error.contains("injected transient fault"))
     });
     assert!(injected, "injected fault must appear as a JobRetried event");
 }

@@ -11,7 +11,7 @@
 #   scripts/ci.sh chaos  # fault-matrix smoke through the CLI
 #   scripts/ci.sh serve  # netshared daemon + pull-client serving smoke
 #   scripts/ci.sh scale  # coordinator + worker processes + kill-worker, attempt faults, gc
-#   scripts/ci.sh serve-chaos  # netfault matrix + daemon kill -9 + kill-coord
+#   scripts/ci.sh serve-chaos  # wire-fault matrix + daemon kill -9 + kill-coord
 #   scripts/ci.sh nsbench  # the frozen benchmark's unit tests + smoke run
 #   scripts/ci.sh avx2     # the bit-equality gates release-built, then for 256-bit vectors
 #
@@ -25,7 +25,7 @@ cd "$(dirname "$0")/.."
 # byte-identical to the clean baseline (recovered transparently) or exit
 # nonzero — and never leave a corrupt checkpoint outside quarantine.
 if [[ "${1:-}" == "chaos" ]]; then
-  cargo build --release -p netshare -p netshared
+  cargo build --release -p netshare -p netshared -p orchestrator
   cli=target/release/netshare_cli
   cd_dir="$(mktemp -d)"
   trap 'rm -rf "$cd_dir"' EXIT
@@ -44,7 +44,7 @@ if [[ "${1:-}" == "chaos" ]]; then
   # Transparently-recovered classes: retried attempt, byte-identical output,
   # matching retry evidence in the JSONL stream.
   for case in "panic:chunk-1:panic:1:injected panic" \
-              "legacy:chunk-1:1:injected fault" \
+              "legacy:chunk-1:1:injected transient fault" \
               "slow-io:chunk-1:slow-io:1:injected fault (persist)"; do
     name="${case%%:*}"; rest="${case#*:}"
     spec="${rest%:*}"; needle="${rest##*:}"
@@ -70,7 +70,7 @@ if [[ "${1:-}" == "chaos" ]]; then
   # Checkpoint corruption: the faulted run rots bytes at rest, so it still
   # succeeds; the resume must quarantine the damage, retrain the job, and
   # still match the baseline. Nothing corrupt may survive unquarantined.
-  for class in corrupt-flip corrupt-torn; do
+  for class in corrupt-flip corrupt-truncate corrupt-torn; do
     NETSHARE_INJECT_FAULT="chunk-1:$class:1" timeout 300 "$cli" synth-flows \
       "$cd_dir/real.csv" "$cd_dir/$class.csv" "${common[@]}" --ckpt-dir "$cd_dir/$class"
     cmp "$cd_dir/plain.csv" "$cd_dir/$class.csv"
@@ -151,16 +151,30 @@ JSON
   grep -q '"SentinelRollback"' "$cd_dir/diverge/events.jsonl"
   echo "chaos[divergence]: rolled back, run completed"
 
-  # Malformed spec: usage error (exit 2) naming the grammar, before any
-  # training starts.
-  rc=0
-  NETSHARE_INJECT_FAULT="chunk-1:bogus" timeout 300 "$cli" synth-flows \
-    "$cd_dir/real.csv" "$cd_dir/malformed.csv" "${common[@]}" \
-    2> "$cd_dir/malformed.err" || rc=$?
-  [[ "$rc" == 2 ]] || { echo "chaos[malformed]: expected exit 2, got $rc" >&2; exit 1; }
-  grep -q 'expected' "$cd_dir/malformed.err"
-  [[ ! -e "$cd_dir/malformed.csv" ]] || { echo "chaos[malformed]: output written" >&2; exit 1; }
-  echo "chaos[malformed]: rejected with exit 2 and the grammar"
+  # Malformed spec: every binary that reads the plan exits 2 with the one
+  # grammar (DESIGN.md §9) before it trains, dials, binds or writes
+  # anything. `chunk-1:reset` puts a wire class after a job.
+  grammar='wire classes: torn-frame | reset | stall | garbage-bytes'
+  for spec in chunk-1:bogus chunk-1:reset; do
+    for bin in synth-flows pull coord netshared netshare_worker; do
+      case "$bin" in
+        synth-flows) cmd=("$cli" synth-flows "$cd_dir/real.csv" "$cd_dir/malformed.csv" "${common[@]}") ;;
+        pull) cmd=("$cli" pull 127.0.0.1:9 demo --count 1) ;;
+        coord) cmd=("$cli" coord "$cd_dir/malformed-run" --workers-procs 0) ;;
+        netshared) cmd=(target/release/netshared --demo demo:7 --addr 127.0.0.1:0) ;;
+        netshare_worker) cmd=(target/release/netshare_worker 127.0.0.1:9) ;;
+      esac
+      rc=0
+      NETSHARE_INJECT_FAULT="$spec" timeout 60 "${cmd[@]}" < /dev/null \
+        > /dev/null 2> "$cd_dir/malformed.err" || rc=$?
+      [[ "$rc" == 2 ]] || { echo "chaos[malformed $bin $spec]: expected exit 2, got $rc" >&2; exit 1; }
+      grep -qF "invalid fault spec \`$spec\`" "$cd_dir/malformed.err" && grep -qF "$grammar" "$cd_dir/malformed.err" \
+        || { echo "chaos[malformed $bin $spec]: grammar not named:" >&2; cat "$cd_dir/malformed.err" >&2; exit 1; }
+    done
+  done
+  [[ ! -e "$cd_dir/malformed.csv" && ! -e "$cd_dir/malformed-run" ]] \
+    || { echo "chaos[malformed]: output written" >&2; exit 1; }
+  echo "chaos[malformed]: every binary rejected both specs with exit 2 and the grammar"
 
   echo "chaos matrix: all fault classes recovered or failed loudly"
   exit 0
@@ -321,8 +335,8 @@ if [[ "${1:-}" == "serve-chaos" ]]; then
   daemon_pid=""
   trap 'rm -rf "$sx"; [[ -n "$daemon_pid" ]] && kill -9 "$daemon_pid" 2>/dev/null; true' EXIT
 
-  # --- netfault matrix -----------------------------------------------
-  # The client process arms the fault shim; the daemon stays healthy.
+  # --- wire-fault matrix ---------------------------------------------
+  # The client process arms the plan's wire faults; the daemon stays healthy.
   # Each class must leave the pulled bytes identical to the clean pull:
   # write-path faults (torn-frame, reset) kill the session and force a
   # reconnect, garbage-bytes corrupts a read into a retryable error, and
@@ -343,7 +357,7 @@ if [[ "${1:-}" == "serve-chaos" ]]; then
 
   timeout 60 "$cli" pull "$addr" demo --count 128 --credit 2 --out "$sx/clean.jsonl"
   for class in torn-frame stall reset garbage-bytes; do
-    NETSHARE_INJECT_NETFAULT="$class:1;seed=11" timeout 120 "$cli" pull "$addr" demo \
+    NETSHARE_INJECT_FAULT="$class:1;seed=11" timeout 120 "$cli" pull "$addr" demo \
       --count 128 --credit 2 --retries 8 --backoff-ms 20 \
       --out "$sx/$class.jsonl" 2> "$sx/$class.err"
     cmp "$sx/clean.jsonl" "$sx/$class.jsonl"
@@ -360,7 +374,7 @@ if [[ "${1:-}" == "serve-chaos" ]]; then
   # DATA frames) put the corrupted frame mid-stream, and the reconnect is
   # a `from_seq` resume against this live daemon, whose seek index the
   # pulls above have filled.
-  NETSHARE_INJECT_NETFAULT="stall:4;garbage-bytes:1;seed=11" timeout 120 "$cli" pull "$addr" demo \
+  NETSHARE_INJECT_FAULT="stall:4;garbage-bytes:1;seed=11" timeout 120 "$cli" pull "$addr" demo \
     --count 128 --credit 2 --retries 8 --backoff-ms 20 \
     --out "$sx/mid-stream.jsonl" 2> "$sx/mid-stream.err"
   cmp "$sx/clean.jsonl" "$sx/mid-stream.jsonl"
@@ -371,7 +385,7 @@ if [[ "${1:-}" == "serve-chaos" ]]; then
   # Exhausted budget must be the *retryable* exit code (4), not a
   # generic failure: the caller's retry-later loop keys off it.
   rc=0
-  NETSHARE_INJECT_NETFAULT="reset:20;seed=3" timeout 120 "$cli" pull "$addr" demo \
+  NETSHARE_INJECT_FAULT="reset:20;seed=3" timeout 120 "$cli" pull "$addr" demo \
     --count 128 --retries 2 --backoff-ms 10 --out "$sx/exhausted.jsonl" \
     2> "$sx/exhausted.err" || rc=$?
   [[ "$rc" == 4 ]] || { echo "serve-chaos[exhausted]: expected exit 4, got $rc" >&2; exit 1; }
@@ -456,7 +470,7 @@ if [[ "${1:-}" == "serve-chaos" ]]; then
        <(cd "$sx/torn/objects" && sha256sum *.json | sort)
   echo "serve-chaos[kill-coord]: journal healed the torn completion, artifacts identical"
 
-  echo "serve-chaos: netfault matrix, daemon restart, and coord resume all bitwise-clean"
+  echo "serve-chaos: wire-fault matrix, daemon restart, and coord resume all bitwise-clean"
   exit 0
 fi
 
