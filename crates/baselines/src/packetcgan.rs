@@ -33,7 +33,7 @@ impl PacketCGan {
         let proto = proto_codec();
         let rows = codec.encode_trace(trace);
         let mut conds = Tensor::zeros(trace.len(), proto.dim());
-        let mut counts = std::collections::HashMap::new();
+        let mut counts = std::collections::BTreeMap::new();
         for (i, p) in trace.packets.iter().enumerate() {
             let mut c = Vec::with_capacity(proto.dim());
             proto.encode_into(&p.five_tuple.proto.number(), &mut c);

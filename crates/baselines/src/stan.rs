@@ -19,7 +19,7 @@ use nnet::optim::{Adam, Optimizer};
 use nnet::{Activation, Layer, Parameterized, Sequential, Tensor};
 use rand::prelude::*;
 use rand_distr::{Distribution, Normal};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Continuous fields modeled autoregressively: duration, packets, bytes,
 /// inter-record gap.
@@ -55,8 +55,9 @@ impl Stan {
         let pkts: Vec<f64> = trace.flows.iter().map(|f| f.packets as f64).collect();
         let byts: Vec<f64> = trace.flows.iter().map(|f| f.bytes as f64).collect();
 
-        // Per-host grouping (time-ordered within host).
-        let mut groups: HashMap<u32, Vec<&FlowRecord>> = HashMap::new();
+        // Per-host grouping (time-ordered within host), walked in host
+        // order so the training rows, and so the fit, follow the seed.
+        let mut groups: BTreeMap<u32, Vec<&FlowRecord>> = BTreeMap::new();
         for f in &trace.flows {
             groups.entry(f.five_tuple.src_ip).or_default().push(f);
         }

@@ -21,19 +21,22 @@ pub fn jsd_from_counts<K: Eq + Hash>(p: &HashMap<K, u64>, q: &HashMap<K, u64>) -
             keys.push(k);
         }
     }
-    let mut jsd = 0.0;
+    // Terms are summed in sorted order, not the maps' iteration order,
+    // so the result does not depend on the hasher's per-process seed.
+    let mut terms: Vec<f64> = Vec::with_capacity(2 * keys.len());
     for k in keys {
         let pi = *p.get(k).unwrap_or(&0) as f64 / p_total as f64;
         let qi = *q.get(k).unwrap_or(&0) as f64 / q_total as f64;
         let mi = 0.5 * (pi + qi);
         if pi > 0.0 {
-            jsd += 0.5 * pi * (pi / mi).ln();
+            terms.push(0.5 * pi * (pi / mi).ln());
         }
         if qi > 0.0 {
-            jsd += 0.5 * qi * (qi / mi).ln();
+            terms.push(0.5 * qi * (qi / mi).ln());
         }
     }
-    jsd.max(0.0)
+    terms.sort_by(f64::total_cmp);
+    terms.iter().sum::<f64>().max(0.0)
 }
 
 /// JSD between two sample streams of a categorical variable.

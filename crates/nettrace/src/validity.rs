@@ -2,7 +2,7 @@
 //!
 //! Tables 6 and 7 report, for each generator, the fraction of synthetic
 //! records passing four consistency tests. These predicates implement those
-//! tests exactly; the `bench` crate's `tab6_7_consistency` runner applies
+//! tests exactly; the `bench` crate's `tab6_7` experiment applies
 //! them to every generator's output.
 
 use crate::flow::FlowRecord;

@@ -105,7 +105,7 @@ pub use manifest::{
 };
 pub use pool::{run, RunOptions, RunReport};
 pub use store::{FsStore, GcReport, ObjectStore, PutOutcome};
-pub use timing::{measure, thread_cpu_seconds, Heartbeat};
+pub use timing::{measure, process_cpu_seconds, thread_cpu_seconds, Heartbeat};
 pub use watchdog::{WatchGuard, Watchdog, WatchdogOptions};
 pub use worker::{run_worker, ExecutorRegistry, WorkerOptions, WorkerReport};
 

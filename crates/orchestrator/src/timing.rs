@@ -17,7 +17,20 @@ use telemetry::clock;
 /// the proc file is unavailable (non-Linux), in which case callers use
 /// wall time.
 pub fn thread_cpu_seconds() -> Option<f64> {
-    let stat = std::fs::read_to_string("/proc/thread-self/stat").ok()?;
+    stat_cpu_seconds("/proc/thread-self/stat")
+}
+
+/// CPU seconds consumed by the *whole process* so far, every thread
+/// included, live or exited (`/proc/self/stat`). A fit's cost is the
+/// change in this across the fit, whatever threads it ran on. `None`
+/// off Linux.
+pub fn process_cpu_seconds() -> Option<f64> {
+    stat_cpu_seconds("/proc/self/stat")
+}
+
+/// utime+stime of a `/proc/.../stat` file, in seconds.
+fn stat_cpu_seconds(path: &str) -> Option<f64> {
+    let stat = std::fs::read_to_string(path).ok()?;
     // Fields after the parenthesized comm: utime is field 14, stime 15
     // (1-based over the whole line).
     let rest = stat.rsplit_once(')')?.1;
@@ -158,6 +171,13 @@ mod tests {
     fn thread_cpu_time_is_monotonic_when_available() {
         if let (Some(a), Some(b)) = (thread_cpu_seconds(), thread_cpu_seconds()) {
             assert!(b >= a);
+        }
+    }
+
+    #[test]
+    fn process_cpu_time_covers_the_calling_thread() {
+        if let (Some(t), Some(p)) = (thread_cpu_seconds(), process_cpu_seconds()) {
+            assert!(p >= t, "process {p} < thread {t}");
         }
     }
 }

@@ -11,7 +11,7 @@
 //! 3. conversion from RDP to (ε, δ).
 //!
 //! The paper reports fidelity against ε at δ = 10⁻⁵ (Fig. 5, Table 5);
-//! the `fig5_privacy` experiment runner uses [`compute_epsilon`] to label
+//! the `fig5` experiment uses [`compute_epsilon`] to label
 //! each DP training run, and [`noise_for_epsilon`] to pick σ for a target
 //! ε.
 

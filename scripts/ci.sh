@@ -5,7 +5,7 @@
 # sanitize-feature and telemetry-off test suites, and an orchestrator
 # fault-injection smoke test through the CLI (which also checks the
 # --metrics-out telemetry snapshot), then the serve, scale, serve-chaos,
-# nsbench and avx2 gates below.
+# nsbench, avx2 and experiments gates below.
 #
 #   scripts/ci.sh        # run the full gate
 #   scripts/ci.sh chaos  # fault-matrix smoke through the CLI
@@ -14,6 +14,7 @@
 #   scripts/ci.sh serve-chaos  # wire-fault matrix + daemon kill -9 + kill-coord
 #   scripts/ci.sh nsbench  # the frozen benchmark's unit tests + smoke run
 #   scripts/ci.sh avx2     # the bit-equality gates release-built, then for 256-bit vectors
+#   scripts/ci.sh experiments  # Figs. 1-3 re-run and reproduced; EXPERIMENTS.md rendered from results/
 #
 # Run from anywhere; operates on the repo root.
 set -euo pipefail
@@ -488,6 +489,38 @@ if [[ "${1:-}" == "nsbench" ]]; then
   exit 0
 fi
 
+# Experiments: the fast entries (Figs. 1-3) re-run release-built at the
+# documented scale, in a scratch copy of results/ and EXPERIMENTS.md.
+# Every field of each re-run results file must equal the committed one
+# except the stamp's timing fields (the commit and each fit's CPU
+# seconds), and re-rendering the report from the re-run must leave
+# EXPERIMENTS.md as committed: no table cell and no claim status moved,
+# in either direction. Then `experiments report` on the committed
+# results must leave EXPERIMENTS.md byte-identical.
+if [[ "${1:-}" == "experiments" ]]; then
+  cargo build --release -p bench
+  bin="$PWD/target/release/experiments"
+  ex_dir="$(mktemp -d)"
+  trap 'rm -rf "$ex_dir"' EXIT
+  cp -r results EXPERIMENTS.md "$ex_dir"/
+  (cd "$ex_dir" && NETSHARE_N=4000 NETSHARE_STEPS=400 "$bin" run fig1 fig2 fig3 && "$bin" report)
+  timing='"(commit|cpu_s)":'
+  for name in fig1 fig2 fig3; do
+    if ! diff <(grep -Ev "$timing" "results/$name.json") <(grep -Ev "$timing" "$ex_dir/results/$name.json"); then
+      echo "experiments: results/$name.json did not reproduce" >&2
+      exit 1
+    fi
+  done
+  if ! diff EXPERIMENTS.md "$ex_dir/EXPERIMENTS.md"; then
+    echo "experiments: the re-run changed EXPERIMENTS.md (a table or a claim moved)" >&2
+    exit 1
+  fi
+  "$bin" report
+  git diff --exit-code EXPERIMENTS.md
+  echo "experiments: Figs. 1-3 reproduce their committed results and claims; EXPERIMENTS.md is current"
+  exit 0
+fi
+
 # The determinism contract across hosts: the GEMM kernels lay their vector
 # lanes across output columns, so no output element's operations depend on
 # the vector width. The kernels' bit-equality oracles, the four pinned
@@ -616,3 +649,4 @@ echo "orchestrator smoke: fault retried, output identical, telemetry snapshot co
 "$0" serve-chaos
 "$0" nsbench
 "$0" avx2
+"$0" experiments
