@@ -335,7 +335,6 @@ impl Default for Config {
                 "orchestrator.journal",
                 "orchestrator.fault",
                 "netshared.session_registry",
-                "netshared.credit_budget",
                 "netshared.stream_state",
                 "netshared.socket_writer",
                 "telemetry.metrics_counters",

@@ -19,7 +19,7 @@
 //! * **Bounded memory under backpressure** (`tests/backpressure.rs`):
 //!   each stream buffers at most its configured capacity in encoded
 //!   frames; a stalled client stalls its own producer
-//!   ([`buffer::StreamBuf`]) without affecting other streams or growing
+//!   ([`machine::Stream`]) without affecting other streams or growing
 //!   the heap.
 //! * **No stranded resources** (`tests/service.rs`): disconnects,
 //!   malformed frames, idle eviction (the reused orchestrator
@@ -28,22 +28,22 @@
 //!   thread is joined.
 //!
 //! Module map: [`protocol`] (wire grammar + interruptible socket I/O),
-//! [`buffer`] (bounded per-stream buffer), `session` (per-connection
-//! threads), `seek` (batch boundaries a resume starts from), [`server`]
-//! (accept loop + drain), [`client`] (`pull` helper), [`demo`] (seeded
-//! untrained bundles for smoke tests).
+//! [`machine`] (one subscription's credit, queue and statistic as a pure
+//! state machine), `session` (per-connection threads driving it), `seek`
+//! (batch boundaries a resume starts from), [`server`] (accept loop +
+//! drain), [`client`] (`pull` helper), [`demo`] (seeded untrained
+//! bundles for smoke tests).
 
 #![warn(missing_docs)]
 
-pub mod buffer;
 pub mod client;
 pub mod demo;
+pub mod machine;
 pub mod protocol;
 pub(crate) mod seek;
 pub(crate) mod session;
 pub mod server;
 
-pub use buffer::{BufStats, StreamBuf};
 pub use client::{pull, PullConfig, PullError, PullResult};
 pub use demo::{demo_bundle, demo_config};
 pub use protocol::{Frame, ProtoError, MAX_FRAME_BYTES, PROTOCOL_VERSION};

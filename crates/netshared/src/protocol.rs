@@ -85,7 +85,8 @@ pub const ERR_OVERSIZED: &str = "oversized-frame";
 /// `ERROR` code: payload bytes did not decode as a frame.
 pub const ERR_MALFORMED: &str = "malformed-frame";
 /// `ERROR` code: frame arrived that the conversation state disallows
-/// (e.g. `SUBSCRIBE` reusing a live stream id, or a missing `HELLO`).
+/// (e.g. `SUBSCRIBE` reusing a stream id this connection already used,
+/// or a missing `HELLO`).
 pub const ERR_PROTOCOL: &str = "protocol-violation";
 /// `ERROR` code: the server is draining and takes no new subscriptions.
 pub const ERR_DRAINING: &str = "draining";

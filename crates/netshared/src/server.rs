@@ -13,9 +13,10 @@
 //!
 //! 1. **drain**: stop accepting, refuse new `SUBSCRIBE`s (`ERR_DRAINING`),
 //!    and give in-flight streams up to `drain` to finish naturally;
-//! 2. **cancel**: trip every session token; blocked buffer waits, credit
-//!    waits, and socket I/O all poll the token, so sessions unwind, and
-//!    every thread is joined before `shutdown` returns.
+//! 2. **cancel**: trip every session token; each session closes its
+//!    streams, the producer and sender waits and all socket I/O poll the
+//!    token, so sessions unwind, and every thread is joined before
+//!    `shutdown` returns.
 
 use crate::lock;
 use crate::protocol::{self, Frame, ERR_OVERLOADED};
@@ -96,7 +97,8 @@ pub struct ServerStats {
     /// Times a producer found its stream buffer full
     /// (`netshared.stream.push_stalls`).
     pub push_stalls: AtomicU64,
-    /// Frames dropped into a closed buffer (`netshared.stream.drops`).
+    /// Frames dropped into a closed buffer, or still in it when it
+    /// closed (`netshared.stream.drops`).
     pub drops: AtomicU64,
     /// High-water mark of any single stream's buffered bytes — the
     /// bounded-memory invariant the backpressure suite pins.

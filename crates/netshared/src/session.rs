@@ -5,20 +5,23 @@
 //!
 //! * the **session thread** (spawned by the server's accept loop) runs
 //!   the handshake, then loops reading client frames (`SUBSCRIBE`,
-//!   `CREDIT`), beating the watchdog heartbeat on every arrival;
-//! * each subscription spawns a **producer** thread — rebuilds the
-//!   artifact's sampler, walks a [`SampleCursor`](doppelganger::SampleCursor)
-//!   batch-by-batch, encodes DATA frames, and pushes them into the
-//!   stream's bounded [`StreamBuf`] (blocking at the capacity cap:
-//!   backpressure, not memory growth) — and a **sender** thread that
-//!   takes one client credit, pulls the next frame in sequence order,
-//!   and writes it to the shared socket;
+//!   `CREDIT`), beating the watchdog heartbeat on every arrival and
+//!   joining the threads of streams that have finished;
+//! * each subscription is one [`Stream`] machine behind one lock, driven
+//!   by a **producer** thread — rebuilds the artifact's sampler, walks a
+//!   [`SampleCursor`](doppelganger::SampleCursor) batch-by-batch, encodes
+//!   DATA frames and pushes them, waiting while the stream is full
+//!   (backpressure, not memory growth) — and a **sender** thread, which
+//!   waits once for a frame and a credit for it, EOF, or close, writes
+//!   what it got to the shared socket, and beats the session heartbeat:
+//!   frames out are activity as much as frames in. The session thread's
+//!   `CREDIT` handler grants credit under the same lock;
 //! * teardown (client disconnect, malformed frame, watchdog eviction, or
-//!   server drain) cancels the session token; every blocked wait in the
-//!   buffer, credit gate, and socket I/O polls that token, so the
+//!   server drain) cancels the session token and closes every stream;
+//!   every blocked wait and all socket I/O polls that token, so the
 //!   session unwinds without orphaned threads.
 
-use crate::buffer::{Pulled, StreamBuf};
+use crate::machine::{Pull, Push, Stream};
 use crate::{lock, wait_timeout};
 use crate::protocol::{
     self, EncodedSamples, Frame, ProtoError, ERR_DRAINING, ERR_MALFORMED, ERR_OVERSIZED, ERR_PROTOCOL,
@@ -29,9 +32,9 @@ use crate::server::ServerStats;
 use doppelganger::GeneratedSample;
 use orchestrator::watchdog::Watchdog;
 use orchestrator::{CancelToken, Heartbeat};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 use telemetry::metrics::LazyCounter;
@@ -39,51 +42,111 @@ use telemetry::metrics::LazyCounter;
 static RESUME_SEEKS: LazyCounter = LazyCounter::new("netshared.resume.seeks");
 static RESUME_REPLAYED_BATCHES: LazyCounter = LazyCounter::new("netshared.resume.replayed_batches");
 
-/// How long a sender blocked on zero credit sleeps between token checks.
+/// How long a producer blocked on a full stream sleeps before re-checking
+/// its token.
+const WAIT_POLL: Duration = Duration::from_millis(20);
+/// How long a sender with nothing to send, or no credit to send it with,
+/// sleeps between token checks.
 const CREDIT_POLL: Duration = Duration::from_millis(20);
 
-/// DATA-frame budget for one stream: starts at the `SUBSCRIBE` credit,
-/// topped up by `CREDIT` frames, drawn down one per DATA frame sent.
-struct CreditGate {
-    budget: Mutex<u64>,
-    cv: Condvar,
+/// One subscription as its three threads share it: the [`Stream`] behind
+/// one lock, `room` for the producer waiting on a full stream, and
+/// `ready` for the sender waiting on a frame and credit, EOF, or close.
+struct Subscription {
+    stream: Mutex<Stream>,
+    room: Condvar,
+    ready: Condvar,
+    capacity: usize,
     stats: Arc<ServerStats>,
 }
 
-impl CreditGate {
-    fn new(initial: u32, stats: Arc<ServerStats>) -> Self {
-        CreditGate {
-            budget: Mutex::new(u64::from(initial)),
-            cv: Condvar::new(),
-            stats,
+impl Subscription {
+    /// Runs one transition on the locked stream and mirrors what it
+    /// changed into [`ServerStats`] and the `netshared.*` metrics.
+    fn step<R>(&self, st: &mut Stream, transition: impl FnOnce(&mut Stream) -> R) -> R {
+        let was = st.stats();
+        let out = transition(st);
+        let now = st.stats();
+        let bump = |name: &str, total: &AtomicU64, by: u64| {
+            if by > 0 {
+                telemetry::metrics::counter(name).add(by);
+                total.fetch_add(by, Ordering::Relaxed);
+            }
+        };
+        let stats = &self.stats;
+        let credit_stalls = now.credit_stalls - was.credit_stalls;
+        bump("netshared.stream.push_stalls", &stats.push_stalls, now.push_stalls - was.push_stalls);
+        bump("netshared.stream.credit_stalls", &stats.credit_stalls, credit_stalls);
+        bump("netshared.stream.drops", &stats.drops, now.dropped - was.dropped);
+        if now.buffered_bytes != was.buffered_bytes {
+            let delta = now.buffered_bytes as f64 - was.buffered_bytes as f64;
+            telemetry::metrics::gauge("netshared.bytes.buffered").add(delta);
+        }
+        if now.max_buffered_bytes > was.max_buffered_bytes {
+            stats.stream_max_buffered.fetch_max(now.max_buffered_bytes as u64, Ordering::Relaxed);
+        }
+        out
+    }
+
+    /// Producer: queues one encoded frame, waiting while the stream is
+    /// full. `false` once the stream is closed (the frame is dropped).
+    fn push(&self, mut bytes: Vec<u8>, token: &CancelToken) -> bool {
+        let mut st = lock(&self.stream); // lint: lock-order(netshared.stream_state)
+        loop {
+            match self.step(&mut st, |s| s.push(bytes)) {
+                Push::Queued => {
+                    if st.ready() {
+                        self.ready.notify_one();
+                    }
+                    return true;
+                }
+                Push::Dropped => return false,
+                Push::Full(back) => {
+                    bytes = back;
+                    if token.is_cancelled() {
+                        self.step(&mut st, Stream::close);
+                    } else {
+                        st = wait_timeout(&self.room, st, WAIT_POLL);
+                    }
+                }
+            }
         }
     }
 
-    fn add(&self, frames: u32) {
-        let mut budget = lock(&self.budget); // lint: lock-order(netshared.credit_budget)
-        *budget += u64::from(frames);
-        self.cv.notify_all();
+    /// Sender: waits for a frame and a credit to send it with, EOF, or
+    /// close. Never returns [`Pull::Wait`].
+    fn pull(&self, token: &CancelToken) -> Pull {
+        let mut st = lock(&self.stream); // lint: lock-order(netshared.stream_state)
+        loop {
+            match self.step(&mut st, Stream::pull) {
+                Pull::Wait if token.is_cancelled() => self.step(&mut st, Stream::close),
+                Pull::Wait => st = wait_timeout(&self.ready, st, CREDIT_POLL),
+                sent @ Pull::Send(..) => {
+                    self.room.notify_one();
+                    return sent;
+                }
+                other => return other,
+            }
+        }
     }
 
-    /// Takes one credit, blocking while the budget is zero. Counts one
-    /// `netshared.stream.credit_stalls` per stall episode. `false` means
-    /// the token fired first.
-    fn take(&self, token: &CancelToken) -> bool {
-        let mut budget = lock(&self.budget); // lint: lock-order(netshared.credit_budget)
-        let mut stalled = false;
-        while *budget == 0 {
-            if token.is_cancelled() {
-                return false;
-            }
-            if !stalled {
-                stalled = true;
-                telemetry::metrics::counter("netshared.stream.credit_stalls").inc();
-                self.stats.credit_stalls.fetch_add(1, Ordering::Relaxed);
-            }
-            budget = wait_timeout(&self.cv, budget, CREDIT_POLL);
+    /// Runs a transition from outside the two waits (a credit grant or
+    /// the producer's finish) and wakes the sender if it can now go on.
+    /// Neither frees room, so the producer sleeps on.
+    fn update(&self, transition: impl FnOnce(&mut Stream)) {
+        let mut st = lock(&self.stream); // lint: lock-order(netshared.stream_state)
+        self.step(&mut st, transition);
+        let ready = st.ready();
+        drop(st);
+        if ready {
+            self.ready.notify_one();
         }
-        *budget -= 1;
-        true
+    }
+
+    /// Closes the stream and wakes both sides.
+    fn close(&self) {
+        self.update(Stream::close);
+        self.room.notify_one();
     }
 }
 
@@ -107,10 +170,43 @@ pub(crate) struct SessionCtx {
 }
 
 struct StreamHandle {
-    buf: Arc<StreamBuf>,
-    credit: Arc<CreditGate>,
+    sub: Arc<Subscription>,
     producer: std::thread::JoinHandle<()>,
     sender: std::thread::JoinHandle<()>,
+}
+
+impl StreamHandle {
+    fn join(self) {
+        let _ = self.producer.join();
+        let _ = self.sender.join();
+    }
+}
+
+/// A connection's subscriptions: the live ones with their threads, and
+/// the ids of those already joined, which stay taken (ids are unique per
+/// connection).
+#[derive(Default)]
+struct Streams {
+    live: BTreeMap<u64, StreamHandle>,
+    retired: BTreeSet<u64>,
+}
+
+impl Streams {
+    /// Joins the threads of every stream whose producer and sender have
+    /// both exited: a finished thread keeps its stack mapped until its
+    /// handle is joined or dropped.
+    fn reap(&mut self) {
+        let done: Vec<u64> = (self.live.iter())
+            .filter(|(_, h)| h.producer.is_finished() && h.sender.is_finished())
+            .map(|(&id, _)| id)
+            .collect();
+        for id in done {
+            if let Some(handle) = self.live.remove(&id) {
+                handle.join();
+            }
+            self.retired.insert(id);
+        }
+    }
 }
 
 /// Sends a frame on the shared write half, swallowing I/O errors (the
@@ -130,11 +226,7 @@ fn send_error(
 ) {
     stats.errors_sent.fetch_add(1, Ordering::Relaxed);
     telemetry::metrics::counter("netshared.errors.sent").inc();
-    send(
-        writer,
-        &Frame::Error { stream, code: code.to_string(), message },
-        token,
-    );
+    send(writer, &Frame::Error { stream, code: code.to_string(), message }, token);
 }
 
 /// Cuts one generated batch into DATA frames and hands each to `push`
@@ -199,23 +291,21 @@ fn push_range(
 }
 
 /// The producer thread body: sampler rebuild + cursor walk + encode +
-/// push. Finishes the buffer with the produced total (which the sender
-/// turns into EOF) or closes it on failure.
+/// push. Finishes the stream with the produced total (which the sender
+/// turns into EOF) or closes it when it stops early.
 ///
 /// A resume (`from_seq > 0`) starts the walk at the nearest boundary the
 /// artifact's seek index holds for this stream id; what is left between
 /// that boundary and `from_seq` — the whole prefix when the index has
 /// nothing — is regenerated and suppressed by [`push_samples`].
-#[allow(clippy::too_many_arguments)]
 fn produce(
     stream: u64,
     count: u64,
     from_seq: u64,
     served: Arc<Served>,
-    buf: Arc<StreamBuf>,
+    sub: Arc<Subscription>,
     token: CancelToken,
     writer: Arc<Mutex<TcpStream>>,
-    stats: Arc<ServerStats>,
 ) {
     let _span = telemetry::span!("netshared/produce[{}]", stream);
     // Spin-up is milliseconds of uninterrupted arithmetic (rebuild + the
@@ -225,40 +315,24 @@ fn produce(
     // thread's wake-up preempted the peer inside its `write` — the peer
     // would sit runnable for that whole slice. Stand aside for what is
     // already queued here: the first yield goes to the sender thread
-    // spawned beside this one (it blocks at once on the empty buffer),
+    // spawned beside this one (it blocks at once on the empty stream),
     // the second to the peer. Alone on a CPU both return immediately.
     std::thread::yield_now();
     std::thread::yield_now();
+    let stats = &sub.stats;
     let bundle = &served.bundle;
+    let fail = |why: String| {
+        let message = format!("artifact {:?} {why}", bundle.name);
+        send_error(&writer, &token, stats, Some(stream), ERR_UNKNOWN_ARTIFACT, message);
+        sub.close();
+    };
     let mut model = match bundle.rebuild() {
         Ok(m) => m,
-        Err(e) => {
-            send_error(
-                &writer,
-                &token,
-                &stats,
-                Some(stream),
-                ERR_UNKNOWN_ARTIFACT,
-                format!("artifact {:?} failed to rebuild: {e}", bundle.name),
-            );
-            buf.close();
-            return;
-        }
+        Err(e) => return fail(format!("failed to rebuild: {e}")),
     };
     let mut cursor = match model.sample_cursor(count as usize) {
         Ok(c) => c,
-        Err(e) => {
-            send_error(
-                &writer,
-                &token,
-                &stats,
-                Some(stream),
-                ERR_UNKNOWN_ARTIFACT,
-                format!("artifact {:?} cannot stream: {e}", bundle.name),
-            );
-            buf.close();
-            return;
-        }
+        Err(e) => return fail(format!("cannot stream: {e}")),
     };
     let mut next_seq = 0u64;
     if from_seq > 0 {
@@ -284,8 +358,8 @@ fn produce(
             break false;
         }
         replayed += u64::from(next_seq < from_seq);
-        let mut push = |bytes| buf.push(bytes, &token);
-        if !push_samples(stream, &batch, &mut next_seq, from_seq, buf.capacity(), &mut push) {
+        let mut push = |bytes| sub.push(bytes, &token);
+        if !push_samples(stream, &batch, &mut next_seq, from_seq, sub.capacity, &mut push) {
             break false;
         }
     };
@@ -296,26 +370,25 @@ fn produce(
     if finished {
         // EOF carries the *full* stream total even on a resume: the client
         // checks its cumulative sample count across reconnects against it.
-        buf.finish(cursor.produced() as u64);
+        sub.update(|s| s.finish(cursor.produced() as u64));
+    } else {
+        sub.close();
     }
 }
 
-/// The sender thread body: one credit, one frame, in sequence order.
+/// The sender thread body: one credit, one frame, in sequence order,
+/// then EOF. Every frame written beats the session's heartbeat.
 fn dispatch(
     stream: u64,
-    buf: Arc<StreamBuf>,
-    credit: Arc<CreditGate>,
+    sub: Arc<Subscription>,
     token: CancelToken,
     writer: Arc<Mutex<TcpStream>>,
-    stats: Arc<ServerStats>,
     heartbeat: Heartbeat,
 ) {
+    let stats = &sub.stats;
     loop {
-        if !credit.take(&token) {
-            break;
-        }
-        match buf.pull(&token) {
-            Pulled::Frame(_, bytes) => {
+        match sub.pull(&token) {
+            Pull::Send(_, bytes) => {
                 let mut sock = lock(&writer); // lint: lock-order(netshared.socket_writer)
                 if protocol::write_encoded(&mut sock, &bytes, &token).is_err() {
                     break;
@@ -325,15 +398,19 @@ fn dispatch(
                 telemetry::metrics::counter("netshared.frames.sent").inc();
                 heartbeat.beat(0);
             }
-            Pulled::Finished(total) => {
+            Pull::Eof(total) => {
                 if send(&writer, &Frame::Eof { stream, total }, &token) {
                     stats.eofs_sent.fetch_add(1, Ordering::Relaxed);
+                    heartbeat.beat(0);
                 }
                 break;
             }
-            Pulled::Closed => break,
+            Pull::Wait | Pull::Closed => break,
         }
     }
+    // Nothing more goes out: a producer still running stops at its next
+    // frame.
+    sub.close();
     stats.streams_open.fetch_sub(1, Ordering::Relaxed);
     telemetry::metrics::gauge("netshared.streams.open").add(-1.0);
 }
@@ -358,19 +435,15 @@ pub(crate) fn run_session(stream: TcpStream, ctx: SessionCtx) {
         )
     });
 
-    let mut streams: BTreeMap<u64, StreamHandle> = BTreeMap::new();
+    let mut streams = Streams::default();
     serve_client(&stream, &ctx, &heartbeat, &mut streams);
 
-    // Teardown: stop producers/senders, then join them.
+    // Teardown: close every stream, then join its threads.
     ctx.token.cancel("session closed");
-    for handle in streams.values() {
-        handle.buf.close();
-        handle.credit.add(0); // wake a sender blocked on credit
+    for handle in streams.live.values() {
+        handle.sub.close();
     }
-    for handle in std::mem::take(&mut streams).into_values() {
-        let _ = handle.producer.join();
-        let _ = handle.sender.join();
-    }
+    std::mem::take(&mut streams.live).into_values().for_each(StreamHandle::join);
     if let Some(reason) = ctx.token.reason() {
         if reason.contains("heartbeat stale") || reason.contains("deadline exceeded") {
             ctx.stats.evictions.fetch_add(1, Ordering::Relaxed);
@@ -387,7 +460,7 @@ fn serve_client(
     stream: &TcpStream,
     ctx: &SessionCtx,
     heartbeat: &Heartbeat,
-    streams: &mut BTreeMap<u64, StreamHandle>,
+    streams: &mut Streams,
 ) {
     let mut reader = match stream.try_clone() {
         Ok(r) => r,
@@ -405,53 +478,24 @@ fn serve_client(
     // in `MIN_VERSION..=PROTOCOL_VERSION` and answers with the
     // negotiated (minimum) version, so v1 clients keep working against a
     // v2 server (`from_seq` is additive; v1 simply never sends it).
+    let refuse = |code, message| send_error(&writer, &ctx.token, &ctx.stats, None, code, message);
+    let lo = protocol::MIN_VERSION;
     let negotiated = match protocol::read_frame(&mut reader, &ctx.token) {
-        Ok(Frame::Hello { version, .. })
-            if (protocol::MIN_VERSION..=PROTOCOL_VERSION).contains(&version) =>
-        {
-            version
-        }
+        Ok(Frame::Hello { version, .. }) if (lo..=PROTOCOL_VERSION).contains(&version) => version,
         Ok(Frame::Hello { version, .. }) => {
-            send_error(
-                &writer,
-                &ctx.token,
-                &ctx.stats,
-                None,
-                ERR_VERSION,
-                format!(
-                    "server speaks versions {}..={PROTOCOL_VERSION}, client sent {version}",
-                    protocol::MIN_VERSION
-                ),
-            );
-            return;
+            let message =
+                format!("server speaks versions {lo}..={PROTOCOL_VERSION}, client sent {version}");
+            return refuse(ERR_VERSION, message);
         }
         Ok(other) => {
-            send_error(
-                &writer,
-                &ctx.token,
-                &ctx.stats,
-                None,
-                ERR_PROTOCOL,
-                format!("expected HELLO, got {}", frame_name(&other)),
-            );
-            return;
+            return refuse(ERR_PROTOCOL, format!("expected HELLO, got {}", frame_name(&other)));
         }
-        Err(e) => {
-            report_read_error(&writer, ctx, e);
-            return;
-        }
+        Err(e) => return report_read_error(&writer, ctx, e),
     };
     heartbeat.beat(0);
     let artifacts: Vec<String> = ctx.bundles.keys().cloned().collect();
-    if !send(
-        &writer,
-        &Frame::Hello {
-            version: negotiated,
-            peer: "netshared".to_string(),
-            artifacts,
-        },
-        &ctx.token,
-    ) {
+    let hello = Frame::Hello { version: negotiated, peer: "netshared".to_string(), artifacts };
+    if !send(&writer, &hello, &ctx.token) {
         return;
     }
 
@@ -459,7 +503,8 @@ fn serve_client(
         match protocol::read_frame(&mut reader, &ctx.token) {
             Ok(frame) => {
                 heartbeat.beat(0);
-                if !handle_frame(frame, ctx, &writer, streams) {
+                streams.reap();
+                if !handle_frame(frame, ctx, &writer, heartbeat, streams) {
                     return;
                 }
             }
@@ -479,87 +524,65 @@ fn handle_frame(
     frame: Frame,
     ctx: &SessionCtx,
     writer: &Arc<Mutex<TcpStream>>,
-    streams: &mut BTreeMap<u64, StreamHandle>,
+    heartbeat: &Heartbeat,
+    streams: &mut Streams,
 ) -> bool {
     match frame {
         Frame::Subscribe { stream, artifact, count, credit, from_seq } => {
+            let refuse = |code, message| {
+                send_error(writer, &ctx.token, &ctx.stats, Some(stream), code, message);
+                true
+            };
             if ctx.draining.load(Ordering::Relaxed) {
-                send_error(
-                    writer,
-                    &ctx.token,
-                    &ctx.stats,
-                    Some(stream),
-                    ERR_DRAINING,
-                    "server is draining; no new subscriptions".to_string(),
-                );
-                return true;
+                return refuse(ERR_DRAINING, "server is draining; no new subscriptions".into());
             }
-            if streams.contains_key(&stream) {
-                send_error(
-                    writer,
-                    &ctx.token,
-                    &ctx.stats,
-                    Some(stream),
-                    ERR_PROTOCOL,
-                    format!("stream {stream} already subscribed on this connection"),
-                );
-                return true;
+            if streams.live.contains_key(&stream) || streams.retired.contains(&stream) {
+                let message = format!("stream {stream} already subscribed on this connection");
+                return refuse(ERR_PROTOCOL, message);
             }
             let Some(served) = ctx.bundles.get(&artifact) else {
-                send_error(
-                    writer,
-                    &ctx.token,
-                    &ctx.stats,
-                    Some(stream),
-                    ERR_UNKNOWN_ARTIFACT,
-                    format!("no artifact named {artifact:?} is loaded"),
-                );
-                return true;
+                let message = format!("no artifact named {artifact:?} is loaded");
+                return refuse(ERR_UNKNOWN_ARTIFACT, message);
             };
             telemetry::metrics::counter("netshared.subscribes").inc();
             ctx.stats.streams_open.fetch_add(1, Ordering::Relaxed);
             telemetry::metrics::gauge("netshared.streams.open").add(1.0);
-            let buf = Arc::new(StreamBuf::with_stats(ctx.capacity_bytes, Arc::clone(&ctx.stats)));
-            let gate = Arc::new(CreditGate::new(credit, Arc::clone(&ctx.stats)));
+            let sub = Arc::new(Subscription {
+                stream: Mutex::new(Stream::new(ctx.capacity_bytes, credit, from_seq)),
+                room: Condvar::new(),
+                ready: Condvar::new(),
+                capacity: ctx.capacity_bytes,
+                stats: Arc::clone(&ctx.stats),
+            });
             let producer = {
-                let (served, buf) = (Arc::clone(served), Arc::clone(&buf));
+                let (served, sub) = (Arc::clone(served), Arc::clone(&sub));
                 let (token, writer) = (ctx.token.clone(), Arc::clone(writer));
-                let stats = Arc::clone(&ctx.stats);
                 std::thread::spawn(move || {
-                    produce(stream, count, from_seq, served, buf, token, writer, stats)
+                    produce(stream, count, from_seq, served, sub, token, writer)
                 })
             };
             let sender = {
-                let (buf, gate) = (Arc::clone(&buf), Arc::clone(&gate));
+                let sub = Arc::clone(&sub);
                 let (token, writer) = (ctx.token.clone(), Arc::clone(writer));
-                let stats = Arc::clone(&ctx.stats);
-                let heartbeat = Heartbeat::new();
-                std::thread::spawn(move || {
-                    dispatch(stream, buf, gate, token, writer, stats, heartbeat)
-                })
+                let heartbeat = heartbeat.clone();
+                std::thread::spawn(move || dispatch(stream, sub, token, writer, heartbeat))
             };
-            streams.insert(stream, StreamHandle { buf, credit: gate, producer, sender });
+            streams.live.insert(stream, StreamHandle { sub, producer, sender });
             true
         }
         Frame::Credit { stream, frames } => {
             // Credit for a finished/unknown stream can race EOF in
             // flight; tolerate it silently.
-            if let Some(handle) = streams.get(&stream) {
-                handle.credit.add(frames);
+            if let Some(handle) = streams.live.get(&stream) {
+                handle.sub.update(|s| s.credit(frames));
             }
             true
         }
         // Informational from a client; ignore.
         Frame::Error { .. } => true,
         other => {
-            send_error(
-                writer,
-                &ctx.token,
-                &ctx.stats,
-                None,
-                ERR_PROTOCOL,
-                format!("client may not send {}", frame_name(&other)),
-            );
+            let message = format!("client may not send {}", frame_name(&other));
+            send_error(writer, &ctx.token, &ctx.stats, None, ERR_PROTOCOL, message);
             false
         }
     }

@@ -249,6 +249,73 @@ fn silent_client_is_evicted_by_the_idle_watchdog() {
 }
 
 #[test]
+fn frames_out_keep_a_reading_client_alive() {
+    let server = Server::start(
+        ServerConfig {
+            idle_timeout_secs: Some(0.3),
+            drain: Duration::from_millis(200),
+            ..ServerConfig::default()
+        },
+        vec![demo_bundle("demo", 7)],
+    )
+    .expect("server start");
+    let token = guard_token();
+    let mut sock = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+    protocol::configure(&sock).expect("configure");
+    protocol::write_frame(
+        &mut sock,
+        &Frame::Hello { version: PROTOCOL_VERSION, peer: "reader".into(), artifacts: vec![] },
+        &token,
+    )
+    .unwrap();
+    protocol::read_frame(&mut sock, &token).expect("server hello");
+
+    // One SUBSCRIBE with all the credit the stream needs, then only
+    // reads: the frames the server writes are the session's only
+    // activity. Payloads are not decoded (the EOF aside), so the client
+    // keeps pace with the producer and the server's writes span the
+    // stream. Counts grow until a stream takes over a second, more than
+    // three idle timeouts.
+    let (mut count, mut elapsed) = (1_000u64, 0.0);
+    for id in 1.. {
+        let subscribe = Frame::Subscribe {
+            stream: id,
+            artifact: "demo".into(),
+            count,
+            credit: u32::MAX,
+            from_seq: 0,
+        };
+        protocol::write_frame(&mut sock, &subscribe, &token).unwrap();
+        let clock = Stopwatch::start();
+        let total = loop {
+            let payload = orchestrator::wire::read_frame_bytes(&mut sock, &token, 1 << 24)
+                .unwrap_or_else(|e| {
+                    let at = clock.elapsed_seconds();
+                    panic!("stream {id} of {count} samples cut after {at:.2} s: {e:?}")
+                });
+            if payload.starts_with(b"{\"Eof\"") {
+                match protocol::decode_frame(&payload) {
+                    Ok(Frame::Eof { total, .. }) => break total,
+                    other => panic!("expected EOF, got {other:?}"),
+                }
+            }
+        };
+        elapsed = clock.elapsed_seconds();
+        assert_eq!(total, count);
+        assert_eq!(server.stats().evictions.load(Ordering::Relaxed), 0);
+        if elapsed > 1.0 || count >= 1 << 22 {
+            break;
+        }
+        count = (count as f64 * 2.0 / elapsed.max(0.05)) as u64;
+    }
+    assert!(elapsed > 1.0, "the last stream took {elapsed:.2} s");
+    drop(sock);
+    wait_zero(&server);
+    assert_eq!(server.stats().evictions.load(Ordering::Relaxed), 0);
+    server.shutdown();
+}
+
+#[test]
 fn start_outwaits_a_listener_that_is_about_to_die() {
     // What a supervisor restarting a SIGKILLed daemon sees: the port is
     // still bound when the new process starts and frees a moment later.

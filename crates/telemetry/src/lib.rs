@@ -37,6 +37,15 @@ pub mod clock;
 pub mod metrics;
 pub mod span;
 
+/// Locks a mutex of the metrics registry or the span sink. A poisoned
+/// lock means a thread panicked while holding it: the map or sink it
+/// guards may be torn and no caller can repair that, so the panic
+/// propagates.
+#[cfg(feature = "telemetry")]
+pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().expect("poisoned telemetry lock") // lint: allow(panic-in-lib) poisoned lock is unrecoverable (see `lock`)
+}
+
 /// Open a timed span: `let _g = span!("chunk[{ci}]/fine_tune");`.
 ///
 /// The format arguments are evaluated lazily — with the `telemetry`

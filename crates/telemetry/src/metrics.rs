@@ -45,7 +45,7 @@ pub const LOSS_EDGES: [f64; 11] = [
 
 #[cfg(feature = "telemetry")]
 mod imp {
-    use crate::clock;
+    use crate::{clock, lock};
     use std::collections::BTreeMap;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::{Arc, Mutex, OnceLock};
@@ -310,15 +310,13 @@ mod imp {
 
         /// Counter handle for `name`, created on first use.
         pub fn counter(&self, name: &str) -> Arc<Counter> {
-            // lint: allow(panic-in-lib) poisoned registry lock is unrecoverable
-            let mut map = self.counters.lock().expect("counter registry lock poisoned"); // lint: lock-order(telemetry.metrics_counters)
+            let mut map = lock(&self.counters); // lint: lock-order(telemetry.metrics_counters)
             Arc::clone(map.entry(name.to_string()).or_default())
         }
 
         /// Gauge handle for `name`, created on first use.
         pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-            // lint: allow(panic-in-lib) poisoned registry lock is unrecoverable
-            let mut map = self.gauges.lock().expect("gauge registry lock poisoned"); // lint: lock-order(telemetry.metrics_gauges)
+            let mut map = lock(&self.gauges); // lint: lock-order(telemetry.metrics_gauges)
             Arc::clone(map.entry(name.to_string()).or_default())
         }
 
@@ -326,8 +324,7 @@ mod imp {
         /// bucket edges; later calls with different edges get the
         /// existing histogram unchanged.
         pub fn histogram(&self, name: &str, edges: &[f64]) -> Arc<Histogram> {
-            // lint: allow(panic-in-lib) poisoned registry lock is unrecoverable
-            let mut map = self.histograms.lock().expect("histogram registry lock poisoned"); // lint: lock-order(telemetry.metrics_histograms)
+            let mut map = lock(&self.histograms); // lint: lock-order(telemetry.metrics_histograms)
             Arc::clone(
                 map.entry(name.to_string())
                     .or_insert_with(|| Arc::new(Histogram::new(edges))),
@@ -336,12 +333,9 @@ mod imp {
 
         /// Point-in-time, key-sorted copy of every metric.
         pub fn snapshot(&self) -> Snapshot {
-            // lint: allow(panic-in-lib) poisoned registry lock is unrecoverable
-            let counters = self.counters.lock().expect("counter registry lock poisoned"); // lint: lock-order(telemetry.metrics_counters)
-            // lint: allow(panic-in-lib) poisoned registry lock is unrecoverable
-            let gauges = self.gauges.lock().expect("gauge registry lock poisoned"); // lint: lock-order(telemetry.metrics_gauges)
-            // lint: allow(panic-in-lib) poisoned registry lock is unrecoverable
-            let histograms = self.histograms.lock().expect("histogram registry lock poisoned"); // lint: lock-order(telemetry.metrics_histograms)
+            let counters = lock(&self.counters); // lint: lock-order(telemetry.metrics_counters)
+            let gauges = lock(&self.gauges); // lint: lock-order(telemetry.metrics_gauges)
+            let histograms = lock(&self.histograms); // lint: lock-order(telemetry.metrics_histograms)
             Snapshot {
                 counters: counters.iter().map(|(k, v)| (k.clone(), v.get())).collect(),
                 gauges: gauges.iter().map(|(k, v)| (k.clone(), v.get())).collect(),
@@ -354,12 +348,9 @@ mod imp {
         /// which no snapshot shows again, and the next by-name lookup
         /// registers a fresh one.
         pub fn reset(&self) {
-            // lint: allow(panic-in-lib) poisoned registry lock is unrecoverable
-            self.counters.lock().expect("counter registry lock poisoned").clear(); // lint: lock-order(telemetry.metrics_counters)
-            // lint: allow(panic-in-lib) poisoned registry lock is unrecoverable
-            self.gauges.lock().expect("gauge registry lock poisoned").clear(); // lint: lock-order(telemetry.metrics_gauges)
-            // lint: allow(panic-in-lib) poisoned registry lock is unrecoverable
-            self.histograms.lock().expect("histogram registry lock poisoned").clear(); // lint: lock-order(telemetry.metrics_histograms)
+            lock(&self.counters).clear(); // lint: lock-order(telemetry.metrics_counters)
+            lock(&self.gauges).clear(); // lint: lock-order(telemetry.metrics_gauges)
+            lock(&self.histograms).clear(); // lint: lock-order(telemetry.metrics_histograms)
         }
     }
 

@@ -18,7 +18,7 @@
 
 #[cfg(feature = "telemetry")]
 mod imp {
-    use crate::clock;
+    use crate::{clock, lock};
     use std::cell::RefCell;
     use std::sync::{Arc, Mutex};
 
@@ -55,21 +55,18 @@ mod imp {
     where
         F: Fn(&SpanEvent) + Send + Sync + 'static,
     {
-        // lint: allow(panic-in-lib) poisoned sink lock is unrecoverable
-        *SINK.lock().expect("span sink lock poisoned") = Some(Arc::new(sink));
+        *lock(&SINK) = Some(Arc::new(sink));
     }
 
     /// Remove the process-global span sink (spans become stack-only).
     pub fn clear_span_sink() {
-        // lint: allow(panic-in-lib) poisoned sink lock is unrecoverable
-        *SINK.lock().expect("span sink lock poisoned") = None;
+        *lock(&SINK) = None;
     }
 
     fn current_sink() -> Option<Sink> {
         // Clone the Arc out of the lock so the sink runs without holding it
         // (the sink may take its own locks, e.g. the event log's).
-        // lint: allow(panic-in-lib) poisoned sink lock is unrecoverable
-        SINK.lock().expect("span sink lock poisoned").clone()
+        lock(&SINK).clone()
     }
 
     /// RAII guard for one span frame; pops and emits on drop.

@@ -207,6 +207,12 @@ if [[ "${1:-}" == "serve" ]]; then
   for _ in $(seq 100); do [[ -s "$sv/addr" ]] && break; sleep 0.1; done
   [[ -s "$sv/addr" ]] || { echo "serve: daemon never wrote --addr-file" >&2; exit 1; }
   addr="$(cat "$sv/addr")"
+  # $daemon_pid is the `timeout` wrapper; the daemon is its only child.
+  pid="$(pgrep -P "$daemon_pid")"
+  # Threads and open fds of the idle daemon, before any pull; every
+  # session and stream after this must give both back.
+  soak() { echo "$(awk '/^Threads:/ {print $2}' "/proc/$pid/status") $(ls "/proc/$pid/fd" | wc -l)"; }
+  idle="$(soak)"
 
   timeout 60 "$cli" pull "$addr" demo --count 64 --credit 2 --out "$sv/a.jsonl" &
   pull_a=$!
@@ -240,12 +246,15 @@ if [[ "${1:-}" == "serve" ]]; then
     # SYNs (a 1 s stall each): let it catch up every 64 connects.
     (( i % 64 )) || sleep 0.05
   done
-  # $daemon_pid is the `timeout` wrapper; the daemon is its only child.
-  maps="$(wc -l < "/proc/$(pgrep -P "$daemon_pid")/maps")"
+  maps="$(wc -l < "/proc/$pid/maps")"
   [[ "$maps" -lt 400 ]] \
     || { echo "serve: $maps mappings after 2000 connections" >&2; exit 1; }
   timeout 60 "$cli" pull "$addr" tiny --count 16 --out "$sv/d.jsonl"
   cmp "$sv/c.jsonl" "$sv/d.jsonl"
+  # Sessions end a little after their clients do: poll up to 5 s.
+  for _ in $(seq 50); do [[ "$(soak)" == "$idle" ]] && break; sleep 0.1; done
+  [[ "$(soak)" == "$idle" ]] \
+    || { echo "serve: threads/fds $(soak) after the pulls, $idle idle" >&2; exit 1; }
 
   echo shutdown >&9
   exec 9>&-
@@ -258,7 +267,7 @@ if [[ "${1:-}" == "serve" ]]; then
     echo "serve: frames dropped during a clean run" >&2
     exit 1
   fi
-  echo "serve smoke: concurrent pulls agreed, 2000 connections left $maps mappings, drain clean, metrics complete"
+  echo "serve smoke: concurrent pulls agreed, 2000 connections left $maps mappings and threads/fds at $idle, drain clean, metrics complete"
   exit 0
 fi
 
