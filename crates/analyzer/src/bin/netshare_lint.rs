@@ -1,59 +1,24 @@
 //! `netshare-lint` CLI.
 //!
 //! ```text
-//! netshare-lint [--root DIR] [--format text|json] [--fix-dry-run]
-//!               [--deny RULE] [--warn RULE] [--allow RULE] [--list-rules]
-//!               [--file PATH [--as-crate NAME] [--as-role ROLE]]
-//!               [--workspace-graph] [--baseline PATH]
-//!               [--write-baseline PATH] [--diff FILE]...
+//! netshare-lint [--root DIR] [--format text|json] [--list-rules]
 //! ```
 //!
-//! `--workspace-graph` runs the per-file rules plus the three
-//! cross-module passes (lock-order, capability graph, DP taint
-//! dataflow). `--diff FILE` (repeatable, implies the graph mode)
-//! restricts reporting to the reverse-dependency cone of the named
-//! files. `--baseline PATH` demotes findings listed in the committed
-//! baseline to non-fatal and warns about stale entries;
-//! `--write-baseline PATH` regenerates that file from the current run.
+//! Lints every `.rs` file under `--root` (default `.`): the per-file
+//! rules and the three cross-module passes (lock-order, capability
+//! graph, DP taint dataflow), with inline waivers applied.
 //!
-//! Exit codes: 0 clean (or warnings only), 1 deny-level findings,
-//! 2 usage error.
+//! Exit codes: 0 clean (waived findings only), 1 unwaived findings,
+//! 2 usage or I/O error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use analyzer::config::{Config, Role, RuleId, Severity};
-use analyzer::report::{Baseline, Report};
-
-struct Args {
-    root: PathBuf,
-    format: Format,
-    fix_dry_run: bool,
-    list_rules: bool,
-    file: Option<PathBuf>,
-    as_crate: Option<String>,
-    as_role: Option<Role>,
-    overrides: Vec<(RuleId, Severity)>,
-    workspace_graph: bool,
-    baseline: Option<PathBuf>,
-    write_baseline: Option<PathBuf>,
-    diff: Vec<String>,
-}
-
-#[derive(PartialEq)]
-enum Format {
-    Text,
-    Json,
-}
+use analyzer::config::RuleId;
 
 fn usage() -> String {
     let mut s = String::from(
-        "usage: netshare-lint [--root DIR] [--format text|json] [--fix-dry-run]\n\
-         \x20                    [--deny RULE] [--warn RULE] [--allow RULE] [--list-rules]\n\
-         \x20                    [--file PATH [--as-crate NAME] [--as-role lib|bin|test|bench]]\n\
-         \x20                    [--workspace-graph] [--baseline PATH]\n\
-         \x20                    [--write-baseline PATH] [--diff FILE]...\n\
-         rules:\n",
+        "usage: netshare-lint [--root DIR] [--format text|json] [--list-rules]\nrules:\n",
     );
     for r in RuleId::ALL {
         s.push_str(&format!("  {:28} {}\n", r.name(), r.describe()));
@@ -61,21 +26,9 @@ fn usage() -> String {
     s
 }
 
-fn parse_args(argv: &[String]) -> Result<Args, String> {
-    let mut args = Args {
-        root: PathBuf::from("."),
-        format: Format::Text,
-        fix_dry_run: false,
-        list_rules: false,
-        file: None,
-        as_crate: None,
-        as_role: None,
-        overrides: Vec::new(),
-        workspace_graph: false,
-        baseline: None,
-        write_baseline: None,
-        diff: Vec::new(),
-    };
+/// `(root, json, list_rules)`, or the message for a usage error.
+fn parse_args(argv: &[String]) -> Result<(PathBuf, bool, bool), String> {
+    let (mut root, mut json, mut list_rules) = (PathBuf::from("."), false, false);
     let mut it = argv.iter();
     while let Some(a) = it.next() {
         let mut value = |flag: &str| {
@@ -84,126 +37,46 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 .ok_or_else(|| format!("{flag} requires a value"))
         };
         match a.as_str() {
-            "--root" => args.root = PathBuf::from(value("--root")?),
+            "--root" => root = PathBuf::from(value("--root")?),
             "--format" => {
-                args.format = match value("--format")?.as_str() {
-                    "text" => Format::Text,
-                    "json" => Format::Json,
+                json = match value("--format")?.as_str() {
+                    "text" => false,
+                    "json" => true,
                     other => return Err(format!("unknown format `{other}`")),
                 }
             }
-            "--fix-dry-run" => args.fix_dry_run = true,
-            "--list-rules" => args.list_rules = true,
-            "--file" => args.file = Some(PathBuf::from(value("--file")?)),
-            "--as-crate" => args.as_crate = Some(value("--as-crate")?),
-            "--as-role" => {
-                args.as_role = Some(match value("--as-role")?.as_str() {
-                    "lib" => Role::Lib,
-                    "bin" => Role::Bin,
-                    "test" => Role::Test,
-                    "bench" => Role::Bench,
-                    other => return Err(format!("unknown role `{other}`")),
-                })
-            }
-            "--workspace-graph" => args.workspace_graph = true,
-            "--baseline" => args.baseline = Some(PathBuf::from(value("--baseline")?)),
-            "--write-baseline" => {
-                args.write_baseline = Some(PathBuf::from(value("--write-baseline")?))
-            }
-            "--diff" => args.diff.push(value("--diff")?),
-            sev @ ("--deny" | "--warn" | "--allow") => {
-                let name = value(sev)?;
-                let rule = RuleId::parse(&name)
-                    .ok_or_else(|| format!("unknown rule `{name}`"))?;
-                let severity = match sev {
-                    "--deny" => Severity::Deny,
-                    "--warn" => Severity::Warn,
-                    _ => Severity::Allow,
-                };
-                args.overrides.push((rule, severity));
-            }
-            "--help" | "-h" => return Err(String::new()),
+            "--list-rules" => list_rules = true,
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    if args.file.is_some() && (args.workspace_graph || !args.diff.is_empty()) {
-        return Err("--file conflicts with --workspace-graph/--diff".into());
-    }
-    Ok(args)
+    Ok((root, json, list_rules))
 }
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = match parse_args(&argv) {
+    let (root, json, list_rules) = match parse_args(&argv) {
         Ok(a) => a,
         Err(msg) => {
-            if !msg.is_empty() {
-                eprintln!("netshare-lint: {msg}");
-            }
+            eprintln!("netshare-lint: {msg}");
             eprint!("{}", usage());
             return ExitCode::from(2);
         }
     };
-
-    if args.list_rules {
+    if list_rules {
         print!("{}", usage());
         return ExitCode::SUCCESS;
     }
-
-    let mut cfg = Config::default();
-    for (rule, sev) in &args.overrides {
-        cfg.severities.insert(*rule, *sev);
-    }
-
-    let report = if let Some(path) = &args.file {
-        analyzer::lint_one_file(&args.root, path, &cfg, args.as_crate.as_deref(), args.as_role)
-            .map(|diagnostics| Report::new(diagnostics, 1))
-    } else if args.workspace_graph || !args.diff.is_empty() || args.write_baseline.is_some() {
-        let changed = if args.diff.is_empty() {
-            None
-        } else {
-            Some(args.diff.as_slice())
-        };
-        analyzer::run_workspace_graph(&args.root, &cfg, changed)
-    } else {
-        analyzer::run_workspace(&args.root, &cfg)
-    };
-    let mut report = match report {
+    let report = match analyzer::run(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("netshare-lint: io error: {e}");
             return ExitCode::from(2);
         }
     };
-
-    if let Some(path) = &args.write_baseline {
-        let text = Baseline::render(&report);
-        if let Err(e) = std::fs::write(path, &text) {
-            eprintln!("netshare-lint: cannot write baseline {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        let entries = text.lines().filter(|l| !l.starts_with('#') && !l.is_empty()).count();
-        println!("netshare-lint: wrote {entries} baseline entries to {}", path.display());
-        return ExitCode::SUCCESS;
-    }
-
-    if let Some(path) = &args.baseline {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("netshare-lint: cannot read baseline {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        Baseline::parse(&text).apply(&mut report);
-    }
-
-    if args.fix_dry_run {
-        print!("{}", report.to_fix_dry_run());
-    } else if args.format == Format::Json {
+    if json {
         println!("{}", report.to_json());
     } else {
         print!("{}", report.to_text());
     }
-    ExitCode::from(report.exit_code() as u8)
+    ExitCode::from(report.exit_code())
 }

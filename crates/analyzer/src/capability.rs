@@ -7,77 +7,107 @@
 //! call into a file that is allowed to hold a capability (the entropy /
 //! clock whitelists, `lint: io-boundary` modules for `net`, shims,
 //! non-library roles, and `lint: caps(...)` declarations) does not taint
-//! the caller — that is the point of a sanctioned boundary. What remains
-//! is exactly the tag-at-the-leaf blindspot of the per-file rules: an
-//! untagged library helper that transitively reaches `.accept(` or
-//! `SystemTime::now` through other *unsanctioned* helpers.
+//! the caller — that is the point of a sanctioned boundary.
 //!
-//! Only `entropy`, `clock`, and `net` deny ([`Config::deny_caps`]);
-//! `fs`, `unsafe`, and `panic` are manifest-only and appear in the JSON
-//! graph dump for auditing. Direct evidence already covered by the
-//! legacy leaf rules (`ambient-entropy`, `telemetry-clock`,
-//! `blocking-accept-loop`) is not re-reported; direct evidence those
-//! rules miss (`from_entropy`, `TcpListener::bind`, `TcpStream::connect`)
-//! fires here.
+//! Only `entropy`, `clock`, and `net` deny; `fs`, `unsafe`, and `panic`
+//! are manifest-only and appear in the JSON graph dump for auditing. Two
+//! kinds of finding:
+//!
+//! - **direct**: every use of a deny capability in code not sanctioned
+//!   for that evidence (`Scope`). OS entropy and raw clock reads
+//!   (`thread_rng`, `rand::random`, `SystemTime::now`, `Instant::now`)
+//!   are sanctioned only in `telemetry::clock`, `orchestrator::timing`
+//!   and the bench crate, whatever the role; the
+//!   telemetry epoch clock (`monotonic_nanos`) in telemetry's library,
+//!   `orchestrator::timing`, tests and examples; blocking socket reads
+//!   (`.accept(`, `.read_exact(`) in `lint: io-boundary` modules, tests
+//!   and examples; `.from_entropy()`, `TcpListener::bind` and
+//!   `TcpStream::connect` wherever their capability is sanctioned. Only
+//!   these last three honour a `lint: caps(...)` declaration.
+//!   Test items of a library file answer like a test file; benches and
+//!   shims answer for nothing.
+//! - **propagated**: a library fn that reaches a deny capability only
+//!   through calls into unsanctioned helpers — nothing on its own lines
+//!   looks suspicious, so the finding names the carrier in `related`.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::config::{Config, Role, RuleId, Severity};
-use crate::engine::{Diagnostic, RelatedSite};
+use crate::config::{Role, RuleId};
 use crate::graph::WorkspaceModel;
 use crate::lexer::TokKind;
+use crate::report::{Diagnostic, RelatedSite};
 use crate::syntax::FileModel;
-
-/// Capability index space.
-pub const CAPS: [&str; 6] = ["entropy", "clock", "net", "fs", "unsafe", "panic"];
-
-/// One piece of direct evidence.
-#[derive(Debug, Clone)]
-struct Evidence {
-    line: u32,
-    what: String,
-    /// True when no legacy per-file rule covers this evidence kind.
-    novel: bool,
-}
 
 /// Pass output.
 pub struct CapAnalysis {
-    /// Deny findings (propagated or novel-direct deny-caps).
+    /// Direct and propagated findings.
     pub diagnostics: Vec<Diagnostic>,
     /// `(module rel_path, capability names)` for every module that
     /// carries any capability, sanctioned or not.
     pub manifest: Vec<(String, Vec<String>)>,
 }
 
-/// Runs the pass.
+/// Path prefixes sanctioned for the `entropy` capability, and the only
+/// ones where OS entropy or a raw OS clock may be read ([`Scope::Ambient`]).
+const ENTROPY_WHITELIST: [&str; 4] = [
+    "crates/orchestrator/src/timing.rs",
+    "crates/telemetry/src/clock.rs",
+    "crates/bench/",
+    "shims/",
+];
+/// Path prefixes sanctioned for the `clock` capability: they may read the
+/// telemetry epoch clock, and absorb `clock` for their callers.
+const CLOCK_WHITELIST: [&str; 3] =
+    ["crates/telemetry/src/", "crates/orchestrator/src/timing.rs", "shims/"];
+
 /// `(call line, callee file, callee fn line, callee name)` — the call
 /// through which a propagated capability was inherited.
 type Witness = (u32, usize, u32, String);
 
-pub fn analyze(model: &WorkspaceModel, cfg: &Config) -> CapAnalysis {
-    // Direct evidence per (file, fn, cap) — first witness wins.
-    let mut direct: Vec<Vec<BTreeMap<usize, Evidence>>> = Vec::new();
-    for file in &model.files {
-        let mut per_fn = vec![BTreeMap::new(); file.fns.len()];
-        if !file.meta.is_shim && !cfg.is_exempt(&file.meta.rel_path) {
-            collect_direct(file, &mut per_fn);
+/// Runs the pass.
+pub fn analyze(model: &WorkspaceModel) -> CapAnalysis {
+    let mut diagnostics = Vec::new();
+    let mut seen: BTreeSet<(usize, u32, &str)> = BTreeSet::new();
+    // Direct caps per (file, fn); direct findings as they are found.
+    let mut caps: Vec<Vec<BTreeSet<&'static str>>> = Vec::new();
+    for (fi, file) in model.files.iter().enumerate() {
+        let mut per_fn = vec![BTreeSet::new(); file.fns.len()];
+        let found = if file.meta.is_shim { Vec::new() } else { evidence(file) };
+        for (tok, cap, what, scope) in found {
+            let line = file.lexed.toks[tok].line;
+            let in_test = file.in_test_region(line);
+            let role = match file.meta.role {
+                Role::Bench => Role::Bench,
+                _ if in_test => Role::Test,
+                role => role,
+            };
+            if !direct_ok(file, cap, scope, role) && seen.insert((fi, line, cap)) {
+                diagnostics.push(Diagnostic::new(
+                    RuleId::CapabilityGraph,
+                    &file.meta.rel_path,
+                    line,
+                    format!(
+                        "module uses the `{cap}` capability directly (`{what}`) but is \
+                         not sanctioned for it; {}",
+                        scope.remedy(cap)
+                    ),
+                ));
+            }
+            if let (false, Some(f)) = (in_test, file.enclosing_fn(tok)) {
+                per_fn[f].insert(cap);
+            }
         }
-        direct.push(per_fn);
+        caps.push(per_fn);
     }
 
-    // Propagated caps per (file, fn): start from direct, iterate to a
-    // fixpoint over resolved calls; record the witness call per cap.
-    let mut caps: Vec<Vec<BTreeSet<usize>>> = direct
-        .iter()
-        .map(|f| f.iter().map(|m| m.keys().copied().collect()).collect())
-        .collect();
-    // (file, fn, cap) -> the witness call the capability arrived through
-    let mut via: BTreeMap<(usize, usize, usize), Witness> = BTreeMap::new();
+    // Propagate to a fixpoint over resolved calls; record the witness
+    // call per gained cap.
+    let mut via: BTreeMap<(usize, usize, &str), Witness> = BTreeMap::new();
     loop {
         let mut changed = false;
         for fi in 0..model.files.len() {
             let file = &model.files[fi];
-            if file.meta.is_shim || cfg.is_exempt(&file.meta.rel_path) {
+            if file.meta.is_shim {
                 continue;
             }
             for call in &file.calls {
@@ -92,10 +122,13 @@ pub fn analyze(model: &WorkspaceModel, cfg: &Config) -> CapAnalysis {
                         continue;
                     }
                     let callee_file = &model.files[tf];
-                    let gained: Vec<usize> = caps[tf][ti]
+                    let gained: Vec<&'static str> = caps[tf][ti]
                         .iter()
                         .copied()
-                        .filter(|&c| !sanctioned(callee_file, cfg, c))
+                        .filter(|&c| {
+                            callee_file.meta.role == Role::Lib
+                                && !sanctioned(callee_file, c, Role::Lib)
+                        })
                         .filter(|c| !caps[fi][caller].contains(c))
                         .collect();
                     for c in gained {
@@ -103,7 +136,7 @@ pub fn analyze(model: &WorkspaceModel, cfg: &Config) -> CapAnalysis {
                         via.entry((fi, caller, c)).or_insert((
                             call.line,
                             tf,
-                            model.files[tf].fns[ti].line,
+                            callee_file.fns[ti].line,
                             call.name.clone(),
                         ));
                         changed = true;
@@ -116,224 +149,162 @@ pub fn analyze(model: &WorkspaceModel, cfg: &Config) -> CapAnalysis {
         }
     }
 
-    // Module manifests: union over fns.
-    let mut manifest = Vec::new();
-    for (fi, file) in model.files.iter().enumerate() {
-        let mut all: BTreeSet<usize> = BTreeSet::new();
-        for f in &caps[fi] {
-            all.extend(f.iter().copied());
-        }
-        if !all.is_empty() {
-            manifest.push((
-                file.meta.rel_path.clone(),
-                all.iter().map(|&c| CAPS[c].to_string()).collect(),
-            ));
-        }
-    }
-
-    // Findings: deny-caps in unsanctioned library files.
-    let deny: BTreeSet<usize> = CAPS
-        .iter()
-        .enumerate()
-        .filter(|(_, n)| cfg.deny_caps.iter().any(|d| d == **n))
-        .map(|(i, _)| i)
-        .collect();
-    let mut diagnostics = Vec::new();
-    let mut seen: BTreeSet<(String, u32, usize)> = BTreeSet::new();
-    for (fi, file) in model.files.iter().enumerate() {
-        if file.meta.is_shim
-            || cfg.is_exempt(&file.meta.rel_path)
-            || file.meta.role != Role::Lib
+    // Propagated findings: deny caps a library fn inherited.
+    for (&(fi, _, c), (line, tf, tline, callee)) in &via {
+        let file = &model.files[fi];
+        if file.meta.role != Role::Lib
+            || sanctioned(file, c, Role::Lib)
+            || !seen.insert((fi, *line, c))
         {
             continue;
         }
-        for (ii, fn_caps) in caps[fi].iter().enumerate() {
-            for &c in fn_caps.iter().filter(|c| deny.contains(c)) {
-                if sanctioned(file, cfg, c) {
-                    continue;
-                }
-                if let Some(ev) = direct[fi][ii].get(&c) {
-                    if ev.novel && seen.insert((file.meta.rel_path.clone(), ev.line, c)) {
-                        diagnostics.push(direct_diag(file, c, ev, cfg));
-                    }
-                } else if let Some((line, tf, tline, name)) = via.get(&(fi, ii, c)) {
-                    if seen.insert((file.meta.rel_path.clone(), *line, c)) {
-                        diagnostics.push(propagated_diag(
-                            file,
-                            c,
-                            *line,
-                            name,
-                            (&model.files[*tf].meta.rel_path, *tline),
-                            cfg,
-                        ));
-                    }
-                }
-            }
-        }
+        let mut d = Diagnostic::new(
+            RuleId::CapabilityGraph,
+            &file.meta.rel_path,
+            *line,
+            format!(
+                "call to `{callee}` transitively reaches the `{c}` capability \
+                 through unsanctioned helpers; route it through a sanctioned \
+                 boundary or declare `lint: caps({c})` on this module"
+            ),
+        );
+        d.related.push(RelatedSite {
+            file: model.files[*tf].meta.rel_path.clone(),
+            line: *tline,
+            note: format!("`{callee}` defined here carries `{c}`"),
+        });
+        diagnostics.push(d);
     }
 
-    for d in diagnostics.iter_mut() {
-        if let Some(file) = model.files.iter().find(|f| f.meta.rel_path == d.file) {
-            if let Some(w) = file
-                .waivers
-                .iter()
-                .find(|w| w.rule == d.rule && w.covers == d.line)
-            {
-                d.waived = true;
-                d.waiver_reason = Some(w.reason.clone());
-            }
-        }
-    }
+    // Module manifests: union over fns.
+    let manifest = model
+        .files
+        .iter()
+        .zip(&caps)
+        .filter_map(|(file, per_fn)| {
+            let all: BTreeSet<&str> = per_fn.iter().flatten().copied().collect();
+            (!all.is_empty()).then(|| {
+                (file.meta.rel_path.clone(), all.iter().map(|c| c.to_string()).collect())
+            })
+        })
+        .collect();
     CapAnalysis { diagnostics, manifest }
 }
 
-/// True when `file` may hold capability `c` without findings — and
-/// absorbs it instead of passing it to callers.
-fn sanctioned(file: &FileModel, cfg: &Config, c: usize) -> bool {
-    if file.meta.is_shim || file.meta.role != Role::Lib {
-        return true;
-    }
-    if file.caps_decl.iter().any(|d| d == CAPS[c]) {
-        return true;
-    }
-    let rel = &file.meta.rel_path;
-    match CAPS[c] {
-        "entropy" => cfg.entropy_whitelist.iter().any(|p| rel.starts_with(p)),
-        "clock" => cfg.clock_whitelist.iter().any(|p| rel.starts_with(p)),
-        "net" => file.io_tagged,
-        // fs/unsafe/panic are manifest-only: sanctioned everywhere.
-        _ => true,
+/// True when code of role `role` in `file` may use capability `cap`
+/// without a finding. A sanctioned library file also absorbs the
+/// capability instead of passing it to its callers.
+fn sanctioned(file: &FileModel, cap: &str, role: Role) -> bool {
+    file.meta.is_shim
+        || file.caps_decl.iter().any(|d| d == cap)
+        || match (cap, role) {
+            ("entropy", _) => listed(file, &ENTROPY_WHITELIST),
+            ("clock", _) => listed(file, &CLOCK_WHITELIST),
+            ("net", Role::Test | Role::Example) => true,
+            ("net", _) => file.io_tagged,
+            // fs/unsafe/panic are manifest-only: sanctioned everywhere.
+            _ => true,
+        }
+}
+
+/// True when `file` lies under one of `prefixes`.
+fn listed(file: &FileModel, prefixes: &[&str]) -> bool {
+    prefixes.iter().any(|p| file.meta.rel_path.starts_with(p))
+}
+
+/// Which code may hold a piece of direct evidence without a finding.
+#[derive(Clone, Copy)]
+enum Scope {
+    /// OS entropy and raw clock reads (`thread_rng`, `rand::random`,
+    /// `SystemTime::now`, `Instant::now`): only the entropy whitelist —
+    /// the two timing shims and the bench crate. Test code answers too.
+    Ambient,
+    /// The telemetry epoch clock (`monotonic_nanos`): the clock
+    /// whitelist, test and example code.
+    EpochClock,
+    /// Blocking socket reads (`.accept()`, `.read_exact()`): `lint:
+    /// io-boundary` modules, test and example code.
+    BlockingIo,
+    /// Everything else: whatever sanctions its capability, a `lint:
+    /// caps(...)` declaration included. The three scopes above ignore
+    /// declarations: each such use is waived on its own line.
+    Cap,
+}
+
+impl Scope {
+    /// The fix a finding of this scope suggests.
+    fn remedy(self, cap: &str) -> String {
+        match self {
+            Scope::Ambient => "route randomness through seeded RNGs and timing through \
+                               `orchestrator::timing`"
+                .to_string(),
+            Scope::EpochClock => "take timestamps via `orchestrator::timing::Stopwatch`, \
+                                  `telemetry::span!` or `telemetry::metrics::scoped_timer_us`"
+                .to_string(),
+            Scope::BlockingIo => "socket I/O belongs in a `lint: io-boundary` module".to_string(),
+            Scope::Cap => format!(
+                "move this behind a sanctioned boundary or declare it with `lint: caps({cap})`"
+            ),
+        }
     }
 }
 
-fn collect_direct(file: &FileModel, per_fn: &mut [BTreeMap<usize, Evidence>]) {
+/// True when code of role `role` in `file` may use direct evidence of
+/// `cap` in `scope` without a finding.
+fn direct_ok(file: &FileModel, cap: &str, scope: Scope, role: Role) -> bool {
+    let test_like = matches!(role, Role::Test | Role::Example);
+    match scope {
+        _ if role == Role::Bench => true,
+        Scope::Ambient => listed(file, &ENTROPY_WHITELIST),
+        Scope::EpochClock => test_like || listed(file, &CLOCK_WHITELIST),
+        Scope::BlockingIo => test_like || file.io_tagged,
+        Scope::Cap => sanctioned(file, cap, role),
+    }
+}
+
+/// Every piece of direct evidence in `file`: `(token index, capability,
+/// what, scope)`.
+fn evidence(file: &FileModel) -> Vec<(usize, &'static str, &'static str, Scope)> {
     let toks = &file.lexed.toks;
-    // lint: allow(panic-in-lib) every name passed below is a literal from CAPS
-    let cap_idx = |name: &str| CAPS.iter().position(|c| *c == name).unwrap();
-    let mut add = |file: &FileModel, tok: usize, cap: &str, what: &str, novel: bool| {
-        let line = toks[tok].line;
-        if file.in_test_region(line) {
-            return;
-        }
-        if let Some(fi) = file.enclosing_fn(tok) {
-            per_fn[fi].entry(cap_idx(cap)).or_insert(Evidence {
-                line,
-                what: what.to_string(),
-                novel,
-            });
-        }
-    };
-    for i in 0..toks.len() {
-        let t = &toks[i];
+    let mut out = Vec::new();
+    for (i, t) in toks.iter().enumerate() {
         if t.kind != TokKind::Ident {
             continue;
         }
         let prev = i.checked_sub(1).map(|p| toks[p].text.as_str());
-        let prev2 = i.checked_sub(2).map(|p| toks[p].text.as_str());
+        let path = |head: &str| prev == Some("::") && i >= 2 && toks[i - 2].text == head;
         let next = toks.get(i + 1).map(|n| n.text.as_str());
-        let is_method = prev == Some(".");
-        let is_call = next == Some("(");
-        match t.text.as_str() {
-            "thread_rng" if is_call => add(file, i, "entropy", "thread_rng()", false),
-            "from_entropy" if is_call && is_method => {
-                add(file, i, "entropy", ".from_entropy()", true)
+        let method_call = prev == Some(".") && next == Some("(");
+        let (cap, what, scope) = match t.text.as_str() {
+            "thread_rng" => ("entropy", "thread_rng()", Scope::Ambient),
+            "from_entropy" if method_call => ("entropy", ".from_entropy()", Scope::Cap),
+            "random" if path("rand") => ("entropy", "rand::random()", Scope::Ambient),
+            "now" if path("SystemTime") => ("clock", "SystemTime::now()", Scope::Ambient),
+            "now" if path("Instant") => ("clock", "Instant::now()", Scope::Ambient),
+            "monotonic_nanos" => {
+                ("clock", "telemetry::clock::monotonic_nanos()", Scope::EpochClock)
             }
-            "random" if is_call && prev == Some("::") && prev2 == Some("rand") => {
-                add(file, i, "entropy", "rand::random()", false)
+            "accept" if method_call => ("net", ".accept()", Scope::BlockingIo),
+            "read_exact" if method_call => ("net", ".read_exact()", Scope::BlockingIo),
+            "bind" if next == Some("(") && path("TcpListener") => {
+                ("net", "TcpListener::bind()", Scope::Cap)
             }
-            "now" if is_call && prev == Some("::") => {
-                if prev2 == Some("SystemTime") {
-                    add(file, i, "clock", "SystemTime::now()", false);
-                } else if prev2 == Some("Instant") {
-                    add(file, i, "clock", "Instant::now()", false);
-                }
+            "connect" if next == Some("(") && path("TcpStream") => {
+                ("net", "TcpStream::connect()", Scope::Cap)
             }
-            "monotonic_nanos" if is_call => {
-                add(file, i, "clock", "telemetry::clock::monotonic_nanos()", false)
+            "unsafe" => ("unsafe", "unsafe", Scope::Cap),
+            "panic" if next == Some("!") => ("panic", "panic!", Scope::Cap),
+            "unwrap" | "expect" if method_call => ("panic", ".unwrap()", Scope::Cap),
+            "File" if next == Some("::") => ("fs", "File::", Scope::Cap),
+            "OpenOptions" => ("fs", "OpenOptions", Scope::Cap),
+            "read_to_string" | "create_dir_all" | "remove_file" | "rename" if path("fs") => {
+                ("fs", "std::fs op", Scope::Cap)
             }
-            "accept" if is_call && is_method => add(file, i, "net", ".accept(", false),
-            "read_exact" if is_call && is_method => add(file, i, "net", ".read_exact(", false),
-            "bind" if is_call && prev == Some("::") && prev2 == Some("TcpListener") => {
-                add(file, i, "net", "TcpListener::bind(", true)
-            }
-            "connect" if is_call && prev == Some("::") && prev2 == Some("TcpStream") => {
-                add(file, i, "net", "TcpStream::connect(", true)
-            }
-            "unsafe" => add(file, i, "unsafe", "unsafe", false),
-            "panic" if next == Some("!") => add(file, i, "panic", "panic!", false),
-            "unwrap" | "expect" if is_call && is_method => add(file, i, "panic", ".unwrap()", false),
-            "File" if next == Some("::") => add(file, i, "fs", "File::", false),
-            "OpenOptions" => add(file, i, "fs", "OpenOptions", false),
-            "read_to_string" | "create_dir_all" | "remove_file" | "rename"
-                if prev == Some("::") && prev2 == Some("fs") =>
-            {
-                add(file, i, "fs", "std::fs op", false)
-            }
-            _ => {}
-        }
+            _ => continue,
+        };
+        out.push((i, cap, what, scope));
     }
-}
-
-fn direct_diag(file: &FileModel, c: usize, ev: &Evidence, cfg: &Config) -> Diagnostic {
-    Diagnostic {
-        rule: RuleId::CapabilityGraph,
-        severity: cfg.severity(RuleId::CapabilityGraph),
-        file: file.meta.rel_path.clone(),
-        line: ev.line,
-        message: format!(
-            "module uses the `{}` capability directly (`{}`) but is not \
-             sanctioned for it; move this behind a sanctioned boundary or \
-             declare it with `lint: caps({})`",
-            CAPS[c],
-            ev.what.trim_end_matches('('),
-            CAPS[c]
-        ),
-        snippet: file.snippet(ev.line),
-        suggestion: None,
-        waived: false,
-        waiver_reason: None,
-        related: Vec::new(),
-        baselined: false,
-    }
-}
-
-fn propagated_diag(
-    file: &FileModel,
-    c: usize,
-    line: u32,
-    callee: &str,
-    callee_site: (&String, u32),
-    cfg: &Config,
-) -> Diagnostic {
-    Diagnostic {
-        rule: RuleId::CapabilityGraph,
-        severity: cfg.severity(RuleId::CapabilityGraph),
-        file: file.meta.rel_path.clone(),
-        line,
-        message: format!(
-            "call to `{callee}` transitively reaches the `{}` capability \
-             through unsanctioned helpers; route it through a sanctioned \
-             boundary or declare `lint: caps({})` on this module",
-            CAPS[c], CAPS[c]
-        ),
-        snippet: file.snippet(line),
-        suggestion: None,
-        waived: false,
-        waiver_reason: None,
-        related: vec![RelatedSite {
-            file: callee_site.0.clone(),
-            line: callee_site.1,
-            note: format!("`{callee}` defined here carries `{}`", CAPS[c]),
-        }],
-        baselined: false,
-    }
-}
-
-/// True when nothing denies (used by tests).
-pub fn clean(a: &CapAnalysis) -> bool {
-    !a.diagnostics
-        .iter()
-        .any(|d| !d.waived && d.severity == Severity::Deny)
+    out
 }
 
 #[cfg(test)]
@@ -344,14 +315,17 @@ mod tests {
     use crate::syntax::FileModel;
 
     fn run(files: &[(&str, &str)]) -> CapAnalysis {
-        let cfg = Config::default();
         let model = WorkspaceModel::build(
             files
                 .iter()
-                .map(|(p, s)| FileModel::build(classify(p), &cfg, s.to_string()))
+                .map(|(p, s)| FileModel::build(classify(p), s.to_string()))
                 .collect(),
         );
-        analyze(&model, &cfg)
+        analyze(&model)
+    }
+
+    fn lines(out: &CapAnalysis, file: &str) -> Vec<u32> {
+        out.diagnostics.iter().filter(|d| d.file == file).map(|d| d.line).collect()
     }
 
     #[test]
@@ -365,8 +339,9 @@ mod tests {
             ("crates/beta/src/lib.rs", helper),
             ("crates/alpha/src/lib.rs", caller),
         ]);
-        // Two findings: beta's direct evidence is covered by the legacy
-        // rule (not re-reported here), alpha's propagated use fires.
+        // beta's direct read is reported at its own line; alpha's
+        // propagated use names the carrier.
+        assert_eq!(lines(&out, "crates/beta/src/lib.rs"), vec![2]);
         let prop: Vec<_> = out
             .diagnostics
             .iter()
@@ -389,33 +364,103 @@ mod tests {
             ("crates/beta/src/lib.rs", helper),
             ("crates/alpha/src/lib.rs", caller),
         ]);
-        assert!(clean(&out), "{:?}", out.diagnostics);
+        assert!(out.diagnostics.is_empty(), "{:?}", out.diagnostics);
     }
 
     #[test]
     fn caps_declaration_sanctions_and_absorbs() {
-        let helper = "//! lint: caps(clock) — owns wall-clock reads for this crate\n\
-                      pub fn stamp() -> u64 { let t = SystemTime::now(); 0 }\n";
-        let caller = "pub fn log_stamp() { beta::stamp(); }\n";
+        let helper = "//! lint: caps(net) — owns the dialing for this crate\n\
+                      pub fn dial() { let s = TcpStream::connect(\"127.0.0.1:1\"); }\n";
+        let caller = "pub fn open() { beta::dial(); }\n";
         let out = run(&[
             ("crates/beta/src/lib.rs", helper),
             ("crates/alpha/src/lib.rs", caller),
         ]);
-        assert!(clean(&out), "{:?}", out.diagnostics);
+        assert!(out.diagnostics.is_empty(), "{:?}", out.diagnostics);
     }
 
     #[test]
-    fn novel_direct_evidence_fires_without_legacy_overlap() {
-        let src = "pub fn dial() { let s = TcpStream::connect(\"127.0.0.1:1\"); }\n";
+    fn direct_evidence_is_reported_per_line_outside_fns_too() {
+        let src = "use rand::thread_rng;\n\
+                   pub fn dial() { let s = TcpStream::connect(\"127.0.0.1:1\"); }\n\
+                   pub fn two() -> u64 {\n\
+                   let a = Instant::now();\n\
+                   let r: u64 = rand::random();\n\
+                   0 }\n";
         let out = run(&[("crates/alpha/src/lib.rs", src)]);
-        assert_eq!(out.diagnostics.len(), 1, "{:?}", out.diagnostics);
-        assert!(out.diagnostics[0].message.contains("`net` capability directly"));
+        assert_eq!(lines(&out, "crates/alpha/src/lib.rs"), vec![1, 2, 4, 5]);
+        assert!(out.diagnostics[1].message.contains("`net` capability directly"));
+
+        // A whitelisted file, and namesakes that are not the capability.
+        let timing = "pub fn now() -> u64 { let t = Instant::now(); 0 }\n";
+        let namesakes = "fn accept() {}\nfn f() { let read_exact = 3; random(3); }\n";
+        let out = run(&[
+            ("crates/orchestrator/src/timing.rs", timing),
+            ("crates/alpha/src/x.rs", namesakes),
+        ]);
+        assert!(out.diagnostics.is_empty(), "{:?}", out.diagnostics);
+    }
+
+    #[test]
+    fn roles_decide_which_direct_evidence_denies() {
+        let src = "fn f(l: &TcpListener) {\n\
+                   let t = Instant::now();\n\
+                   let r = thread_rng();\n\
+                   l.accept();\n\
+                   let n = telemetry::clock::monotonic_nanos();\n\
+                   }\n";
+        // Bins answer for everything; tests and examples for OS entropy
+        // and raw clock reads only; benches for none.
+        let out = run(&[
+            ("crates/alpha/src/bin/cli.rs", src),
+            ("crates/alpha/tests/t.rs", src),
+            ("examples/e.rs", src),
+            ("crates/alpha/benches/b.rs", src),
+        ]);
+        assert_eq!(lines(&out, "crates/alpha/src/bin/cli.rs"), vec![2, 3, 4, 5]);
+        assert_eq!(lines(&out, "crates/alpha/tests/t.rs"), vec![2, 3]);
+        assert_eq!(lines(&out, "examples/e.rs"), vec![2, 3]);
+        assert!(lines(&out, "crates/alpha/benches/b.rs").is_empty());
+        // A test item in a library file answers like a test file.
+        let lib = format!("#[cfg(test)]\nmod tests {{\n{src}}}\n");
+        let out = run(&[("crates/alpha/src/lib.rs", &lib)]);
+        assert_eq!(lines(&out, "crates/alpha/src/lib.rs"), vec![4, 5]);
+    }
+
+    #[test]
+    fn raw_clock_reads_answer_outside_the_two_timing_shims() {
+        let src = "pub fn f() -> u64 {\n\
+                   let t = Instant::now();\n\
+                   telemetry::clock::monotonic_nanos()\n\
+                   }\n";
+        // Telemetry's library may read its epoch clock but not the OS
+        // clock; its tests may read neither raw; `telemetry::clock` and
+        // `orchestrator::timing` may read both.
+        let declared = format!("//! lint: caps(clock)\n{src}");
+        let out = run(&[
+            ("crates/telemetry/src/span.rs", src),
+            ("crates/telemetry/tests/t.rs", src),
+            ("crates/telemetry/src/clock.rs", src),
+            ("crates/orchestrator/src/timing.rs", src),
+            ("crates/alpha/src/lib.rs", &declared),
+            ("crates/beta/src/lib.rs", "pub fn g() -> u64 { alpha::f() }\n"),
+        ]);
+        assert_eq!(lines(&out, "crates/telemetry/src/span.rs"), vec![2]);
+        assert_eq!(lines(&out, "crates/telemetry/tests/t.rs"), vec![2]);
+        assert!(lines(&out, "crates/telemetry/src/clock.rs").is_empty());
+        assert!(lines(&out, "crates/orchestrator/src/timing.rs").is_empty());
+        // A `caps(clock)` declaration absorbs the capability, so callers
+        // inherit nothing, but each raw read in it still answers.
+        assert_eq!(lines(&out, "crates/alpha/src/lib.rs"), vec![3, 4]);
+        assert!(lines(&out, "crates/beta/src/lib.rs").is_empty());
     }
 
     #[test]
     fn clock_propagates_through_unsanctioned_chain() {
         let low = "pub fn raw_now() -> u64 { let t = SystemTime::now(); 0 }\n";
-        let mid = "pub fn helper() -> u64 { beta::raw_now() }\n";
+        // A fn returning an array has a body too: the `;` of `[u64; 2]`
+        // must not end its signature.
+        let mid = "pub fn helper() -> [u64; 2] { [beta::raw_now(), 0] }\n";
         let top = "pub fn timestamped() { gamma::helper(); }\n";
         let out = run(&[
             ("crates/beta/src/lib.rs", low),
@@ -444,26 +489,6 @@ mod tests {
         assert!(m.1.contains(&"unsafe".to_string()));
         assert!(m.1.contains(&"panic".to_string()));
         // Manifest-only caps never deny.
-        assert!(clean(&out));
-    }
-
-    #[test]
-    fn waiver_covers_capability_finding() {
-        let helper = "pub fn raw_now() -> u64 { let t = SystemTime::now(); 0 }\n";
-        let caller = "pub fn stamp() -> u64 {\n\
-                      // lint: allow(capability-graph) startup banner only, not on any data path\n\
-                      beta::raw_now()\n\
-                      }\n";
-        let out = run(&[
-            ("crates/beta/src/lib.rs", helper),
-            ("crates/alpha/src/lib.rs", caller),
-        ]);
-        let alpha: Vec<_> = out
-            .diagnostics
-            .iter()
-            .filter(|d| d.file == "crates/alpha/src/lib.rs")
-            .collect();
-        assert_eq!(alpha.len(), 1);
-        assert!(alpha[0].waived, "{:?}", alpha);
+        assert!(out.diagnostics.is_empty());
     }
 }

@@ -1,5 +1,5 @@
 //! The workspace model: every file's syntactic model plus name-based
-//! call resolution and the reverse-dependency cone used by `--diff`.
+//! call resolution.
 //!
 //! Call resolution is deliberately conservative and purely nominal — no
 //! types exist at this layer. A call resolves to *every* function the
@@ -9,9 +9,8 @@
 //! over-taint, never under-taint, which is the right failure mode for a
 //! deny gate; precision is recovered with `lint: caps(...)` declarations.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
-use crate::config::Role;
 use crate::syntax::{CallSite, FileModel};
 
 /// Reference to one `fn` item: (file index, fn index).
@@ -21,8 +20,6 @@ pub type FnRef = (usize, usize);
 pub struct WorkspaceModel {
     /// Every file's model, in deterministic (sorted-path) order.
     pub files: Vec<FileModel>,
-    /// `crate dir name -> file indices`.
-    pub by_crate: BTreeMap<String, Vec<usize>>,
     /// `import root segment -> crate dir name` (package-name aliases:
     /// `netshare` -> `core`, `trace_synth` -> `trace-synth`).
     pub crate_alias: BTreeMap<String, String>,
@@ -33,10 +30,11 @@ pub struct WorkspaceModel {
 impl WorkspaceModel {
     /// Builds the model from per-file models.
     pub fn build(files: Vec<FileModel>) -> WorkspaceModel {
-        let mut by_crate: BTreeMap<String, Vec<usize>> = BTreeMap::new();
+        let mut crate_alias: BTreeMap<String, String> = BTreeMap::new();
         let mut fn_index: BTreeMap<(String, String), Vec<FnRef>> = BTreeMap::new();
         for (fi, f) in files.iter().enumerate() {
-            by_crate.entry(f.meta.crate_name.clone()).or_default().push(fi);
+            let name = &f.meta.crate_name;
+            crate_alias.insert(name.replace('-', "_"), name.clone());
             for (ii, item) in f.fns.iter().enumerate() {
                 fn_index
                     .entry((f.meta.crate_name.clone(), item.name.clone()))
@@ -44,13 +42,9 @@ impl WorkspaceModel {
                     .push((fi, ii));
             }
         }
-        let mut crate_alias: BTreeMap<String, String> = BTreeMap::new();
-        for name in by_crate.keys() {
-            crate_alias.insert(name.replace('-', "_"), name.clone());
-        }
         // Package names that differ from their crate directory.
         crate_alias.insert("netshare".to_string(), "core".to_string());
-        WorkspaceModel { files, by_crate, crate_alias, fn_index }
+        WorkspaceModel { files, crate_alias, fn_index }
     }
 
     /// File stem (`buffer` for `.../buffer.rs`) of file `fi`.
@@ -125,69 +119,19 @@ impl WorkspaceModel {
         }
         self.in_crate(krate, &call.name)
     }
-
-    /// File-level dependency edges `caller file -> callee file`, from
-    /// resolved calls. Used (reversed) by the `--diff` cone.
-    pub fn file_deps(&self) -> Vec<BTreeSet<usize>> {
-        let mut deps: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); self.files.len()];
-        for (fi, file) in self.files.iter().enumerate() {
-            for call in &file.calls {
-                for (tf, _) in self.resolve_call(fi, call) {
-                    if tf != fi {
-                        deps[fi].insert(tf);
-                    }
-                }
-            }
-        }
-        deps
-    }
-
-    /// The reverse-dependency cone of `changed` (workspace-relative
-    /// paths): the changed files, every file in their crates, and —
-    /// transitively — every file with a resolved call into a cone file.
-    /// Returns file indices, sorted.
-    pub fn reverse_cone(&self, changed: &[String]) -> Vec<usize> {
-        let mut cone: BTreeSet<usize> = BTreeSet::new();
-        for (fi, f) in self.files.iter().enumerate() {
-            if changed.iter().any(|c| c == &f.meta.rel_path) {
-                cone.insert(fi);
-                // Intra-crate coupling is not tracked edge-by-edge;
-                // include crate siblings wholesale.
-                if f.meta.role == Role::Lib {
-                    for &sib in &self.by_crate[&f.meta.crate_name] {
-                        cone.insert(sib);
-                    }
-                }
-            }
-        }
-        let deps = self.file_deps();
-        loop {
-            let before = cone.len();
-            for (fi, d) in deps.iter().enumerate() {
-                if !cone.contains(&fi) && d.iter().any(|t| cone.contains(t)) {
-                    cone.insert(fi);
-                }
-            }
-            if cone.len() == before {
-                break;
-            }
-        }
-        cone.into_iter().collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{classify, Config};
+    use crate::config::classify;
     use crate::syntax::FileModel;
 
     fn ws(files: &[(&str, &str)]) -> WorkspaceModel {
-        let cfg = Config::default();
         WorkspaceModel::build(
             files
                 .iter()
-                .map(|(path, src)| FileModel::build(classify(path), &cfg, src.to_string()))
+                .map(|(path, src)| FileModel::build(classify(path), src.to_string()))
                 .collect(),
         )
     }
@@ -209,17 +153,5 @@ mod tests {
         assert_eq!(m.resolve_call(0, helper), vec![(2, 0)]);
         let remote = calls.iter().find(|c| c.name == "remote").unwrap();
         assert_eq!(m.resolve_call(0, remote), vec![(2, 1)]);
-    }
-
-    #[test]
-    fn reverse_cone_pulls_in_callers_transitively() {
-        let m = ws(&[
-            ("crates/alpha/src/lib.rs", "pub fn base() {}\n"),
-            ("crates/beta/src/lib.rs", "fn mid() { alpha::base(); }\n"),
-            ("crates/gamma/src/lib.rs", "fn top() { beta::mid(); }\n"),
-            ("crates/delta/src/lib.rs", "fn unrelated() {}\n"),
-        ]);
-        let cone = m.reverse_cone(&["crates/alpha/src/lib.rs".to_string()]);
-        assert_eq!(cone, vec![0, 1, 2]);
     }
 }

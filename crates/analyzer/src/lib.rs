@@ -1,11 +1,14 @@
 //! `netshare-lint` — workspace invariant checker.
 //!
-//! Walks every `.rs` file in the workspace and enforces the seven source
+//! Walks every `.rs` file in the workspace and enforces the source
 //! invariants the repo's guarantees rest on (bitwise seed determinism,
-//! DP-SGD's noise boundary, the telemetry clock anchor, unsafe hygiene,
-//! no-panic library code). See
-//! DESIGN.md "Static analysis & sanitizers" for the rule catalogue and
-//! waiver syntax.
+//! DP-SGD's noise boundary, the sanctioned entropy/clock/socket
+//! boundaries, lock order, no-panic library code). One pipeline: one
+//! [`syntax::FileModel`] per file (each file is lexed once), the per-file
+//! rules and the three graph passes over the [`graph::WorkspaceModel`],
+//! the waivers applied once, one [`report::Report`]. See DESIGN.md
+//! "Static analysis & sanitizers" for the rule catalogue and waiver
+//! syntax.
 //!
 //! Built dependency-free on a hand-rolled lexer so the checker can never
 //! be broken by the crates it checks (and builds in the offline
@@ -25,10 +28,9 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use config::{classify, relative_to, Config, FileMeta, Role};
-use engine::{lint_source, Diagnostic};
+use config::{classify, is_exempt, relative_to, RuleId};
 use graph::WorkspaceModel;
-use report::{DiffInfo, GraphSummary, Report};
+use report::{Diagnostic, GraphSummary, Report};
 use syntax::FileModel;
 
 /// Directory names never descended into.
@@ -58,125 +60,96 @@ pub fn collect_rs_files(root: &Path) -> io::Result<Vec<PathBuf>> {
     Ok(out)
 }
 
-/// Lints the whole workspace rooted at `root`.
-pub fn run_workspace(root: &Path, cfg: &Config) -> io::Result<Report> {
-    let files = collect_rs_files(root)?;
-    let mut diagnostics = Vec::new();
-    let mut files_checked = 0usize;
-    for path in &files {
-        let rel = relative_to(root, path);
-        if cfg.is_exempt(&rel) {
-            continue;
+/// Lints the workspace rooted at `root`. A file's crate and role come
+/// from its path under `root` alone.
+pub fn run(root: &Path) -> io::Result<Report> {
+    let mut files = Vec::new();
+    for path in collect_rs_files(root)? {
+        let rel = relative_to(root, &path);
+        if !is_exempt(&rel) {
+            files.push(FileModel::build(classify(&rel), fs::read_to_string(&path)?));
         }
-        files_checked += 1;
-        let src = fs::read_to_string(path)?;
-        let meta = classify(&rel);
-        diagnostics.extend(lint_source(&meta, cfg, &src));
     }
-    Ok(Report::new(diagnostics, files_checked))
+    Ok(lint(WorkspaceModel::build(files)))
 }
 
-/// Workspace-graph mode: the per-file rules plus the three cross-module
-/// passes (lock-order, capability graph, DP taint dataflow) over a
-/// resolved call graph of every `.rs` file under `root`.
-///
-/// With `changed = Some(files)` the run is a `--diff` run: the full
-/// graph is still built (cross-module passes need every edge), but only
-/// findings inside the reverse-dependency cone of the changed files are
-/// reported, and [`Report::diff`] records the cone size.
-pub fn run_workspace_graph(
-    root: &Path,
-    cfg: &Config,
-    changed: Option<&[String]>,
-) -> io::Result<Report> {
-    let paths = collect_rs_files(root)?;
-    let mut diagnostics = Vec::new();
-    let mut files = Vec::new();
-    let mut files_checked = 0usize;
-    for path in &paths {
-        let rel = relative_to(root, path);
-        if cfg.is_exempt(&rel) {
-            continue;
-        }
-        files_checked += 1;
-        let src = fs::read_to_string(path)?;
-        let meta = classify(&rel);
-        diagnostics.extend(lint_source(&meta, cfg, &src));
-        files.push(FileModel::build(meta, cfg, src));
-    }
-
-    let model = WorkspaceModel::build(files);
-    let lock_analysis = locks::analyze(&model, cfg);
-    let cap_analysis = capability::analyze(&model, cfg);
-    let mut graph = GraphSummary::default();
-    locks::fill_summary(&lock_analysis, &mut graph);
-    graph.capabilities = cap_analysis.manifest.clone();
-    diagnostics.extend(lock_analysis.diagnostics);
-    diagnostics.extend(cap_analysis.diagnostics);
-    diagnostics.extend(taint::analyze(&model, cfg));
+/// Runs every rule and pass over the model, then applies the waivers.
+pub fn lint(model: WorkspaceModel) -> Report {
+    let mut diagnostics: Vec<Diagnostic> = model
+        .files
+        .iter()
+        .flat_map(engine::lint_file)
+        .collect();
+    let locks = locks::analyze(&model);
+    let caps = capability::analyze(&model);
+    let graph = GraphSummary {
+        lock_names: locks.names.iter().cloned().collect(),
+        lock_edges: locks::lock_edges(&locks),
+        capabilities: caps.manifest,
+    };
+    diagnostics.extend(locks.diagnostics);
+    diagnostics.extend(caps.diagnostics);
+    diagnostics.extend(taint::analyze(&model));
+    apply_waivers(&model, &mut diagnostics);
     diagnostics.sort_by(|a, b| {
         (a.file.as_str(), a.line, a.rule.name()).cmp(&(b.file.as_str(), b.line, b.rule.name()))
     });
+    Report { diagnostics, files_checked: model.files.len(), graph }
+}
 
-    let mut report = Report::new(diagnostics, files_checked);
-    report.mode = "workspace-graph";
-    report.graph = Some(graph);
-
-    if let Some(changed) = changed {
-        let cone = model.reverse_cone(changed);
-        let keep: std::collections::BTreeSet<&str> = cone
+/// The one waiver step. A `lint: allow(<rule>) <reason>` comment covers
+/// the findings of that rule on its line (trailing form) or on the next
+/// code line (standalone form); every finding gets its source line as
+/// its snippet. A waiver naming no rule is itself a finding, which no
+/// waiver can cover.
+fn apply_waivers(model: &WorkspaceModel, diagnostics: &mut Vec<Diagnostic>) {
+    for d in diagnostics.iter_mut() {
+        let Some(file) = model.files.iter().find(|f| f.meta.rel_path == d.file) else {
+            continue;
+        };
+        d.snippet = file.snippet(d.line);
+        d.waiver_reason = file
+            .waivers
             .iter()
-            .map(|&fi| model.files[fi].meta.rel_path.as_str())
-            .collect();
-        report
-            .diagnostics
-            .retain(|d| keep.contains(d.file.as_str()));
-        report.mode = "diff";
-        report.diff = Some(DiffInfo {
-            changed: changed.len(),
-            cone: cone.len(),
-        });
+            .find(|w| w.payload == d.rule.name() && w.covers == d.line)
+            .map(|w| w.rest.clone());
     }
-    Ok(report)
-}
-
-/// Lints a single file with optionally forced metadata — used by the
-/// fixture tests, where files live under an exempt path but must be
-/// linted *as if* they belonged to a given crate/role.
-pub fn lint_one_file(
-    root: &Path,
-    path: &Path,
-    cfg: &Config,
-    as_crate: Option<&str>,
-    as_role: Option<Role>,
-) -> io::Result<Vec<Diagnostic>> {
-    let rel = relative_to(root, path);
-    let mut meta = classify(&rel);
-    if let Some(name) = as_crate {
-        meta.crate_name = name.to_string();
-        meta.is_shim = false;
+    for file in &model.files {
+        for w in file.waivers.iter().filter(|w| RuleId::parse(&w.payload).is_none()) {
+            let mut d = Diagnostic::new(
+                RuleId::UnknownWaiver,
+                &file.meta.rel_path,
+                w.line,
+                format!(
+                    "`lint: allow({})` names no rule, so it waives nothing; \
+                     `netshare-lint --list-rules` lists the rule names",
+                    w.payload
+                ),
+            );
+            d.snippet = file.snippet(w.line);
+            diagnostics.push(d);
+        }
     }
-    if let Some(role) = as_role {
-        meta.role = role;
-    }
-    // Explicitly-named files are always linted, exempt prefixes included.
-    let mut cfg = cfg.clone();
-    cfg.exempt_paths.clear();
-    let src = fs::read_to_string(path)?;
-    Ok(lint_source(&meta, &cfg, &src))
-}
-
-/// Re-exported for the binary and tests.
-pub use config::{RuleId, Severity};
-
-/// Builds a [`FileMeta`] for callers that lint source text directly.
-pub fn meta_for(rel_path: &str) -> FileMeta {
-    classify(rel_path)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn lint_sources(files: &[(&str, &str)]) -> Report {
+        let files = files
+            .iter()
+            .map(|(path, src)| FileModel::build(classify(path), src.to_string()))
+            .collect();
+        lint(WorkspaceModel::build(files))
+    }
+
+    fn rules(r: &Report) -> Vec<(&str, u32, Option<&str>)> {
+        r.diagnostics
+            .iter()
+            .map(|d| (d.rule.name(), d.line, d.waiver_reason.as_deref()))
+            .collect()
+    }
 
     #[test]
     fn collect_skips_target_and_sorts() {
@@ -196,19 +169,74 @@ mod tests {
     }
 
     #[test]
-    fn forced_metadata_overrides_classification() {
-        let dir = std::env::temp_dir().join("netshare_lint_force_test");
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        let f = dir.join("sample.rs");
-        fs::write(&f, "use std::collections::HashMap;\n").unwrap();
+    fn waivers_cover_trailing_and_next_line_for_rules_and_passes() {
+        let r = lint_sources(&[(
+            "crates/core/src/x.rs",
+            "let m = HashMap::new(); // lint: allow(nondeterministic-iteration) keys sorted below\n\
+             fn f(&self) {\n\
+             // lint: allow(panic-in-lib) config validated at startup\n\
+             x.unwrap();\n\
+             let g = self.a.lock();\n\
+             // lint: allow(lock-order) startup only, single-threaded\n\
+             self.rx.recv();\n\
+             let t = SystemTime::now(); // lint: allow(capability-graph) banner only\n\
+             }\n",
+        )]);
+        assert_eq!(
+            rules(&r),
+            vec![
+                ("nondeterministic-iteration", 1, Some("keys sorted below")),
+                ("panic-in-lib", 4, Some("config validated at startup")),
+                ("lock-order", 7, Some("startup only, single-threaded")),
+                ("capability-graph", 8, Some("banner only")),
+            ]
+        );
+        assert_eq!(r.exit_code(), 0);
+        assert_eq!(r.diagnostics[1].snippet, "x.unwrap();");
+    }
 
-        // As an uncritical crate: clean. Forced into `core`: flagged.
-        let cfg = Config::default();
-        assert!(lint_one_file(&dir, &f, &cfg, None, None).unwrap().is_empty());
-        let forced = lint_one_file(&dir, &f, &cfg, Some("core"), Some(Role::Lib)).unwrap();
-        assert_eq!(forced.len(), 1);
-        assert_eq!(forced[0].rule, RuleId::NondeterministicIteration);
-        let _ = fs::remove_dir_all(&dir);
+    #[test]
+    fn waiver_for_another_rule_does_not_cover() {
+        let r = lint_sources(&[(
+            "crates/core/src/x.rs",
+            "let m = HashMap::new(); // lint: allow(float-eq) wrong rule\n",
+        )]);
+        assert_eq!(rules(&r), vec![("nondeterministic-iteration", 1, None)]);
+        assert_eq!(r.exit_code(), 1);
+    }
+
+    #[test]
+    fn waiver_covers_taint_finding() {
+        let r = lint_sources(&[(
+            "crates/nnet/src/train_hooks.rs",
+            "fn audit(&mut self) {\n\
+             let g = self.model.flat_gradients();\n\
+             let norm = l2(&g);\n\
+             // lint: allow(dp-taint-flow) pre-noise norm histogram is outside the DP claim\n\
+             self.metrics.record(norm as f64);\n\
+             }\n",
+        )]);
+        assert_eq!(
+            rules(&r),
+            vec![("dp-taint-flow", 5, Some("pre-noise norm histogram is outside the DP claim"))]
+        );
+    }
+
+    #[test]
+    fn a_waiver_naming_no_rule_is_a_finding_no_waiver_covers() {
+        let r = lint_sources(&[(
+            "crates/core/src/bin/cli.rs",
+            "fn main() {\n\
+             // lint: allow(panic-in-bin) bins may panic\n\
+             x.unwrap();\n\
+             // lint: allow(unknown-waiver) trying to silence the check\n\
+             }\n",
+        )]);
+        assert_eq!(
+            rules(&r),
+            vec![("unknown-waiver", 2, None), ("unknown-waiver", 4, None)]
+        );
+        assert!(r.diagnostics[0].message.contains("`lint: allow(panic-in-bin)` names no rule"));
+        assert_eq!(r.exit_code(), 1);
     }
 }

@@ -3,7 +3,7 @@
 //! Purely syntactic, per-fn guard tracking over the token stream:
 //!
 //! - An **acquisition** is `recv.lock()`, `recv.read()`/`recv.write()`
-//!   (only in files that mention `RwLock`), or a configured guard-helper
+//!   (only in files that mention `RwLock`), or the project's guard-helper
 //!   free function (`lock(&shared.state, ...)`). The lock's identity is
 //!   its canonical name: a `lint: lock-order(<name>)` annotation on the
 //!   acquisition line when present, else the module-local default
@@ -16,23 +16,48 @@
 //! - While a guard is live, acquiring a *different* lock adds the edge
 //!   `held -> acquired` to the workspace order graph; re-acquiring the
 //!   *same* canonical name denies immediately (std mutexes self-deadlock).
-//! - A blocking call (configured: `wait`, `recv`, `accept`, `read_exact`,
+//! - A blocking call (`BLOCKING_CALLS`: `wait`, `recv`, `accept`, `read_exact`,
 //!   `push_blocking`) inside a live guard scope denies — unless the guard
 //!   itself is an argument (condvar waits atomically release their
 //!   guard). `wait_timeout` is a different identifier and never flagged.
 //!
 //! Workspace-wide, the pass denies every cycle in the order graph (both
 //! acquisition sites are named in `related`) and every edge that inverts
-//! the canonical rank list in [`Config::lock_ranks`].
+//! the canonical rank list `LOCK_RANKS`.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::config::{Config, RuleId, Severity};
-use crate::engine::{Diagnostic, RelatedSite};
+use crate::config::RuleId;
 use crate::graph::WorkspaceModel;
 use crate::lexer::{Tok, TokKind};
-use crate::report::{GraphSummary, LockEdge};
+use crate::report::{Diagnostic, LockEdge, RelatedSite};
 use crate::syntax::{receiver_path, FileModel};
+
+/// Canonical lock rank order, most-outer first. An acquisition edge from
+/// a later-ranked lock to an earlier-ranked one is an inversion even when
+/// the reverse edge has not (yet) been observed. Names are the `lint:
+/// lock-order(<name>)` annotation names.
+const LOCK_RANKS: [&str; 14] = [
+    "orchestrator.machine",
+    "orchestrator.watchdog_watches",
+    "orchestrator.cancel_state",
+    "orchestrator.event_sinks",
+    "orchestrator.event_memory",
+    "orchestrator.manifest",
+    "orchestrator.journal",
+    "orchestrator.fault",
+    "netshared.session_registry",
+    "netshared.stream_state",
+    "netshared.socket_writer",
+    "telemetry.metrics_counters",
+    "telemetry.metrics_gauges",
+    "telemetry.metrics_histograms",
+];
+
+/// Method names that block uninterruptibly; a live lock guard in scope at
+/// such a call is denied. (`wait_timeout` is deliberately absent: bounded
+/// condvar waits atomically release their guard.)
+const BLOCKING_CALLS: [&str; 5] = ["wait", "recv", "accept", "read_exact", "push_blocking"];
 
 /// One live guard.
 #[derive(Debug, Clone)]
@@ -65,7 +90,7 @@ pub struct ObservedEdge {
 
 /// Full pass output: diagnostics plus the graph dump for the report.
 pub struct LockAnalysis {
-    /// Deny/warn findings.
+    /// Findings.
     pub diagnostics: Vec<Diagnostic>,
     /// Observed edges (for `GraphSummary`).
     pub edges: Vec<ObservedEdge>,
@@ -73,14 +98,14 @@ pub struct LockAnalysis {
     pub names: BTreeSet<String>,
 }
 
-/// Runs the pass over every non-test, non-shim, non-exempt file.
-pub fn analyze(model: &WorkspaceModel, cfg: &Config) -> LockAnalysis {
+/// Runs the pass over every non-shim file (test items skipped).
+pub fn analyze(model: &WorkspaceModel) -> LockAnalysis {
     let mut edges: Vec<ObservedEdge> = Vec::new();
     let mut names: BTreeSet<String> = BTreeSet::new();
     let mut diagnostics: Vec<Diagnostic> = Vec::new();
 
     for (fi, file) in model.files.iter().enumerate() {
-        if file.meta.is_shim || cfg.is_exempt(&file.meta.rel_path) {
+        if file.meta.is_shim {
             continue;
         }
         let default_prefix = format!("{}/{}", file.meta.crate_name, model.stem(fi));
@@ -89,7 +114,6 @@ pub fn analyze(model: &WorkspaceModel, cfg: &Config) -> LockAnalysis {
                 file,
                 &default_prefix,
                 item.body,
-                cfg,
                 &mut edges,
                 &mut names,
                 &mut diagnostics,
@@ -111,29 +135,26 @@ pub fn analyze(model: &WorkspaceModel, cfg: &Config) -> LockAnalysis {
             cycle.extend(path);
             let key = canonical_cycle_key(&cycle);
             if reported.insert(key) {
-                diagnostics.push(cycle_diag(&cycle, cfg));
+                diagnostics.push(cycle_diag(&cycle));
             }
         }
         // Rank inversion against the declared canonical order.
-        let (fa, fb) = (rank_of(cfg, &e.from), rank_of(cfg, &e.to));
+        let (fa, fb) = (rank_of(&e.from), rank_of(&e.to));
         if let (Some(a), Some(b)) = (fa, fb) {
             if a > b {
                 let key = (format!("rank:{}", e.from), e.to.clone());
                 if reported.insert(key) {
-                    diagnostics.push(rank_diag(e, cfg));
+                    diagnostics.push(rank_diag(e));
                 }
             }
         }
     }
-
-    apply_waivers(model, &mut diagnostics);
     LockAnalysis { diagnostics, edges, names }
 }
 
-/// The graph dump for the JSON report.
-pub fn summary(analysis: &LockAnalysis) -> (Vec<String>, Vec<LockEdge>) {
-    let names = analysis.names.iter().cloned().collect();
-    let edges = analysis
+/// The observed edges, for the JSON graph dump.
+pub fn lock_edges(analysis: &LockAnalysis) -> Vec<LockEdge> {
+    analysis
         .edges
         .iter()
         .map(|e| LockEdge {
@@ -142,12 +163,11 @@ pub fn summary(analysis: &LockAnalysis) -> (Vec<String>, Vec<LockEdge>) {
             file: e.to_site.0.clone(),
             line: e.to_site.1,
         })
-        .collect();
-    (names, edges)
+        .collect()
 }
 
-fn rank_of(cfg: &Config, name: &str) -> Option<usize> {
-    cfg.lock_ranks.iter().position(|r| r == name)
+fn rank_of(name: &str) -> Option<usize> {
+    LOCK_RANKS.iter().position(|r| *r == name)
 }
 
 /// BFS from `from` to `to` over observed edges; returns the edge path.
@@ -186,71 +206,59 @@ fn canonical_cycle_key(cycle: &[&ObservedEdge]) -> (String, String) {
     (names.join("->"), String::new())
 }
 
-fn cycle_diag(cycle: &[&ObservedEdge], cfg: &Config) -> Diagnostic {
+fn cycle_diag(cycle: &[&ObservedEdge]) -> Diagnostic {
     let order: Vec<&str> = cycle
         .iter()
         .map(|e| e.from.as_str())
         .chain(std::iter::once(cycle[0].from.as_str()))
         .collect();
     let first = cycle[0];
-    Diagnostic {
-        rule: RuleId::LockOrder,
-        severity: cfg.severity(RuleId::LockOrder),
-        file: first.to_site.0.clone(),
-        line: first.to_site.1,
-        message: format!(
+    let mut d = Diagnostic::new(
+        RuleId::LockOrder,
+        &first.to_site.0,
+        first.to_site.1,
+        format!(
             "lock-order cycle {}: concurrent threads taking these locks in \
              opposite orders deadlock; pick one order and annotate it with \
              `lint: lock-order(<name>)` ranks",
             order.join(" -> ")
         ),
-        snippet: String::new(),
-        suggestion: None,
-        waived: false,
-        waiver_reason: None,
-        related: cycle
-            .iter()
-            .map(|e| RelatedSite {
-                file: e.to_site.0.clone(),
-                line: e.to_site.1,
-                note: format!("acquires `{}` while holding `{}`", e.to, e.from),
-            })
-            .collect(),
-        baselined: false,
-    }
+    );
+    d.related = cycle
+        .iter()
+        .map(|e| RelatedSite {
+            file: e.to_site.0.clone(),
+            line: e.to_site.1,
+            note: format!("acquires `{}` while holding `{}`", e.to, e.from),
+        })
+        .collect();
+    d
 }
 
-fn rank_diag(e: &ObservedEdge, cfg: &Config) -> Diagnostic {
-    Diagnostic {
-        rule: RuleId::LockOrder,
-        severity: cfg.severity(RuleId::LockOrder),
-        file: e.to_site.0.clone(),
-        line: e.to_site.1,
-        message: format!(
+fn rank_diag(e: &ObservedEdge) -> Diagnostic {
+    let mut d = Diagnostic::new(
+        RuleId::LockOrder,
+        &e.to_site.0,
+        e.to_site.1,
+        format!(
             "rank inversion: `{}` acquired while holding `{}`, but the \
-             canonical order (Config::lock_ranks) puts `{}` first",
+             canonical order (LOCK_RANKS) puts `{}` first",
             e.to, e.from, e.to
         ),
-        snippet: String::new(),
-        suggestion: None,
-        waived: false,
-        waiver_reason: None,
-        related: vec![RelatedSite {
-            file: e.from_site.0.clone(),
-            line: e.from_site.1,
-            note: format!("`{}` acquired here", e.from),
-        }],
-        baselined: false,
-    }
+    );
+    d.related.push(RelatedSite {
+        file: e.from_site.0.clone(),
+        line: e.from_site.1,
+        note: format!("`{}` acquired here", e.from),
+    });
+    d
 }
 
 /// Scans one fn body for acquisitions, scope ends, and blocking calls.
-#[allow(clippy::too_many_arguments)]
 fn scan_fn(
     file: &FileModel,
     default_prefix: &str,
     body: (usize, usize),
-    cfg: &Config,
     edges: &mut Vec<ObservedEdge>,
     names: &mut BTreeSet<String>,
     diagnostics: &mut Vec<Diagnostic>,
@@ -284,7 +292,7 @@ fn scan_fn(
                     guards.retain(|g| g.var.as_deref() != Some(arg.text.as_str()));
                 }
             }
-            if let Some(acq) = acquisition_at(file, toks, i, cfg, has_rwlock, default_prefix) {
+            if let Some(acq) = acquisition_at(file, toks, i, has_rwlock, default_prefix) {
                 names.insert(acq.clone());
                 // Edges from every live guard; same name = re-entrant deny.
                 for g in &guards {
@@ -297,12 +305,11 @@ fn scan_fn(
                                  since line {}; std mutexes self-deadlock",
                                 g.line
                             ),
-                            vec![RelatedSite {
+                            RelatedSite {
                                 file: file.meta.rel_path.clone(),
                                 line: g.line,
                                 note: format!("`{acq}` first acquired here"),
-                            }],
-                            cfg,
+                            },
                         ));
                     } else {
                         edges.push(ObservedEdge {
@@ -314,7 +321,7 @@ fn scan_fn(
                     }
                 }
                 guards.push(make_guard(toks, i, acq, depth, t.line));
-            } else if cfg.blocking_calls.iter().any(|b| b == &t.text)
+            } else if BLOCKING_CALLS.contains(&t.text.as_str())
                 && toks.get(i + 1).map(|n| n.text.as_str()) == Some("(")
                 && toks.get(i.wrapping_sub(1)).map(|p| p.text.as_str()) == Some(".")
             {
@@ -336,12 +343,11 @@ fn scan_fn(
                              guard first or use a bounded wait",
                             t.text, g.lock, g.line
                         ),
-                        vec![RelatedSite {
+                        RelatedSite {
                             file: file.meta.rel_path.clone(),
                             line: g.line,
                             note: format!("`{}` acquired here", g.lock),
-                        }],
-                        cfg,
+                        },
                     ));
                 }
             }
@@ -350,26 +356,10 @@ fn scan_fn(
     }
 }
 
-fn plain_diag(
-    file: &FileModel,
-    line: u32,
-    message: String,
-    related: Vec<RelatedSite>,
-    cfg: &Config,
-) -> Diagnostic {
-    Diagnostic {
-        rule: RuleId::LockOrder,
-        severity: cfg.severity(RuleId::LockOrder),
-        file: file.meta.rel_path.clone(),
-        line,
-        message,
-        snippet: file.snippet(line),
-        suggestion: None,
-        waived: false,
-        waiver_reason: None,
-        related,
-        baselined: false,
-    }
+fn plain_diag(file: &FileModel, line: u32, message: String, related: RelatedSite) -> Diagnostic {
+    let mut d = Diagnostic::new(RuleId::LockOrder, &file.meta.rel_path, line, message);
+    d.related.push(related);
+    d
 }
 
 /// Canonical lock name when token `i` is an acquisition, else `None`.
@@ -377,7 +367,6 @@ fn acquisition_at(
     file: &FileModel,
     toks: &[Tok],
     i: usize,
-    cfg: &Config,
     has_rwlock: bool,
     default_prefix: &str,
 ) -> Option<String> {
@@ -392,9 +381,9 @@ fn acquisition_at(
         let recv = receiver_path(toks, i)?;
         return Some(canonical(file, toks[i].line, default_prefix, &recv));
     }
-    // Guard-helper free fn: `lock(&shared.state, "...")`.
+    // The project's guard-helper free fn: `lock(&shared.state, "...")`.
     if !is_method
-        && cfg.lock_helper_fns.iter().any(|h| h == &t.text)
+        && t.text == "lock"
         && i.checked_sub(1)
             .map(|p| toks[p].text.as_str() != "::")
             .unwrap_or(true)
@@ -537,37 +526,6 @@ fn make_guard(toks: &[Tok], i: usize, lock: String, depth: i64, line: u32) -> Gu
     Guard { lock, var, depth, stmt, line }
 }
 
-/// Applies each file's inline waivers to the pass's diagnostics.
-fn apply_waivers(model: &WorkspaceModel, diagnostics: &mut [Diagnostic]) {
-    for d in diagnostics.iter_mut() {
-        if let Some(file) = model.files.iter().find(|f| f.meta.rel_path == d.file) {
-            if let Some(w) = file
-                .waivers
-                .iter()
-                .find(|w| w.rule == d.rule && w.covers == d.line)
-            {
-                d.waived = true;
-                d.waiver_reason = Some(w.reason.clone());
-            }
-        }
-    }
-}
-
-/// Attaches lock data to a [`GraphSummary`].
-pub fn fill_summary(analysis: &LockAnalysis, g: &mut GraphSummary) {
-    let (names, edges) = summary(analysis);
-    g.lock_names = names;
-    g.lock_edges = edges;
-}
-
-/// True when nothing denies (used by tests).
-pub fn clean(analysis: &LockAnalysis) -> bool {
-    !analysis
-        .diagnostics
-        .iter()
-        .any(|d| !d.waived && d.severity == Severity::Deny)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -575,17 +533,16 @@ mod tests {
     use crate::syntax::FileModel;
 
     fn ws(files: &[(&str, &str)]) -> WorkspaceModel {
-        let cfg = Config::default();
         WorkspaceModel::build(
             files
                 .iter()
-                .map(|(p, s)| FileModel::build(classify(p), &cfg, s.to_string()))
+                .map(|(p, s)| FileModel::build(classify(p), s.to_string()))
                 .collect(),
         )
     }
 
     fn run(files: &[(&str, &str)]) -> LockAnalysis {
-        analyze(&ws(files), &Config::default())
+        analyze(&ws(files))
     }
 
     #[test]
@@ -600,7 +557,7 @@ mod tests {
              m.record(generation);\n\
              }\n",
         )]);
-        assert!(clean(&a), "{:?}", a.diagnostics);
+        assert!(a.diagnostics.is_empty(), "{:?}", a.diagnostics);
 
         // Method-chain form through an `.expect` adapter, same deal.
         let b = run(&[(
@@ -611,7 +568,7 @@ mod tests {
              s.apply(n);\n\
              }\n",
         )]);
-        assert!(clean(&b), "{:?}", b.diagnostics);
+        assert!(b.diagnostics.is_empty(), "{:?}", b.diagnostics);
 
         // But a *held* guard (no consuming call) still trips.
         let c = run(&[(
@@ -653,7 +610,7 @@ mod tests {
         let a = "fn f(&self) { let g = self.a.lock(); let h = self.b.lock(); }\n";
         let b = "fn g(&self) { let g = self.b.lock(); let h = self.a.lock(); }\n";
         let out = run(&[("crates/alpha/src/lib.rs", a), ("crates/beta/src/lib.rs", b)]);
-        assert!(clean(&out), "{:?}", out.diagnostics);
+        assert!(out.diagnostics.is_empty(), "{:?}", out.diagnostics);
     }
 
     #[test]
@@ -699,7 +656,7 @@ mod tests {
         // Condvar wait consuming the guard is sanctioned.
         let ok = "fn f(&self) { let g = self.a.lock(); let g = self.cv.wait(g); }\n";
         let out = run(&[("crates/alpha/src/lib.rs", ok)]);
-        assert!(clean(&out), "{:?}", out.diagnostics);
+        assert!(out.diagnostics.is_empty(), "{:?}", out.diagnostics);
     }
 
     #[test]
@@ -723,22 +680,9 @@ mod tests {
                    let m = lock(&ctx.manifest, \"m\"); // lint: lock-order(orchestrator.manifest)\n\
                    }\n";
         let out = run(&[("crates/orchestrator/src/pool.rs", src)]);
-        assert!(clean(&out), "{:?}", out.diagnostics);
+        assert!(out.diagnostics.is_empty(), "{:?}", out.diagnostics);
         assert_eq!(out.edges.len(), 1);
         assert_eq!(out.edges[0].from, "orchestrator.machine");
         assert_eq!(out.edges[0].to, "orchestrator.manifest");
-    }
-
-    #[test]
-    fn waiver_covers_lock_order_finding() {
-        let src = "fn f(&self) {\n\
-                   let g = self.a.lock();\n\
-                   // lint: allow(lock-order) holds a across recv: startup only, single-threaded\n\
-                   self.rx.recv();\n\
-                   }\n";
-        let out = run(&[("crates/alpha/src/lib.rs", src)]);
-        assert_eq!(out.diagnostics.len(), 1);
-        assert!(out.diagnostics[0].waived);
-        assert!(clean(&out));
     }
 }

@@ -1,36 +1,79 @@
-//! Report rendering: human text and machine-readable JSON, plus the
-//! baseline ratchet.
+//! Findings and their rendering: human text and machine-readable JSON.
 //!
 //! The JSON writer is hand-rolled (the analyzer has zero dependencies so
-//! it can never be broken by the crates it checks). The shape below is
-//! frozen — CI and external tooling parse it; fields are only ever
-//! appended, never renamed or removed:
+//! it can never be broken by the crates it checks). The shape:
 //!
 //! ```json
 //! {
 //!   "tool": "netshare-lint",
-//!   "mode": "files",
 //!   "files_checked": 123,
-//!   "counts": { "deny": 0, "warn": 0, "waived": 4, "baselined": 0 },
-//!   "diagnostics": [ { "rule": "...", "severity": "...", "file": "...",
-//!                      "line": 1, "message": "...", "snippet": "...",
+//!   "counts": { "deny": 0, "waived": 4 },
+//!   "diagnostics": [ { "rule": "...", "file": "...", "line": 1,
+//!                      "message": "...", "snippet": "...",
 //!                      "waived": false, "waiver_reason": null,
-//!                      "suggestion": null, "baselined": false,
 //!                      "related": [ { "file": "...", "line": 1,
-//!                                     "note": "..." } ] } ]
+//!                                     "note": "..." } ] } ],
+//!   "graph": { "lock_names": [...], "lock_edges": [...],
+//!              "capabilities": { "<module>": [...] } }
 //! }
 //! ```
 //!
-//! Under `--workspace-graph` two fields are appended: `"graph"` (the
-//! lock-order graph and per-module capability manifests) and, when a
-//! baseline is in play, `"baseline"` (`applied` entry count plus `stale`
-//! keys — entries no finding matched, which warn so debt only ratchets
-//! down). Under `--diff`, `"diff"` records the changed-file and cone
-//! sizes. Graph diagnostics carry their secondary sites in `related`:
-//! a lock-order cycle names *both* acquisition sites there.
+//! Graph diagnostics carry their secondary sites in `related`: a
+//! lock-order cycle names *both* acquisition sites there.
 
-use crate::config::Severity;
-use crate::engine::Diagnostic;
+use crate::config::RuleId;
+
+/// One finding. Every finding denies unless a waiver covers its line.
+#[derive(Debug, Clone)]
+pub struct Diagnostic {
+    /// Which rule fired.
+    pub rule: RuleId,
+    /// Workspace-relative path.
+    pub file: String,
+    /// 1-based line.
+    pub line: u32,
+    /// Human-readable explanation.
+    pub message: String,
+    /// The offending source line, trimmed (filled in by the waiver step).
+    pub snippet: String,
+    /// The reason of the inline waiver covering this line, when waived.
+    /// Waived findings are reported but never fail the run.
+    pub waiver_reason: Option<String>,
+    /// Secondary sites participating in a graph finding (both ends of a
+    /// lock-order cycle, the carrier of a propagated capability).
+    pub related: Vec<RelatedSite>,
+}
+
+impl Diagnostic {
+    /// An unwaived finding with no related sites.
+    pub fn new(rule: RuleId, file: &str, line: u32, message: String) -> Diagnostic {
+        Diagnostic {
+            rule,
+            file: file.to_string(),
+            line,
+            message,
+            snippet: String::new(),
+            waiver_reason: None,
+            related: Vec::new(),
+        }
+    }
+
+    /// True when an inline waiver covers this finding.
+    pub fn waived(&self) -> bool {
+        self.waiver_reason.is_some()
+    }
+}
+
+/// A secondary source location attached to a graph diagnostic.
+#[derive(Debug, Clone)]
+pub struct RelatedSite {
+    /// Workspace-relative path.
+    pub file: String,
+    /// 1-based line.
+    pub line: u32,
+    /// What this site contributes (e.g. "acquires a while holding b").
+    pub note: String,
+}
 
 /// One observed lock-acquisition-order edge, for the JSON graph dump.
 #[derive(Debug, Clone)]
@@ -45,119 +88,54 @@ pub struct LockEdge {
     pub line: u32,
 }
 
-/// Workspace-graph summary attached to the report in graph mode.
+/// The workspace graph dump attached to every report.
 #[derive(Debug, Clone, Default)]
 pub struct GraphSummary {
     /// Canonical lock names observed, sorted.
     pub lock_names: Vec<String>,
     /// Acquisition-order edges observed.
     pub lock_edges: Vec<LockEdge>,
-    /// `(module rel_path, capability names)` — deny-capabilities each
-    /// module carries (directly or transitively), sanctioned or not.
+    /// `(module rel_path, capability names)` — capabilities each module
+    /// carries (directly or transitively), sanctioned or not.
     pub capabilities: Vec<(String, Vec<String>)>,
 }
 
-/// Baseline application outcome.
-#[derive(Debug, Clone, Default)]
-pub struct BaselineOutcome {
-    /// Findings demoted because a baseline entry covered them.
-    pub applied: usize,
-    /// Baseline keys no current finding matched — stale debt that
-    /// should be removed from the committed file.
-    pub stale: Vec<String>,
-}
-
-/// `--diff` cone statistics.
-#[derive(Debug, Clone, Default)]
-pub struct DiffInfo {
-    /// Files named as changed.
-    pub changed: usize,
-    /// Files analyzed after reverse-dependency expansion.
-    pub cone: usize,
-}
-
 /// Aggregated run result.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Report {
     /// Every finding, waived ones included.
     pub diagnostics: Vec<Diagnostic>,
     /// Number of `.rs` files visited.
     pub files_checked: usize,
-    /// `"files"`, `"workspace-graph"`, or `"diff"`.
-    pub mode: &'static str,
-    /// Graph-mode summary.
-    pub graph: Option<GraphSummary>,
-    /// Baseline outcome, when `--baseline` was supplied.
-    pub baseline: Option<BaselineOutcome>,
-    /// Diff-mode statistics.
-    pub diff: Option<DiffInfo>,
+    /// Lock graph and capability manifest.
+    pub graph: GraphSummary,
 }
 
 impl Report {
-    /// A plain per-file-mode report.
-    pub fn new(diagnostics: Vec<Diagnostic>, files_checked: usize) -> Report {
-        Report {
-            diagnostics,
-            files_checked,
-            mode: "files",
-            graph: None,
-            baseline: None,
-            diff: None,
-        }
-    }
-
-    /// Unwaived, unbaselined findings at `Deny` — these fail the run.
+    /// Unwaived findings — these fail the run.
     pub fn deny_count(&self) -> usize {
-        self.count(Severity::Deny)
-    }
-
-    /// Unwaived findings at `Warn`.
-    pub fn warn_count(&self) -> usize {
-        self.count(Severity::Warn)
+        self.diagnostics.iter().filter(|d| !d.waived()).count()
     }
 
     /// Waived findings (reported for audit, never fatal).
     pub fn waived_count(&self) -> usize {
-        self.diagnostics.iter().filter(|d| d.waived).count()
-    }
-
-    /// Baselined findings (pre-existing debt, reported but not fatal).
-    pub fn baselined_count(&self) -> usize {
-        self.diagnostics.iter().filter(|d| !d.waived && d.baselined).count()
-    }
-
-    fn count(&self, sev: Severity) -> usize {
-        self.diagnostics
-            .iter()
-            .filter(|d| !d.waived && !d.baselined && d.severity == sev)
-            .count()
+        self.diagnostics.len() - self.deny_count()
     }
 
     /// Process exit code: 0 clean, 1 deny findings, (2 is CLI usage).
-    pub fn exit_code(&self) -> i32 {
-        if self.deny_count() > 0 {
-            1
-        } else {
-            0
-        }
+    pub fn exit_code(&self) -> u8 {
+        u8::from(self.deny_count() > 0)
     }
 
     /// Human-readable rendering.
     pub fn to_text(&self) -> String {
         let mut s = String::new();
         for d in &self.diagnostics {
-            let tag = if d.waived {
-                "waived"
-            } else if d.baselined {
-                "baselined"
-            } else {
-                d.severity.name()
-            };
+            let tag = if d.waived() { "waived" } else { "deny" };
             s.push_str(&format!(
-                "{}:{}: [{}/{}] {}\n    {}\n",
+                "{}:{}: [{tag}/{}] {}\n    {}\n",
                 d.file,
                 d.line,
-                tag,
                 d.rule.name(),
                 d.message,
                 d.snippet
@@ -169,234 +147,81 @@ impl Report {
                 s.push_str(&format!("    see {}:{} — {}\n", site.file, site.line, site.note));
             }
         }
-        if let Some(b) = &self.baseline {
-            for key in &b.stale {
-                s.push_str(&format!("stale baseline entry (remove it): {key}\n"));
-            }
-        }
         s.push_str(&format!(
-            "netshare-lint[{}]: {} files checked, {} deny, {} warn, {} waived, {} baselined\n",
-            self.mode,
+            "netshare-lint: {} files checked, {} deny, {} waived\n",
             self.files_checked,
             self.deny_count(),
-            self.warn_count(),
-            self.waived_count(),
-            self.baselined_count()
+            self.waived_count()
         ));
-        s
-    }
-
-    /// `--fix-dry-run` rendering: `file:line` with the current and
-    /// suggested line for every finding that has a mechanical rewrite.
-    pub fn to_fix_dry_run(&self) -> String {
-        let mut s = String::new();
-        let mut n = 0usize;
-        for d in self.diagnostics.iter().filter(|d| !d.waived) {
-            let Some(fix) = &d.suggestion else { continue };
-            n += 1;
-            s.push_str(&format!(
-                "{}:{} [{}]\n  - {}\n  + {}\n",
-                d.file,
-                d.line,
-                d.rule.name(),
-                d.snippet,
-                fix
-            ));
-        }
-        s.push_str(&format!("netshare-lint --fix-dry-run: {n} suggested rewrites (no files edited)\n"));
         s
     }
 
     /// Machine-readable rendering.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{");
-        s.push_str("\"tool\":\"netshare-lint\",");
-        s.push_str(&format!("\"mode\":{},", json_str(self.mode)));
+        let mut s = String::from("{\"tool\":\"netshare-lint\",");
         s.push_str(&format!("\"files_checked\":{},", self.files_checked));
         s.push_str(&format!(
-            "\"counts\":{{\"deny\":{},\"warn\":{},\"waived\":{},\"baselined\":{}}},",
+            "\"counts\":{{\"deny\":{},\"waived\":{}}},\"diagnostics\":[",
             self.deny_count(),
-            self.warn_count(),
-            self.waived_count(),
-            self.baselined_count()
+            self.waived_count()
         ));
-        s.push_str("\"diagnostics\":[");
         for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push('{');
-            s.push_str(&format!("\"rule\":{},", json_str(d.rule.name())));
-            s.push_str(&format!("\"severity\":{},", json_str(d.severity.name())));
-            s.push_str(&format!("\"file\":{},", json_str(&d.file)));
-            s.push_str(&format!("\"line\":{},", d.line));
-            s.push_str(&format!("\"message\":{},", json_str(&d.message)));
-            s.push_str(&format!("\"snippet\":{},", json_str(&d.snippet)));
-            s.push_str(&format!("\"waived\":{},", d.waived));
+            let related: Vec<String> = d
+                .related
+                .iter()
+                .map(|r| {
+                    format!(
+                        "{{\"file\":{},\"line\":{},\"note\":{}}}",
+                        json_str(&r.file),
+                        r.line,
+                        json_str(&r.note)
+                    )
+                })
+                .collect();
             s.push_str(&format!(
-                "\"waiver_reason\":{},",
-                json_opt(d.waiver_reason.as_deref())
+                "{}{{\"rule\":{},\"file\":{},\"line\":{},\"message\":{},\"snippet\":{},\
+                 \"waived\":{},\"waiver_reason\":{},\"related\":[{}]}}",
+                if i > 0 { "," } else { "" },
+                json_str(d.rule.name()),
+                json_str(&d.file),
+                d.line,
+                json_str(&d.message),
+                json_str(&d.snippet),
+                d.waived(),
+                d.waiver_reason.as_deref().map_or("null".to_string(), json_str),
+                related.join(",")
             ));
-            s.push_str(&format!(
-                "\"suggestion\":{},",
-                json_opt(d.suggestion.as_deref())
-            ));
-            s.push_str(&format!("\"baselined\":{},", d.baselined));
-            s.push_str("\"related\":[");
-            for (k, site) in d.related.iter().enumerate() {
-                if k > 0 {
-                    s.push(',');
-                }
-                s.push_str(&format!(
-                    "{{\"file\":{},\"line\":{},\"note\":{}}}",
-                    json_str(&site.file),
-                    site.line,
-                    json_str(&site.note)
-                ));
-            }
-            s.push_str("]}");
         }
-        s.push(']');
-        if let Some(g) = &self.graph {
-            s.push_str(",\"graph\":{\"lock_names\":[");
-            for (i, n) in g.lock_names.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                s.push_str(&json_str(n));
-            }
-            s.push_str("],\"lock_edges\":[");
-            for (i, e) in g.lock_edges.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                s.push_str(&format!(
+        let g = &self.graph;
+        let names: Vec<String> = g.lock_names.iter().map(|n| json_str(n)).collect();
+        let edges: Vec<String> = g
+            .lock_edges
+            .iter()
+            .map(|e| {
+                format!(
                     "{{\"from\":{},\"to\":{},\"file\":{},\"line\":{}}}",
                     json_str(&e.from),
                     json_str(&e.to),
                     json_str(&e.file),
                     e.line
-                ));
-            }
-            s.push_str("],\"capabilities\":{");
-            for (i, (module, caps)) in g.capabilities.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                s.push_str(&format!("{}:[", json_str(module)));
-                for (k, c) in caps.iter().enumerate() {
-                    if k > 0 {
-                        s.push(',');
-                    }
-                    s.push_str(&json_str(c));
-                }
-                s.push(']');
-            }
-            s.push_str("}}");
-        }
-        if let Some(b) = &self.baseline {
-            s.push_str(&format!(",\"baseline\":{{\"applied\":{},\"stale\":[", b.applied));
-            for (i, k) in b.stale.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                s.push_str(&json_str(k));
-            }
-            s.push_str("]}");
-        }
-        if let Some(d) = &self.diff {
-            s.push_str(&format!(
-                ",\"diff\":{{\"changed\":{},\"cone\":{}}}",
-                d.changed, d.cone
-            ));
-        }
-        s.push('}');
-        s
-    }
-}
-
-/// The ratcheting baseline: a committed set of known findings.
-///
-/// Keys are line-number-free — `rule|file|fingerprint` where the
-/// fingerprint is the offending snippet with whitespace collapsed — so
-/// unrelated edits moving a finding up or down a file do not invalidate
-/// the baseline, while any change to the offending line itself does.
-#[derive(Debug, Default)]
-pub struct Baseline {
-    /// Keys, sorted and deduplicated.
-    pub keys: Vec<String>,
-}
-
-/// The baseline key of one diagnostic.
-pub fn baseline_key(d: &Diagnostic) -> String {
-    let fp: String = d.snippet.split_whitespace().collect::<Vec<_>>().join(" ");
-    format!("{}|{}|{}", d.rule.name(), d.file, fp)
-}
-
-impl Baseline {
-    /// Parses the committed format: one key per line, `#` comments and
-    /// blank lines ignored.
-    pub fn parse(text: &str) -> Baseline {
-        let mut keys: Vec<String> = text
-            .lines()
-            .map(str::trim)
-            .filter(|l| !l.is_empty() && !l.starts_with('#'))
-            .map(String::from)
+                )
+            })
             .collect();
-        keys.sort();
-        keys.dedup();
-        Baseline { keys }
-    }
-
-    /// Renders the committed format from a report's unwaived deny
-    /// findings (`--write-baseline`).
-    pub fn render(report: &Report) -> String {
-        let mut keys: Vec<String> = report
-            .diagnostics
+        let caps: Vec<String> = g
+            .capabilities
             .iter()
-            .filter(|d| !d.waived && d.severity == Severity::Deny)
-            .map(baseline_key)
+            .map(|(module, caps)| {
+                let caps: Vec<String> = caps.iter().map(|c| json_str(c)).collect();
+                format!("{}:[{}]", json_str(module), caps.join(","))
+            })
             .collect();
-        keys.sort();
-        keys.dedup();
-        let mut s = String::from(
-            "# netshare-lint baseline — known findings that do not fail CI.\n\
-             # One `rule|file|fingerprint` key per line. The ratchet: new\n\
-             # findings still deny; entries nothing matches are reported as\n\
-             # stale and must be deleted. Regenerate with --write-baseline.\n",
-        );
-        for k in &keys {
-            s.push_str(k);
-            s.push('\n');
-        }
+        s.push_str(&format!(
+            "],\"graph\":{{\"lock_names\":[{}],\"lock_edges\":[{}],\"capabilities\":{{{}}}}}}}",
+            names.join(","),
+            edges.join(","),
+            caps.join(",")
+        ));
         s
-    }
-
-    /// Applies the ratchet to `report`: findings covered by a key are
-    /// demoted to `baselined` (reported, not fatal); keys matching no
-    /// finding are recorded as stale.
-    pub fn apply(&self, report: &mut Report) {
-        let mut matched: Vec<bool> = vec![false; self.keys.len()];
-        let mut applied = 0usize;
-        for d in &mut report.diagnostics {
-            if d.waived {
-                continue;
-            }
-            let key = baseline_key(d);
-            if let Ok(i) = self.keys.binary_search(&key) {
-                matched[i] = true;
-                d.baselined = true;
-                applied += 1;
-            }
-        }
-        let stale: Vec<String> = self
-            .keys
-            .iter()
-            .zip(&matched)
-            .filter(|(_, m)| !**m)
-            .map(|(k, _)| k.clone())
-            .collect();
-        report.baseline = Some(BaselineOutcome { applied, stale });
     }
 }
 
@@ -419,128 +244,59 @@ fn json_str(s: &str) -> String {
     out
 }
 
-fn json_opt(s: Option<&str>) -> String {
-    match s {
-        Some(s) => json_str(s),
-        None => "null".to_string(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::RuleId;
-    use crate::engine::RelatedSite;
 
-    fn diag(rule: RuleId, waived: bool, severity: Severity) -> Diagnostic {
-        Diagnostic {
-            rule,
-            severity,
-            file: "crates/x/src/lib.rs".into(),
-            line: 3,
-            message: "msg with \"quotes\"".into(),
-            snippet: "let m = HashMap::new();".into(),
-            suggestion: Some("let m = BTreeMap::new();".into()),
-            waived,
-            waiver_reason: waived.then(|| "reason".to_string()),
-            related: Vec::new(),
-            baselined: false,
-        }
+    fn diag(rule: RuleId, waived: bool) -> Diagnostic {
+        let mut d = Diagnostic::new(rule, "crates/x/src/lib.rs", 3, "msg with \"quotes\"".into());
+        d.snippet = "let m = HashMap::new();".into();
+        d.waiver_reason = waived.then(|| "reason".to_string());
+        d
+    }
+
+    fn report(diagnostics: Vec<Diagnostic>) -> Report {
+        Report { diagnostics, files_checked: 7, ..Report::default() }
     }
 
     #[test]
-    fn exit_code_tracks_unwaived_denies() {
-        let clean = Report::new(vec![], 1);
-        assert_eq!(clean.exit_code(), 0);
+    fn exit_code_tracks_unwaived_findings() {
+        assert_eq!(report(vec![]).exit_code(), 0);
 
-        let waived = Report::new(vec![diag(RuleId::FloatEq, true, Severity::Deny)], 1);
+        let waived = report(vec![diag(RuleId::FloatEq, true)]);
         assert_eq!(waived.exit_code(), 0);
         assert_eq!(waived.waived_count(), 1);
 
-        let dirty = Report::new(vec![diag(RuleId::FloatEq, false, Severity::Deny)], 1);
+        let dirty = report(vec![diag(RuleId::FloatEq, false), diag(RuleId::FloatEq, true)]);
         assert_eq!(dirty.exit_code(), 1);
-
-        let warn_only = Report::new(vec![diag(RuleId::FloatEq, false, Severity::Warn)], 1);
-        assert_eq!(warn_only.exit_code(), 0);
-        assert_eq!(warn_only.warn_count(), 1);
+        assert_eq!((dirty.deny_count(), dirty.waived_count()), (1, 1));
     }
 
     #[test]
     fn json_escapes_and_structure() {
-        let r = Report::new(
-            vec![diag(RuleId::NondeterministicIteration, false, Severity::Deny)],
-            7,
-        );
-        let j = r.to_json();
-        assert!(j.starts_with("{\"tool\":\"netshare-lint\",\"mode\":\"files\""));
-        assert!(j.contains("\"files_checked\":7"));
+        let j = report(vec![diag(RuleId::NondeterministicIteration, false)]).to_json();
+        assert!(j.starts_with("{\"tool\":\"netshare-lint\",\"files_checked\":7,"));
         assert!(j.contains("\"rule\":\"nondeterministic-iteration\""));
         assert!(j.contains("msg with \\\"quotes\\\""));
-        assert!(j.contains("\"counts\":{\"deny\":1,\"warn\":0,\"waived\":0,\"baselined\":0}"));
-        assert!(j.contains("\"related\":[]"));
-    }
-
-    #[test]
-    fn fix_dry_run_lists_rewrites() {
-        let r = Report::new(
-            vec![diag(RuleId::NondeterministicIteration, false, Severity::Deny)],
-            1,
-        );
-        let t = r.to_fix_dry_run();
-        assert!(t.contains("- let m = HashMap::new();"));
-        assert!(t.contains("+ let m = BTreeMap::new();"));
-        assert!(t.contains("1 suggested rewrites"));
+        assert!(j.contains("\"counts\":{\"deny\":1,\"waived\":0}"));
+        assert!(j.contains("\"waiver_reason\":null,\"related\":[]"));
+        assert!(j.ends_with(
+            "\"graph\":{\"lock_names\":[],\"lock_edges\":[],\"capabilities\":{}}}"
+        ));
     }
 
     #[test]
     fn related_sites_render_in_text_and_json() {
-        let mut d = diag(RuleId::LockOrder, false, Severity::Deny);
+        let mut d = diag(RuleId::LockOrder, false);
         d.related.push(RelatedSite {
             file: "crates/y/src/lib.rs".into(),
             line: 9,
             note: "acquires b while holding a".into(),
         });
-        let r = Report::new(vec![d], 2);
+        let r = report(vec![d]);
         assert!(r.to_text().contains("see crates/y/src/lib.rs:9 — acquires b while holding a"));
         assert!(r
             .to_json()
             .contains("\"related\":[{\"file\":\"crates/y/src/lib.rs\",\"line\":9,\"note\":\"acquires b while holding a\"}]"));
-    }
-
-    #[test]
-    fn baseline_ratchets_known_findings_and_reports_stale() {
-        let known = diag(RuleId::FloatEq, false, Severity::Deny);
-        let mut report = Report::new(vec![known.clone()], 1);
-        let text = format!(
-            "# comment\n{}\nfloat-eq|crates/x/src/lib.rs|gone line\n",
-            baseline_key(&known)
-        );
-        let baseline = Baseline::parse(&text);
-        baseline.apply(&mut report);
-
-        assert_eq!(report.deny_count(), 0, "baselined finding must not deny");
-        assert_eq!(report.baselined_count(), 1);
-        let outcome = report.baseline.as_ref().unwrap();
-        assert_eq!(outcome.applied, 1);
-        assert_eq!(outcome.stale, vec!["float-eq|crates/x/src/lib.rs|gone line"]);
-
-        // A new finding in another file still denies.
-        let mut new_diag = diag(RuleId::FloatEq, false, Severity::Deny);
-        new_diag.file = "crates/z/src/lib.rs".into();
-        let mut report2 = Report::new(vec![new_diag], 1);
-        baseline.apply(&mut report2);
-        assert_eq!(report2.deny_count(), 1);
-    }
-
-    #[test]
-    fn baseline_round_trips_through_render() {
-        let r = Report::new(vec![diag(RuleId::FloatEq, false, Severity::Deny)], 1);
-        let rendered = Baseline::render(&r);
-        let parsed = Baseline::parse(&rendered);
-        assert_eq!(parsed.keys.len(), 1);
-        let mut r2 = Report::new(vec![diag(RuleId::FloatEq, false, Severity::Deny)], 1);
-        parsed.apply(&mut r2);
-        assert_eq!(r2.deny_count(), 0);
-        assert!(r2.baseline.unwrap().stale.is_empty());
     }
 }

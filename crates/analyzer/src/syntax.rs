@@ -1,16 +1,16 @@
 //! The syntactic layer: a per-file item model on top of the lexer.
 //!
-//! Still no type information — this layer extracts exactly what the
-//! workspace-graph passes need from the token stream: `fn` items with
-//! brace-matched body spans, `use` declarations, call sites with their
-//! qualifier/receiver shape, file tags (`lint: dp-post-noise`,
-//! `lint: io-boundary`, `lint: caps(...)`), inline waivers, and
-//! positional annotations (`lint: lock-order(<name>)`). Everything is
-//! conservative: a construct the extractor cannot parse is skipped, not
-//! guessed at, so graph passes under-approximate rather than panic.
+//! Still no type information — this layer extracts, from one lex of the
+//! file, everything the rules and the workspace-graph passes read: `fn`
+//! items with brace-matched body spans, `use` declarations, call sites
+//! with their qualifier/receiver shape, test-item spans, file tags
+//! (`lint: dp-post-noise`, `lint: io-boundary`, `lint: caps(...)`),
+//! inline waivers, and positional annotations
+//! (`lint: lock-order(<name>)`). Everything is conservative: a construct
+//! the extractor cannot parse is skipped, not guessed at, so the passes
+//! under-approximate rather than panic.
 
-use crate::config::{Config, FileMeta};
-use crate::engine::{parse_waivers, test_regions, Waiver};
+use crate::config::FileMeta;
 use crate::lexer::{lex, Lexed, Tok, TokKind};
 
 /// Keywords that look like calls when followed by `(`.
@@ -60,13 +60,20 @@ pub struct UseDecl {
     pub line: u32,
 }
 
-/// A positional `lint: <marker>(<payload>)` annotation: trailing form
-/// covers its own line, standalone form covers the next code line —
-/// identical placement semantics to waivers.
+/// A positional `lint: <marker>(<payload>) <rest>` annotation. It must
+/// open its comment; the trailing form covers its own line, the
+/// standalone form covers the next code line. Waivers
+/// (`lint: allow(<rule>) <reason>`) and lock names
+/// (`lint: lock-order(<name>)`) are both annotations.
 #[derive(Debug, Clone)]
 pub struct Annotation {
     /// The text between the parentheses, trimmed.
     pub payload: String,
+    /// The text after the closing parenthesis, trimmed (a waiver's
+    /// reason).
+    pub rest: String,
+    /// 1-based line of the comment.
+    pub line: u32,
     /// The code line this annotation covers.
     pub covers: u32,
 }
@@ -86,8 +93,8 @@ pub struct FileModel {
     pub uses: Vec<UseDecl>,
     /// Call sites in token order.
     pub calls: Vec<CallSite>,
-    /// Inline `lint: allow(...)` waivers.
-    pub waivers: Vec<Waiver>,
+    /// Inline waivers: the payload is the rule name, `rest` the reason.
+    pub waivers: Vec<Annotation>,
     /// `(start_line, end_line)` spans of test items.
     pub test_lines: Vec<(u32, u32)>,
     /// True when tagged `lint: dp-post-noise`.
@@ -102,33 +109,23 @@ pub struct FileModel {
 }
 
 impl FileModel {
-    /// Builds the model for one file.
-    pub fn build(meta: FileMeta, cfg: &Config, src: String) -> FileModel {
+    /// Lexes one file and builds its model.
+    pub fn build(meta: FileMeta, src: String) -> FileModel {
         let lexed = lex(&src);
         let fns = extract_fns(&lexed.toks);
         let uses = extract_uses(&lexed.toks);
         let calls = extract_calls(&lexed.toks);
-        let waivers = parse_waivers(&lexed);
+        let waivers = annotations(&lexed, "lint: allow(");
         let test_lines = test_regions(&lexed.toks);
-        let dp_tagged = lexed.comments.iter().any(|c| c.text.contains(&cfg.dp_marker));
+        let dp_tagged = lexed.comments.iter().any(|c| c.text.contains("lint: dp-post-noise"));
         let io_tagged = lexed
             .comments
             .iter()
-            .any(|c| comment_opens_with(&c.text, &cfg.io_marker));
-        let caps_decl = lexed
-            .comments
+            .any(|c| comment_opens_with(&c.text, "lint: io-boundary"));
+        let caps_decl = annotations(&lexed, "lint: caps(")
             .iter()
-            .filter(|c| comment_opens_with(&c.text, &cfg.caps_marker))
-            .flat_map(|c| {
-                let body = c.text.trim_start_matches('!').trim_start();
-                let after = &body[cfg.caps_marker.len()..];
-                let inner = after.split(')').next().unwrap_or("");
-                inner
-                    .split(',')
-                    .map(|s| s.trim().to_ascii_lowercase())
-                    .filter(|s| !s.is_empty())
-                    .collect::<Vec<_>>()
-            })
+            .flat_map(|a| a.payload.split(',').map(|s| s.trim().to_ascii_lowercase()))
+            .filter(|s| !s.is_empty())
             .collect();
         let lock_names = annotations(&lexed, "lint: lock-order(");
         FileModel {
@@ -185,40 +182,74 @@ fn comment_opens_with(text: &str, marker: &str) -> bool {
     text.trim_start_matches('!').trim_start().starts_with(marker)
 }
 
-/// Extracts positional `marker…)` annotations from comments with
-/// waiver-style placement. The marker must include its opening paren.
-pub fn annotations(lexed: &Lexed, marker: &str) -> Vec<Annotation> {
+/// Extracts the positional annotations whose comment opens with
+/// `marker`, which must include its opening paren.
+fn annotations(lexed: &Lexed, marker: &str) -> Vec<Annotation> {
     let mut out = Vec::new();
     for c in &lexed.comments {
-        let Some(idx) = c.text.find(marker) else {
+        let body = c.text.trim_start_matches('!').trim_start();
+        let Some(after) = body.strip_prefix(marker) else {
             continue;
         };
-        let rest = &c.text[idx + marker.len()..];
-        let Some(close) = rest.find(')') else {
+        let Some(close) = after.find(')') else {
             continue;
         };
-        let payload = rest[..close].trim().to_string();
+        let payload = after[..close].trim().to_string();
         if payload.is_empty() {
             continue;
         }
         let covers = if c.trailing {
             c.line
         } else {
-            next_code_line(lexed, c.end_line).unwrap_or(c.end_line + 1)
+            let next = lexed.toks.iter().map(|t| t.line).find(|&l| l > c.end_line);
+            next.unwrap_or(c.end_line + 1)
         };
-        out.push(Annotation { payload, covers });
+        let rest = after[close + 1..].trim().to_string();
+        out.push(Annotation { payload, rest, line: c.line, covers });
     }
     out
 }
 
-fn next_code_line(lexed: &Lexed, after: u32) -> Option<u32> {
-    lexed.toks.iter().map(|t| t.line).find(|&l| l > after)
+/// `(start_line, end_line)` spans of `#[cfg(test)]` items and `#[test]`
+/// functions, by brace matching from the attribute.
+fn test_regions(toks: &[Tok]) -> Vec<(u32, u32)> {
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < toks.len() {
+        let attr = match_attr(toks, i, &["cfg", "(", "test", ")"])
+            .or_else(|| match_attr(toks, i, &["test"]));
+        if let Some(after) = attr {
+            if let Some((_, close)) = block_after(toks, after) {
+                out.push((toks[i].line, toks[close].line));
+            }
+            i = after;
+        } else {
+            i += 1;
+        }
+    }
+    out
+}
+
+/// Matches `#[ <body…> ]` starting at `i`; returns the index just past `]`.
+fn match_attr(toks: &[Tok], i: usize, body: &[&str]) -> Option<usize> {
+    if toks.get(i)?.text != "#" || toks.get(i + 1)?.text != "[" {
+        return None;
+    }
+    for (k, want) in body.iter().enumerate() {
+        if toks.get(i + 2 + k)?.text != *want {
+            return None;
+        }
+    }
+    if toks.get(i + 2 + body.len())?.text != "]" {
+        return None;
+    }
+    Some(i + 3 + body.len())
 }
 
 /// Finds every `fn name … { body }` by walking from the `fn` keyword to
-/// the body's opening brace at paren-depth 0 (signatures cannot contain
-/// braces at depth 0), then brace-matching. `fn name(…);` declarations
-/// are skipped.
+/// the body's opening brace outside any `(…)` or `[…]` (signatures hold
+/// no braces there, and a `;` inside `-> [u8; 4]` does not end the
+/// item), then brace-matching. `fn name(…);` declarations are skipped.
 fn extract_fns(toks: &[Tok]) -> Vec<FnItem> {
     let mut out = Vec::new();
     let mut i = 0;
@@ -231,16 +262,16 @@ fn extract_fns(toks: &[Tok]) -> Vec<FnItem> {
                 i += 1;
                 continue;
             }
-            let mut paren = 0i64;
+            let mut depth = 0i64;
             let mut j = i + 2;
             let mut body = None;
             while j < toks.len() {
                 match toks[j].text.as_str() {
-                    "(" => paren += 1,
-                    ")" => paren -= 1,
-                    ";" if paren == 0 => break,
-                    "{" if paren == 0 => {
-                        body = brace_match(toks, j);
+                    "(" | "[" => depth += 1,
+                    ")" | "]" => depth -= 1,
+                    ";" if depth == 0 => break,
+                    "{" if depth == 0 => {
+                        body = Some(brace_match(toks, j));
                         break;
                     }
                     _ => {}
@@ -264,7 +295,7 @@ fn extract_fns(toks: &[Tok]) -> Vec<FnItem> {
 
 /// Index of the `}` matching the `{` at `open`; EOF-tolerant (unclosed
 /// braces match the last token).
-pub fn brace_match(toks: &[Tok], open: usize) -> Option<usize> {
+pub fn brace_match(toks: &[Tok], open: usize) -> usize {
     let mut depth = 0i64;
     for (k, t) in toks.iter().enumerate().skip(open) {
         match t.text.as_str() {
@@ -272,13 +303,20 @@ pub fn brace_match(toks: &[Tok], open: usize) -> Option<usize> {
             "}" => {
                 depth -= 1;
                 if depth == 0 {
-                    return Some(k);
+                    return k;
                 }
             }
             _ => {}
         }
     }
-    Some(toks.len().saturating_sub(1))
+    toks.len().saturating_sub(1)
+}
+
+/// `(open, close)` token indices of the first `{ … }` block at or after
+/// `from`.
+pub fn block_after(toks: &[Tok], from: usize) -> Option<(usize, usize)> {
+    let open = toks[from..].iter().position(|t| t.text == "{")? + from;
+    Some((open, brace_match(toks, open)))
 }
 
 /// Collects `use` declarations; groups (`use a::{b, c as d};`) are
@@ -380,17 +418,14 @@ pub fn receiver_path(toks: &[Tok], tok: usize) -> Option<String> {
     Some(segs.join("."))
 }
 
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::classify;
 
     fn model(src: &str) -> FileModel {
-        FileModel::build(
-            classify("crates/demo/src/lib.rs"),
-            &Config::default(),
-            src.to_string(),
-        )
+        FileModel::build(classify("crates/demo/src/lib.rs"), src.to_string())
     }
 
     #[test]
@@ -425,6 +460,16 @@ mod tests {
     }
 
     #[test]
+    fn fn_returning_an_array_has_a_body() {
+        // The `;` of `[u8; 4]` sits outside every paren; it must not end
+        // the item, or calls inside the body have no enclosing fn.
+        let m = model("fn f() -> [u8; 4] { g() }\n");
+        assert_eq!(m.fns.len(), 1);
+        let g = m.calls.iter().find(|c| c.name == "g").unwrap();
+        assert_eq!(m.enclosing_fn(g.tok), Some(0));
+    }
+
+    #[test]
     fn macros_and_keywords_are_not_calls() {
         let m = model("fn f() { if (x) { vec!(1); } }\n");
         assert!(m.calls.is_empty());
@@ -444,6 +489,36 @@ mod tests {
         assert_eq!(m.lock_name_for(3), Some("demo.state"));
         assert_eq!(m.lock_name_for(5), Some("demo.other"));
         assert_eq!(m.lock_name_for(2), None);
+    }
+
+    #[test]
+    fn waivers_cover_trailing_and_next_code_line_and_must_open_the_comment() {
+        let m = model(
+            "let m = 1; // lint: allow(float-eq) keys sorted below\n\
+             // lint: allow(panic-in-lib) config validated at startup\n\
+             \n\
+             fn f() { x.unwrap(); }\n\
+             // prose that mentions `lint: allow(float-eq)` is not a waiver\n",
+        );
+        let w: Vec<_> = m
+            .waivers
+            .iter()
+            .map(|a| (a.payload.as_str(), a.line, a.covers, a.rest.as_str()))
+            .collect();
+        assert_eq!(
+            w,
+            vec![
+                ("float-eq", 1, 1, "keys sorted below"),
+                ("panic-in-lib", 2, 4, "config validated at startup"),
+            ]
+        );
+    }
+
+    #[test]
+    fn test_regions_span_cfg_test_items_and_test_fns() {
+        let m = model("fn f() {}\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {}\n}\nfn g() {}\n");
+        assert_eq!(m.test_lines, vec![(2, 6), (4, 5)]);
+        assert!(m.in_test_region(5) && !m.in_test_region(7));
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! intermediate quietly escaping into a log — are exactly this flow.
 //!
 //! The analysis is intraprocedural and forward, over each `fn` body in
-//! the configured crates ([`Config::taint_crates`], library roles only):
+//! the DP-relevant crates (`TAINT_CRATES`, library roles only):
 //!
-//! - **Sources** ([`Config::taint_sources`]): a call to a per-example
+//! - **Sources** (`SOURCES`): a call to a per-example
 //!   gradient accessor (`flat_gradients`, `gradients_mut`) taints the
 //!   bound variable — and is tainted as an expression when passed
 //!   directly to a sink.
@@ -19,47 +19,45 @@
 //!   the bindings *alias* the iterated collections; `x = rhs` /
 //!   `x += rhs` taint `x` (and everything `x` aliases — writes through
 //!   an `iter_mut` binding re-taint the collection).
-//! - **Clearing** ([`Config::taint_sanitizers`]): an assignment whose
+//! - **Clearing** (`SANITIZERS`): an assignment whose
 //!   right-hand side calls the sanctioned noise path (`sample` on a
 //!   noise distribution, `add_noise`, `sanitize_batch`) clears its
 //!   target and the target's aliases. Nothing else clears taint.
-//! - **Sinks** ([`Config::taint_sinks`]): calling `emit`, `record`,
+//! - **Sinks** (`SINKS`): calling `emit`, `record`,
 //!   `serialize`, `to_string`, `write_frame`, or `write_all` with a
 //!   tainted argument (or tainted method receiver) denies.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::config::{Config, Role, RuleId, Severity};
-use crate::engine::Diagnostic;
+use crate::config::{Role, RuleId};
 use crate::graph::WorkspaceModel;
 use crate::lexer::{Tok, TokKind};
+use crate::report::Diagnostic;
 use crate::syntax::FileModel;
 
-/// Runs the pass over the model; returns diagnostics (waivers applied).
-pub fn analyze(model: &WorkspaceModel, cfg: &Config) -> Vec<Diagnostic> {
+/// Crates whose library files run the pass.
+const TAINT_CRATES: [&str; 3] = ["nnet", "doppelganger", "core"];
+/// Identifiers whose call result is per-example gradient data.
+const SOURCES: [&str; 2] = ["flat_gradients", "gradients_mut"];
+/// Method/function names that externalize data (events, metrics,
+/// serialization, wire frames).
+const SINKS: [&str; 6] = ["emit", "record", "serialize", "to_string", "write_frame", "write_all"];
+/// Identifiers of the sanctioned noise path; an assignment whose
+/// right-hand side calls one clears taint from its target.
+const SANITIZERS: [&str; 3] = ["sample", "add_noise", "sanitize_batch"];
+
+/// Runs the pass over the model.
+pub fn analyze(model: &WorkspaceModel) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for file in &model.files {
         if file.meta.is_shim
-            || cfg.is_exempt(&file.meta.rel_path)
             || file.meta.role != Role::Lib
-            || !cfg.taint_crates.iter().any(|c| c == &file.meta.crate_name)
+            || !TAINT_CRATES.contains(&file.meta.crate_name.as_str())
         {
             continue;
         }
         for item in &file.fns {
-            scan_fn(file, item.body, cfg, &mut out);
-        }
-    }
-    for d in out.iter_mut() {
-        if let Some(file) = model.files.iter().find(|f| f.meta.rel_path == d.file) {
-            if let Some(w) = file
-                .waivers
-                .iter()
-                .find(|w| w.rule == d.rule && w.covers == d.line)
-            {
-                d.waived = true;
-                d.waiver_reason = Some(w.reason.clone());
-            }
+            scan_fn(file, item.body, &mut out);
         }
     }
     out
@@ -73,7 +71,7 @@ enum Rhs {
     Clean,
 }
 
-fn scan_fn(file: &FileModel, body: (usize, usize), cfg: &Config, out: &mut Vec<Diagnostic>) {
+fn scan_fn(file: &FileModel, body: (usize, usize), out: &mut Vec<Diagnostic>) {
     let toks = &file.lexed.toks;
     let mut tainted: BTreeSet<String> = BTreeSet::new();
     let mut aliases: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
@@ -89,9 +87,9 @@ fn scan_fn(file: &FileModel, body: (usize, usize), cfg: &Config, out: &mut Vec<D
                 let (pat, eq) = pattern_until_eq(toks, i + 1, body.1);
                 if let Some(eq) = eq {
                     let end = stmt_end(toks, eq + 1, body.1);
-                    match classify_rhs(toks, eq + 1, end, cfg, &tainted) {
+                    match classify_rhs(toks, eq + 1, end, &tainted) {
                         Rhs::Tainted => {
-                            let srcs = tainted_idents(toks, eq + 1, end, cfg, &tainted);
+                            let srcs = tainted_idents(toks, eq + 1, end, &tainted);
                             for p in &pat {
                                 tainted.insert(p.clone());
                                 aliases.entry(p.clone()).or_default().extend(srcs.clone());
@@ -109,7 +107,7 @@ fn scan_fn(file: &FileModel, body: (usize, usize), cfg: &Config, out: &mut Vec<D
                             }
                         }
                     }
-                    check_sinks(file, toks, eq + 1, end, cfg, &tainted, out);
+                    check_sinks(file, toks, eq + 1, end, &tainted, out);
                     i = end;
                     continue;
                 }
@@ -137,9 +135,9 @@ fn scan_fn(file: &FileModel, body: (usize, usize), cfg: &Config, out: &mut Vec<D
                     }
                     e += 1;
                 }
-                let srcs = tainted_idents(toks, expr_start, e, cfg, &tainted);
+                let srcs = tainted_idents(toks, expr_start, e, &tainted);
                 if !srcs.is_empty()
-                    || classify_rhs(toks, expr_start, e, cfg, &tainted) == Rhs::Tainted
+                    || classify_rhs(toks, expr_start, e, &tainted) == Rhs::Tainted
                 {
                     for p in &pat {
                         tainted.insert(p.clone());
@@ -161,7 +159,7 @@ fn scan_fn(file: &FileModel, body: (usize, usize), cfg: &Config, out: &mut Vec<D
             {
                 let end = stmt_end(toks, i + 2, body.1);
                 let target = t.text.clone();
-                match classify_rhs(toks, i + 2, end, cfg, &tainted) {
+                match classify_rhs(toks, i + 2, end, &tainted) {
                     Rhs::Sanitized => {
                         // The noise write-back: clears the target and the
                         // collections it aliases.
@@ -186,16 +184,16 @@ fn scan_fn(file: &FileModel, body: (usize, usize), cfg: &Config, out: &mut Vec<D
                         }
                     }
                 }
-                check_sinks(file, toks, i + 2, end, cfg, &tainted, out);
+                check_sinks(file, toks, i + 2, end, &tainted, out);
                 i = end;
                 continue;
             }
         }
         // Bare sink calls in expression statements.
-        if cfg.taint_sinks.iter().any(|s| s == &t.text)
+        if SINKS.contains(&t.text.as_str())
             && toks.get(i + 1).map(|n| n.text.as_str()) == Some("(")
         {
-            check_sinks(file, toks, i, stmt_end(toks, i, body.1), cfg, &tainted, out);
+            check_sinks(file, toks, i, stmt_end(toks, i, body.1), &tainted, out);
             i = stmt_end(toks, i, body.1);
             continue;
         }
@@ -250,7 +248,6 @@ fn classify_rhs(
     toks: &[Tok],
     from: usize,
     to: usize,
-    cfg: &Config,
     tainted: &BTreeSet<String>,
 ) -> Rhs {
     for k in from..to.min(toks.len()) {
@@ -258,13 +255,13 @@ fn classify_rhs(
         if t.kind != TokKind::Ident {
             continue;
         }
-        if cfg.taint_sanitizers.iter().any(|s| s == &t.text)
+        if SANITIZERS.contains(&t.text.as_str())
             && toks.get(k + 1).map(|n| n.text.as_str()) == Some("(")
         {
             return Rhs::Sanitized;
         }
     }
-    if tainted_idents(toks, from, to, cfg, tainted).is_empty() {
+    if tainted_idents(toks, from, to, tainted).is_empty() {
         Rhs::Clean
     } else {
         Rhs::Tainted
@@ -276,7 +273,6 @@ fn tainted_idents(
     toks: &[Tok],
     from: usize,
     to: usize,
-    cfg: &Config,
     tainted: &BTreeSet<String>,
 ) -> BTreeSet<String> {
     let mut out = BTreeSet::new();
@@ -288,7 +284,7 @@ fn tainted_idents(
         if tainted.contains(&t.text) {
             out.insert(t.text.clone());
         }
-        if cfg.taint_sources.iter().any(|s| s == &t.text)
+        if SOURCES.contains(&t.text.as_str())
             && toks.get(k + 1).map(|n| n.text.as_str()) == Some("(")
         {
             out.insert(t.text.clone());
@@ -298,20 +294,18 @@ fn tainted_idents(
 }
 
 /// Reports every sink call in the span that receives tainted data.
-#[allow(clippy::too_many_arguments)]
 fn check_sinks(
     file: &FileModel,
     toks: &[Tok],
     from: usize,
     to: usize,
-    cfg: &Config,
     tainted: &BTreeSet<String>,
     out: &mut Vec<Diagnostic>,
 ) {
     for k in from..to.min(toks.len()) {
         let t = &toks[k];
         if t.kind != TokKind::Ident
-            || !cfg.taint_sinks.iter().any(|s| s == &t.text)
+            || !SINKS.contains(&t.text.as_str())
             || toks.get(k + 1).map(|n| n.text.as_str()) != Some("(")
         {
             continue;
@@ -319,40 +313,28 @@ fn check_sinks(
         // Arguments, plus the receiver for method-form sinks
         // (`tainted.to_string()`).
         let close = stmt_end(toks, k + 2, to);
-        let mut data = tainted_idents(toks, k + 2, close, cfg, tainted);
+        let mut data = tainted_idents(toks, k + 2, close, tainted);
         if k >= 2 && toks[k - 1].text == "." {
             let recv_start = k.saturating_sub(8);
-            data.extend(tainted_idents(toks, recv_start, k, cfg, tainted));
+            data.extend(tainted_idents(toks, recv_start, k, tainted));
         }
         if data.is_empty() {
             continue;
         }
         let names: Vec<String> = data.into_iter().collect();
-        out.push(Diagnostic {
-            rule: RuleId::DpTaintFlow,
-            severity: cfg.severity(RuleId::DpTaintFlow),
-            file: file.meta.rel_path.clone(),
-            line: t.line,
-            message: format!(
+        out.push(Diagnostic::new(
+            RuleId::DpTaintFlow,
+            &file.meta.rel_path,
+            t.line,
+            format!(
                 "pre-noise gradient data ({}) reaches sink `{}`: per-example \
                  gradients must pass the sanctioned noise path before being \
                  emitted, recorded, or serialized (DP guarantee)",
                 names.join(", "),
                 t.text
             ),
-            snippet: file.snippet(t.line),
-            suggestion: None,
-            waived: false,
-            waiver_reason: None,
-            related: Vec::new(),
-            baselined: false,
-        });
+        ));
     }
-}
-
-/// True when nothing denies (used by tests).
-pub fn clean(diags: &[Diagnostic]) -> bool {
-    !diags.iter().any(|d| !d.waived && d.severity == Severity::Deny)
 }
 
 #[cfg(test)]
@@ -363,13 +345,11 @@ mod tests {
     use crate::syntax::FileModel;
 
     fn run(src: &str) -> Vec<Diagnostic> {
-        let cfg = Config::default();
         let model = WorkspaceModel::build(vec![FileModel::build(
             classify("crates/nnet/src/train_hooks.rs"),
-            &cfg,
             src.to_string(),
         )]);
-        analyze(&model, &cfg)
+        analyze(&model)
     }
 
     #[test]
@@ -409,7 +389,7 @@ mod tests {
              self.events.emit(&sum);\n\
              }\n",
         );
-        assert!(clean(&out), "{out:?}");
+        assert!(out.is_empty(), "{out:?}");
     }
 
     #[test]
@@ -442,7 +422,7 @@ mod tests {
              self.events.emit(&g);\n\
              }\n",
         );
-        assert!(clean(&out), "{out:?}");
+        assert!(out.is_empty(), "{out:?}");
     }
 
     #[test]
@@ -452,28 +432,11 @@ mod tests {
         );
         assert!(out.is_empty(), "{out:?}");
 
-        // Same leak outside taint_crates: skipped.
-        let cfg = Config::default();
+        // Same leak outside TAINT_CRATES: skipped.
         let model = WorkspaceModel::build(vec![FileModel::build(
             classify("crates/sketch/src/lib.rs"),
-            &cfg,
             "fn leak(&mut self) { let g = self.m.flat_gradients(); self.e.emit(&g); }\n".into(),
         )]);
-        assert!(analyze(&model, &cfg).is_empty());
-    }
-
-    #[test]
-    fn waiver_covers_taint_finding() {
-        let out = run(
-            "fn audit(&mut self) {\n\
-             let g = self.model.flat_gradients();\n\
-             let norm = l2(&g);\n\
-             // lint: allow(dp-taint-flow) pre-noise norm histogram is outside the DP claim; documented in OPERATIONS.md\n\
-             self.metrics.record(norm as f64);\n\
-             }\n",
-        );
-        assert_eq!(out.len(), 1);
-        assert!(out[0].waived, "{out:?}");
-        assert!(clean(&out));
+        assert!(analyze(&model).is_empty());
     }
 }

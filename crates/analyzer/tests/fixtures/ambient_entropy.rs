@@ -1,6 +1,6 @@
-//! Fixture: `ambient-entropy` positive / negative / waiver cases.
-//! Linted via `--file … --as-crate orchestrator --as-role lib`.
-//! Expected: 4 deny findings, 1 waived.
+//! Fixture (capability-graph): ambient entropy and clock reads, linted as a lib,
+//! a bin and a test file under `crates/orchestrator/` and `crates/telemetry/`.
+//! Expected in each: 4 deny findings, 1 waived.
 
 use std::time::{Instant, SystemTime};
 
@@ -21,7 +21,7 @@ pub fn positive_rand_random() {
 }
 
 pub fn waived() {
-    let _ = Instant::now(); // lint: allow(ambient-entropy) fixture: demonstrating a waiver
+    let _ = Instant::now(); // lint: allow(capability-graph) fixture: demonstrating a waiver
 }
 
 pub fn negative_seeded(seed: u64) -> u64 {

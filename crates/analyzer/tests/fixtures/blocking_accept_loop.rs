@@ -1,10 +1,10 @@
-//! Fixture: raw socket accept/read calls outside the sanctioned
-//! io-boundary modules.
-//!
-//! Three deny findings (two `.accept(` calls, one `.read_exact(`) and
-//! one waived accept. This header mentions the marker name only in
-//! prose, which must NOT tag the file: `lint: io-boundary` sanctions a
-//! file only when it opens a comment.
+//! Fixture (capability-graph): raw socket accept/read calls outside the
+//! sanctioned io-boundary modules, linted as a lib, a bin and a test file
+//! under `crates/core/`. A lib or bin: three deny findings (two `.accept(`
+//! calls, one `.read_exact(` in a fn returning an array) and one waived
+//! accept; a test file may drive sockets raw. This header mentions the
+//! marker name only in prose, which must NOT tag the file:
+//! `lint: io-boundary` sanctions a file only when it opens a comment.
 
 use std::io::Read;
 use std::net::{TcpListener, TcpStream};
@@ -27,7 +27,7 @@ pub fn read_header(sock: &mut TcpStream) -> std::io::Result<[u8; 4]> {
 }
 
 pub fn migration_shim(listener: &TcpListener) -> std::io::Result<TcpStream> {
-    // lint: allow(blocking-accept-loop) legacy path, removed once callers move to netshared::Server
+    // lint: allow(capability-graph) legacy path, removed once callers move to netshared::Server
     let (sock, _) = listener.accept()?;
     Ok(sock)
 }

@@ -1,6 +1,6 @@
 //! Fixture: `dp-boundary` positive / waiver cases. This file is tagged
 //! (lint: dp-post-noise) so per-example gradient accessors are banned.
-//! Linted via `--file … --as-crate doppelganger --as-role lib`.
+//! Linted as `crates/doppelganger/src/x.rs`.
 //! Expected: 3 deny findings, 1 waived.
 
 pub fn positive_read(model: &mut impl Parameterized) {

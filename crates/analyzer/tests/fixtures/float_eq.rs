@@ -1,5 +1,5 @@
 //! Fixture: `float-eq` positive / negative / waiver cases.
-//! Linted via `--file … --as-crate nnet --as-role lib`.
+//! Linted as `crates/nnet/src/x.rs`.
 //! Expected: 2 deny findings, 1 waived.
 
 pub fn positive_eq(x: f32) -> bool {

@@ -1,5 +1,5 @@
 //! Fixture: `nondeterministic-iteration` positive / negative / waiver
-//! cases. Linted via `--file … --as-crate nnet --as-role lib`; never
+//! cases. Linted as `crates/nnet/src/x.rs`; never
 //! compiled. Expected: 3 deny findings, 2 waived.
 
 use std::collections::BTreeMap;

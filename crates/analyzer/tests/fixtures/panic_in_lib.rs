@@ -1,5 +1,5 @@
 //! Fixture: `panic-in-lib` positive / negative / waiver cases.
-//! Linted via `--file … --as-crate netshare --as-role lib`.
+//! Linted as `crates/netshare/src/x.rs`.
 //! Expected: 3 deny findings, 1 waived.
 
 pub fn positive_unwrap(x: Option<u8>) -> u8 {

@@ -1,6 +1,6 @@
-//! Fixture: `telemetry-clock` positive / negative / waiver cases.
-//! Linted via `--file … --as-crate orchestrator --as-role lib`.
-//! Expected: 2 deny findings, 1 waived.
+//! Fixture (capability-graph): raw telemetry epoch-clock reads, linted as a lib,
+//! a bin and a test file under `crates/orchestrator/`. Expected as a lib and a
+//! bin: 2 deny findings, 1 waived; test code may read the epoch clock.
 
 pub fn positive_raw_timestamp() -> u64 {
     telemetry::clock::monotonic_nanos()
@@ -11,7 +11,7 @@ pub fn positive_microsecond_read() -> u64 {
 }
 
 pub fn waived_epoch_probe() -> u64 {
-    // lint: allow(telemetry-clock) fixture: demonstrating a waiver
+    // lint: allow(capability-graph) fixture: demonstrating a waiver
     telemetry::clock::monotonic_nanos()
 }
 

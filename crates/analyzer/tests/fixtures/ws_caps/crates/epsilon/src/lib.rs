@@ -1,7 +1,8 @@
 //! Fixture (capability-graph): the sanctioned counter-example.
-//! lint: caps(net, clock) — this module declares its effects; raw
-//! socket I/O and clock reads here land in the manifest but do not
-//! deny, and callers do not inherit them (the boundary absorbs).
+//! lint: caps(net, clock) — this module declares its effects; its
+//! socket setup lands in the manifest but does not deny, its OS clock
+//! read is waived, and callers do not inherit either (the boundary
+//! absorbs).
 //! Lint target only.
 
 pub fn listen(addr: &str) -> Listener {
@@ -11,7 +12,7 @@ pub fn listen(addr: &str) -> Listener {
 
 pub fn stamped_dial(addr: &str) -> Conn {
     let sock = TcpStream::connect(addr);
-    // lint: allow(ambient-entropy) fixture: declared-caps module may read the clock
+    // lint: allow(capability-graph) fixture: a caps declaration does not sanction an OS clock read
     let opened = SystemTime::now();
     Conn::opened_at(sock, opened)
 }

@@ -185,6 +185,76 @@ fn every_miss_refits_and_generates_the_same_trace() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Hostile refs: every strict prefix of a genuine `codec.json`, and
+/// seeded splices of junk into it. Reading a ref never panics, a prefix
+/// is never a ref, and a resumed fit over a sample of them either loads
+/// the genuine codec or refits, generating the reference trace either way.
+#[test]
+fn hostile_codec_refs_load_or_refit_and_generate_the_same_trace() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let real = real();
+    let (reference, _, _) = fit(&real, &tiny_cfg(None, false));
+    let dir = tmp_dir("hostile");
+    assert_eq!(fit(&real, &tiny_cfg(Some(&dir), false)).2, TRAINED);
+    let genuine_ref = std::fs::read(dir.join("codec.json")).unwrap();
+    let genuine = codec_ref_digest(&dir).unwrap();
+
+    let mut cases: Vec<Vec<u8>> = (0..genuine_ref.len()).map(|n| genuine_ref[..n].to_vec()).collect();
+    // Two splices by hand: whitespace between tokens (still the genuine
+    // ref) and the digest's last digit changed (a ref to no object).
+    let text = String::from_utf8(genuine_ref.clone()).unwrap();
+    let digits = genuine.to_string();
+    let (head, last) = digits.split_at(digits.len() - 1);
+    let other = format!("{head}{}", (last.parse::<u8>().unwrap() + 1) % 10);
+    cases.push(text.replacen('{', "{ \n", 1).into_bytes());
+    cases.push(text.replace(&digits, &other).into_bytes());
+    // A run of junk replaces a run of the ref: structure bytes, digits,
+    // whitespace, letters and a byte that is not UTF-8.
+    let junk = b"{}[]\":,-0123456789 \t\\ekx\xff";
+    let mut state = 0x2545_f491_4f6c_dd1d_u64;
+    let mut next = |bound: usize| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % bound as u64) as usize
+    };
+    for _ in 0..96 {
+        let at = next(genuine_ref.len());
+        let cut = next(4).min(genuine_ref.len() - at);
+        let mut case = genuine_ref[..at].to_vec();
+        case.extend((0..1 + next(3)).map(|_| junk[next(junk.len())]));
+        case.extend_from_slice(&genuine_ref[at + cut..]);
+        cases.push(case);
+    }
+
+    let (mut loads, mut refits) = (0, 0);
+    for (i, case) in cases.iter().enumerate() {
+        std::fs::write(dir.join("codec.json"), case).unwrap();
+        let read = codec_ref_digest(&dir);
+        if i < genuine_ref.len() {
+            assert_eq!(read, None, "a strict prefix ({i} bytes) is not a ref");
+        }
+        // Fit over a sample: four prefixes, and the first splices that
+        // still name a digest (the likeliest to pass for the genuine ref).
+        let sampled = if i < genuine_ref.len() { i % 20 == 7 } else { read.is_some() };
+        if !sampled || loads + refits >= 8 {
+            continue;
+        }
+        let (trace, _, did) = fit(&real, &tiny_cfg(Some(&dir), true));
+        let case = String::from_utf8_lossy(case);
+        if did == LOADED {
+            assert_eq!(read, Some(genuine), "only the genuine digest loads: {case}");
+            loads += 1;
+        } else {
+            assert_eq!(did, REFIT, "{case}");
+            refits += 1;
+        }
+        assert_eq!(trace, reference, "{case}");
+    }
+    assert_eq!((loads, refits), (1, 7), "the whitespace splice loads, the rest refit");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The codec text as format 1 wrote it: every `f32` vector an array of
 /// bit-pattern integers.
 fn format_1(text: &str) -> String {

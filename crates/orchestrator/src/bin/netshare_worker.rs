@@ -93,7 +93,6 @@ fn main() {
     }
     let addr = match args.addr {
         Some(a) => a,
-        // lint: allow(panic-in-bin) parse_args guarantees one of the two is set
         None => match read_addr_file(args.addr_file.as_deref().expect("addr file")) {
             Ok(a) => a,
             Err(e) => {

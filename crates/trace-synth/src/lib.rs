@@ -95,7 +95,7 @@ pub fn generate_flows(kind: DatasetKind, n: usize, seed: u64) -> FlowTrace {
         DatasetKind::Ugr16 => ugr16::generate(n, seed),
         DatasetKind::Cidds => cidds::generate(n, seed),
         DatasetKind::Ton => ton::generate(n, seed),
-        other => panic!("{} is a packet dataset; call generate_packets", other.name()), // lint: allow(panic-in-lib) documented contract panic: kind mismatch is a caller bug (lint: allow(panic-in-lib) documented contract panic: kind mismatch is a caller bug)
+        other => panic!("{} is a packet dataset; call generate_packets", other.name()), // lint: allow(panic-in-lib) documented contract panic: kind mismatch is a caller bug
     }
 }
 
@@ -108,7 +108,7 @@ pub fn generate_packets(kind: DatasetKind, n: usize, seed: u64) -> PacketTrace {
         DatasetKind::Caida => caida::generate(n, seed),
         DatasetKind::Dc => dc::generate(n, seed),
         DatasetKind::Ca => ca::generate(n, seed),
-        other => panic!("{} is a flow dataset; call generate_flows", other.name()), // lint: allow(panic-in-lib) documented contract panic: kind mismatch is a caller bug (lint: allow(panic-in-lib) documented contract panic: kind mismatch is a caller bug)
+        other => panic!("{} is a flow dataset; call generate_flows", other.name()), // lint: allow(panic-in-lib) documented contract panic: kind mismatch is a caller bug
     }
 }
 
