@@ -12,7 +12,7 @@ use netshare::{codec_ref_digest, OrchestratorEvent as Event};
 use nettrace::{FlowTrace, PacketTrace};
 use orchestrator::{FsStore, ObjectStore};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use trace_synth::{generate_flows as synth_flows, generate_packets as synth_packets, DatasetKind};
 
 static TURN: Mutex<()> = Mutex::new(());
@@ -55,6 +55,17 @@ fn fit(real: &FlowTrace, cfg: &NetShareConfig) -> (FlowTrace, Vec<Event>, [u64; 
     (trace, model.events().to_vec(), [0, 1, 2].map(|i| after[i] - before[i]))
 }
 
+/// The trace a fit of `real()` with no run directory generates, and what
+/// that fit did to the codec counters: fitted once per test binary, by
+/// whichever test asks first (inside its turn, so the counts are its own).
+fn reference() -> &'static (FlowTrace, [u64; 3]) {
+    static REFERENCE: OnceLock<(FlowTrace, [u64; 3])> = OnceLock::new();
+    REFERENCE.get_or_init(|| {
+        let (trace, _, did) = fit(&real(), &tiny_cfg(None, false));
+        (trace, did)
+    })
+}
+
 const TRAINED: [u64; 3] = [1, 0, 0];
 const LOADED: [u64; 3] = [0, 1, 0];
 const REFIT: [u64; 3] = [1, 0, 1];
@@ -76,7 +87,7 @@ fn codec_object(dir: &Path) -> PathBuf {
 fn a_resumed_fit_loads_the_codec_and_generates_the_same_trace() {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
     let real = real();
-    let (reference, _, did) = fit(&real, &tiny_cfg(None, false));
+    let (reference, did) = reference().clone();
     assert_eq!(did, TRAINED, "no directory: trained, nothing to load");
 
     let dir = tmp_dir("resume");
@@ -117,7 +128,7 @@ fn a_resumed_fit_loads_the_codec_and_generates_the_same_trace() {
 fn every_miss_refits_and_generates_the_same_trace() {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
     let real = real();
-    let (reference, _, _) = fit(&real, &tiny_cfg(None, false));
+    let reference = reference().0.clone();
 
     // Ref absent: a cold directory.
     let dir = tmp_dir("miss");
@@ -193,7 +204,7 @@ fn every_miss_refits_and_generates_the_same_trace() {
 fn hostile_codec_refs_load_or_refit_and_generate_the_same_trace() {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
     let real = real();
-    let (reference, _, _) = fit(&real, &tiny_cfg(None, false));
+    let reference = reference().0.clone();
     let dir = tmp_dir("hostile");
     assert_eq!(fit(&real, &tiny_cfg(Some(&dir), false)).2, TRAINED);
     let genuine_ref = std::fs::read(dir.join("codec.json")).unwrap();
@@ -276,7 +287,7 @@ fn format_1(text: &str) -> String {
 fn a_ref_to_a_format_1_codec_refits_and_quarantines_nothing() {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
     let real = real();
-    let (reference, _, _) = fit(&real, &tiny_cfg(None, false));
+    let reference = reference().0.clone();
     let dir = tmp_dir("format1");
     assert_eq!(fit(&real, &tiny_cfg(Some(&dir), false)).2, TRAINED);
 

@@ -18,9 +18,10 @@
 //! * a full discriminator on `[metadata ‖ padded records]` and an
 //!   **auxiliary discriminator** on metadata alone (enabled, as in the
 //!   paper);
-//! * Wasserstein losses with weight clipping (this repo's documented
-//!   substitution for the gradient penalty), Adam, `n_critic` critic steps
-//!   per generator step;
+//! * a non-saturating BCE critic loss by default ([`DgLoss::Bce`]), or
+//!   Wasserstein losses with weight clipping ([`DgLoss::Wasserstein`],
+//!   this repo's documented substitution for the gradient penalty); Adam,
+//!   `n_critic` critic steps per generator step;
 //! * `[0,1]`-normalized continuous outputs via sigmoid, categorical
 //!   outputs via per-segment softmax ("auto-normalization disabled,
 //!   packing not used" per Appendix C);

@@ -270,9 +270,10 @@ impl Parameterized for DgGenerator {
 /// bitwise-equivalent to [`DgGenerator::generate`] for the same weights
 /// and RNG state (pinned by `tests/infer_equiv.rs`) while performing
 /// zero steady-state allocations per timestep. Like the training-graph
-/// generator it advances all `batch` flows per GRU step, and at paper
-/// shape the two sample at the same rate (nsbench
-/// `doppelganger.fast_over_train_ratio` ≈ 1.0).
+/// generator it advances all `batch` flows per GRU step; unlike it, it
+/// computes the metadata columns' share of the GRU's input products once
+/// per batch rather than at every step ([`nnet::ConstInputGru`]), which
+/// is where it gains on it (nsbench `doppelganger.fast_over_train_ratio`).
 pub struct FrozenGenerator<'a> {
     meta_net: FrozenSequential<'a>,
     rnn: FrozenGru<'a>,
@@ -322,13 +323,16 @@ impl FrozenGenerator<'_> {
 
         // RNN steps on reused buffers: input x_t = [z_t ‖ meta_y]. The
         // meta columns are constant across steps, so they are written
-        // once here; each step only redraws the latent columns in place
-        // (`fill_randn_cols` draws in the exact element order of the
-        // training path's per-step `Tensor::randn(batch, z_dim)`).
+        // once here, and their share of the GRU's input products is
+        // computed once (`with_constant_input`); each step only redraws
+        // the latent columns in place (`fill_randn_cols` draws in the
+        // exact element order of the training path's per-step
+        // `Tensor::randn(batch, z_dim)`).
         let mut x = arena.take_scratch(batch, self.z_record_dim + meta_y.cols());
         for b in 0..batch {
             x.row_mut(b)[self.z_record_dim..].copy_from_slice(meta_y.row(b));
         }
+        let rnn = self.rnn.with_constant_input(&x, self.z_record_dim);
         // The initial hidden state is real data — it must be zero.
         let mut h = arena.take_zeroed(batch, hidden);
         // Every `h_stack` row is overwritten by the block copies below
@@ -337,13 +341,15 @@ impl FrozenGenerator<'_> {
         // lint: step-loop
         for t in 0..self.max_len {
             x.fill_randn_cols(self.z_record_dim, rng);
-            let next = self.rnn.step(&x, &h, arena);
+            let next = rnn.step(&x, &h, arena);
             // Rows t·batch.. of the step-major stack are exactly
             // `next`'s storage, contiguously: one memcpy per step.
             h_stack.data_mut()[t * batch * hidden..(t + 1) * batch * hidden]
                 .copy_from_slice(next.data());
             arena.recycle(std::mem::replace(&mut h, next));
         }
+        // The addends' storage goes back to its pool before the head runs.
+        drop(rnn);
         arena.recycle(x);
         arena.recycle(h);
 

@@ -2,7 +2,7 @@
 //!
 //! lint: io-boundary — this module is a sanctioned socket I/O layer;
 //! raw reads/writes anywhere else in the workspace trip the
-//! `blocking-accept-loop` lint.
+//! `capability-graph` lint.
 //!
 //! The byte-level framing (prefix grammar, cancel-aware resumable
 //! reads/writes, timeout configuration) lives in [`orchestrator::wire`]

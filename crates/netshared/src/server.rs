@@ -3,7 +3,7 @@
 //!
 //! lint: io-boundary — this module owns the `TcpListener` accept loop;
 //! raw accepts anywhere else in the workspace trip the
-//! `blocking-accept-loop` lint.
+//! `capability-graph` lint.
 //!
 //! Lifecycle: [`Server::start`] binds (port 0 for ephemeral), spawns the
 //! accept thread (and, when an idle timeout is configured, the reused

@@ -16,6 +16,13 @@
 //!   identical GEMM shapes (hence identical kernel dispatch), identical
 //!   fused bias-seed + accumulate ordering, identical activation
 //!   closures. The equivalence suite in `crates/doppelganger` pins this.
+//! * [`ConstInputGru`] — a [`FrozenGru`] over one batch whose step inputs
+//!   keep some trailing columns (the generator's metadata) at every step.
+//!   The input products' share of those columns is computed once per
+//!   batch and added back at each step
+//!   ([`crate::kernel::ConstAddends`]): the same product shapes and the
+//!   same per-element operations in the same order as [`FrozenGru::step`],
+//!   fewer of them recomputed, so the bytes stay those of training.
 //!
 //! Batched multi-stream sampling falls out of the design: a frozen
 //! forward over a `K × in` input advances K independent flows per GRU
@@ -272,7 +279,7 @@ pub struct FrozenGru<'a> {
     pub bh: &'a Tensor,
 }
 
-impl FrozenGru<'_> {
+impl<'a> FrozenGru<'a> {
     /// Hidden-state width.
     pub fn hidden_dim(&self) -> usize {
         self.uz.rows()
@@ -283,24 +290,54 @@ impl FrozenGru<'_> {
     /// GEMM chains, same gate expressions), so outputs are bitwise-equal
     /// to the training path. The returned tensor borrows pool storage.
     pub fn step(&self, x: &Tensor, h_prev: &Tensor, arena: &mut Arena) -> Tensor {
+        self.step_with(h_prev, arena, |_, w, b, out| x.matmul_add_bias_into(w, b, out))
+    }
+
+    /// Steps over a batch whose inputs keep their columns `c0..` at
+    /// every step, as the generator's `[noise ‖ metadata]` does: the
+    /// returned stepper computes those columns' share of the three input
+    /// products once, here, from `x`, and each
+    /// [`ConstInputGru::step`] adds it back (see
+    /// [`crate::kernel::ConstAddends`]). Its steps are bitwise equal to
+    /// [`FrozenGru::step`] on the same inputs.
+    pub fn with_constant_input(&self, x: &Tensor, c0: usize) -> ConstInputGru<'_, 'a> {
+        let addends = |w: &Tensor| {
+            crate::kernel::ConstAddends::new(x.rows(), x.cols(), w.cols(), c0, x.data(), w.data())
+        };
+        ConstInputGru {
+            gru: self,
+            addends: [addends(self.wz), addends(self.wr), addends(self.wh)],
+        }
+    }
+
+    /// The step's gate arithmetic, with `input(gate, w, b, out)` writing
+    /// `x·w + b` into `out` for gate 0 (update), 1 (reset) or 2
+    /// (candidate).
+    fn step_with(
+        &self,
+        h_prev: &Tensor,
+        arena: &mut Arena,
+        input: impl Fn(usize, &Tensor, &Tensor, &mut Tensor),
+    ) -> Tensor {
         let sigmoid = |v: f32| 1.0 / (1.0 + (-v).exp());
+        let rows = h_prev.rows();
         // All five buffers here are overwrite-style (bias-seeded GEMMs,
         // hadamard_into, or a full element-wise store), so scratch
         // storage — no memset — produces the same bytes as zeroed.
-        let mut z = arena.take_scratch(x.rows(), self.wz.cols());
-        x.matmul_add_bias_into(self.wz, self.bz, &mut z);
+        let mut z = arena.take_scratch(rows, self.wz.cols());
+        input(0, self.wz, self.bz, &mut z);
         h_prev.matmul_acc(self.uz, &mut z);
         z.map_inplace(sigmoid);
 
-        let mut r = arena.take_scratch(x.rows(), self.wr.cols());
-        x.matmul_add_bias_into(self.wr, self.br, &mut r);
+        let mut r = arena.take_scratch(rows, self.wr.cols());
+        input(1, self.wr, self.br, &mut r);
         h_prev.matmul_acc(self.ur, &mut r);
         r.map_inplace(sigmoid);
 
         let mut rh = arena.take_scratch(h_prev.rows(), h_prev.cols());
         r.hadamard_into(h_prev, &mut rh);
-        let mut hhat = arena.take_scratch(x.rows(), self.wh.cols());
-        x.matmul_add_bias_into(self.wh, self.bh, &mut hhat);
+        let mut hhat = arena.take_scratch(rows, self.wh.cols());
+        input(2, self.wh, self.bh, &mut hhat);
         rh.matmul_acc(self.uh, &mut hhat);
         hhat.map_inplace(f32::tanh);
 
@@ -315,6 +352,26 @@ impl FrozenGru<'_> {
         arena.recycle(rh);
         arena.recycle(hhat);
         h
+    }
+}
+
+/// A [`FrozenGru`] over one batch whose inputs hold the same values in
+/// columns `c0..` at every step, made by [`FrozenGru::with_constant_input`].
+/// It keeps those columns' addends of `x·Wz`, `x·Wr` and `x·Wh`, in
+/// storage that returns to a process-wide pool when it is dropped.
+pub struct ConstInputGru<'g, 'a> {
+    gru: &'g FrozenGru<'a>,
+    /// Addends for `Wz`, `Wr` and `Wh`, in that order.
+    addends: [crate::kernel::ConstAddends; 3],
+}
+
+impl ConstInputGru<'_, '_> {
+    /// [`FrozenGru::step`], bitwise, for an `x` whose columns `c0..`
+    /// still hold the values this stepper was made from.
+    pub fn step(&self, x: &Tensor, h_prev: &Tensor, arena: &mut Arena) -> Tensor {
+        self.gru.step_with(h_prev, arena, |gate, w, b, out| {
+            x.matmul_add_bias_replay_into(w, b, &self.addends[gate], out)
+        })
     }
 }
 

@@ -14,6 +14,11 @@
 //!   array blocks. `A·Bᵀ` transposes `b` one 16-column strip at a time and
 //!   keeps one register accumulator per output column of the strip.
 //!
+//! A third form of `A·B`, [`ConstAddends`], serves products whose left
+//! operand keeps some trailing columns from call to call (the GRU's
+//! metadata inputs): it is the tiled kernel with those columns' addends
+//! computed once.
+//!
 //! Dispatch ([`gemm_auto`] and friends) picks between them from the
 //! product's FLOP count alone, so layer code never chooses: small
 //! recurrent steps stay on the low-overhead naive loop, everything else
@@ -45,6 +50,12 @@
 //! * `A·Bᵀ`: every path sums `a[i][kk]·b[j][kk]` from zero in `kk` order
 //!   and adds the sum to the output once. Naive and tiled are bitwise
 //!   equal, so the `A·Bᵀ` dispatch is free to move.
+//! * [`ConstAddends`], the constant-column replay of tiled `A·B`: a block
+//!   sum or leftover product whose `a` values do not change between calls
+//!   is computed once, with the same expression, and added later in the
+//!   same place in the element's sequence. Same operands, operations and
+//!   order, so it is bitwise equal to tiled, not a reassociation of it,
+//!   and it falls back to naive exactly where tiled would.
 //!
 //! Vector lanes run across output columns, never along the reduction.
 //! Lanes along `k` would split each sum into partial sums, which
@@ -185,12 +196,15 @@ fn chunk_mut<const L: usize>(s: &mut [f32], j: usize) -> &mut [f32; L] {
 /// Tiled row-band kernel: `c_band += a_band·b` for `rows` output rows.
 ///
 /// Accumulation order per output element depends only on absolute k/j
-/// indices, never on the band split.
-fn gemm_rows_tiled(rows: usize, k: usize, n: usize, a_band: &[f32], b: &[f32], c_band: &mut [f32]) {
+/// indices, never on the band split. Row `i` of `a_band` starts at
+/// `i·lda`, and only its first `k` columns enter the product: `lda` is `k`
+/// except in [`ConstAddends::gemm`], which runs the per-call prefix of a
+/// wider product.
+fn gemm_rows_tiled(rows: usize, k: usize, lda: usize, n: usize, a_band: &[f32], b: &[f32], c_band: &mut [f32]) {
     if n >= LANES {
-        rows_tiled::<true>(rows, k, n, a_band, b, c_band)
+        rows_tiled::<true>(rows, k, lda, n, a_band, b, c_band)
     } else {
-        rows_tiled::<false>(rows, k, n, a_band, b, c_band)
+        rows_tiled::<false>(rows, k, lda, n, a_band, b, c_band)
     }
 }
 
@@ -198,10 +212,10 @@ fn gemm_rows_tiled(rows: usize, k: usize, n: usize, a_band: &[f32], b: &[f32], c
 /// with both in one body, products under `LANES` columns (the output
 /// head's 48×5) ran at 0.8× the speed of the plain loop they replace.
 #[inline(never)]
-fn rows_tiled<const WIDE: bool>(rows: usize, k: usize, n: usize, a_band: &[f32], b: &[f32], c_band: &mut [f32]) {
+fn rows_tiled<const WIDE: bool>(rows: usize, k: usize, lda: usize, n: usize, a_band: &[f32], b: &[f32], c_band: &mut [f32]) {
     let kb_end = k - k % KB;
     for i in 0..rows {
-        let a_row = &a_band[i * k..(i + 1) * k];
+        let a_row = &a_band[i * lda..i * lda + k];
         let c_row = &mut c_band[i * n..(i + 1) * n];
         let mut jt = 0;
         while jt < n {
@@ -239,7 +253,7 @@ fn rows_tiled<const WIDE: bool>(rows: usize, k: usize, n: usize, a_band: &[f32],
 /// `c += a·b`, tiled serial path.
 pub fn gemm_tiled(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     debug_assert_eq!(c.len(), m * n);
-    gemm_rows_tiled(m, k, n, a, b, c);
+    gemm_rows_tiled(m, k, k, n, a, b, c);
 }
 
 /// `c += a·b`, tiled kernel over parallel row bands. Bitwise identical
@@ -255,7 +269,7 @@ pub fn gemm_parallel(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut
         .for_each(|(band, c_band)| {
             let row0 = band * band_rows;
             let rows = c_band.len() / n;
-            gemm_rows_tiled(rows, k, n, &a[row0 * k..(row0 + rows) * k], b, c_band);
+            gemm_rows_tiled(rows, k, k, n, &a[row0 * k..(row0 + rows) * k], b, c_band);
         });
 }
 
@@ -266,6 +280,189 @@ pub fn gemm_auto(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f3
         gemm_tiled(m, k, n, a, b, c)
     } else {
         gemm_naive(m, k, n, a, b, c)
+    }
+}
+
+// ------------------------------------------- A·B with constant columns
+
+/// The addends one [`ConstAddends`] keeps: `slots` rows of `n` values
+/// per output row `i`, of which the first `counts[i]` are live.
+#[derive(Default)]
+struct AddendStore {
+    counts: Vec<usize>,
+    sums: Vec<f32>,
+}
+
+/// Addend storage between batches, shared by every thread of the
+/// process: a serving session thread may live for one pull, and a model
+/// per data chunk may each sample once, so storage held per thread or per
+/// model would be resident many times over. The lock is taken when a
+/// [`ConstAddends`] is built and when it is dropped.
+static ADDEND_STORES: std::sync::Mutex<Vec<AddendStore>> = std::sync::Mutex::new(Vec::new());
+
+impl AddendStore {
+    /// The pooled store with the smallest `sums` capacity of at least
+    /// `len`; failing that the largest, which then grows. Either way the
+    /// pool holds no more stores than were ever live at once.
+    fn take(len: usize) -> Self {
+        let mut pool = ADDEND_STORES.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let cap = |i: usize| pool[i].sums.capacity();
+        let fit = (0..pool.len()).filter(|&i| cap(i) >= len).min_by_key(|&i| cap(i));
+        match fit.or_else(|| (0..pool.len()).max_by_key(|&i| cap(i))) {
+            Some(i) => pool.swap_remove(i),
+            None => AddendStore::default(),
+        }
+    }
+
+    fn give_back(self) {
+        ADDEND_STORES.lock().unwrap_or_else(std::sync::PoisonError::into_inner).push(self);
+    }
+}
+
+/// The addends of a tiled `c += a·b` (`a: m×k`, `b: k×n`) that depend
+/// only on `a`'s columns `c0..k`, computed once so that products whose
+/// `a` keeps those columns ([`crate::infer::FrozenGru`]'s step input
+/// `[noise ‖ metadata]`) add them again instead of recomputing them.
+///
+/// Per output element the tiled kernel adds one sum per `KB` block and
+/// then one product per leftover column (see the numeric contract). A
+/// block whose four columns all lie in `c0..k`, and a leftover column in
+/// `c0..k`, adds the same value at every call; it is stored here, in the
+/// kernel's order, and skipped blocks and zero leftovers are not stored
+/// at all. [`ConstAddends::gemm`] runs the tiled kernel over the columns
+/// before them (the noise, and a block straddling `c0`), then adds the
+/// stored values in order. Each element thus sees the same IEEE
+/// operations as [`gemm_tiled`], so the result is bitwise equal to it.
+///
+/// Storage comes from a process-wide pool and goes back to it on drop.
+/// Products under [`TILE_MIN_FLOPS`] keep nothing: they run the naive
+/// loop, as [`gemm_auto`] would.
+pub struct ConstAddends {
+    m: usize,
+    k: usize,
+    n: usize,
+    /// Columns `0..split` are computed at every call: `c0` rounded up to
+    /// its block, or `c0` itself when it is past the last whole block.
+    split: usize,
+    /// Addend rows kept per output row.
+    slots: usize,
+    store: Option<AddendStore>,
+}
+
+impl ConstAddends {
+    /// Computes the addends of `a`'s columns `c0..k` for `b`. Only those
+    /// columns of `a` are read.
+    pub fn new(m: usize, k: usize, n: usize, c0: usize, a: &[f32], b: &[f32]) -> Self {
+        debug_assert!(c0 <= k);
+        debug_assert_eq!(a.len(), m * k);
+        debug_assert_eq!(b.len(), k * n);
+        let kb_end = k - k % KB;
+        let split = if c0 <= kb_end { c0.next_multiple_of(KB) } else { c0 };
+        let slots = kb_end.saturating_sub(split) / KB + (k - split.max(kb_end));
+        let mut me = ConstAddends { m, k, n, split, slots, store: None };
+        if m * k * n < TILE_MIN_FLOPS {
+            return me;
+        }
+        let mut store = AddendStore::take(m * slots * n);
+        store.counts.clear();
+        store.sums.resize(m * slots * n, 0.0);
+        let wide = n >= LANES;
+        for i in 0..m {
+            let a_row = &a[i * k..(i + 1) * k];
+            let row_sums = &mut store.sums[i * slots * n..(i + 1) * slots * n];
+            let mut live = 0;
+            for kk in (split..kb_end).step_by(KB) {
+                let av = [a_row[kk], a_row[kk + 1], a_row[kk + 2], a_row[kk + 3]];
+                if av.iter().all(|&v| v == 0.0) { // lint: allow(float-eq) the tiled kernel's block zero-skip, mirrored: a skipped block adds nothing
+                    continue;
+                }
+                // `-0.0 + s` is `s` for every sum `s`, so the block's sum
+                // is stored with the kernel's own expression.
+                let slot = &mut row_sums[live * n..(live + 1) * n];
+                slot.fill(-0.0);
+                let b_at = |q: usize| &b[(kk + q) * n..(kk + q + 1) * n];
+                let bs = [b_at(0), b_at(1), b_at(2), b_at(3)];
+                if wide {
+                    fused_block::<true>(av, bs, slot)
+                } else {
+                    fused_block::<false>(av, bs, slot)
+                }
+                live += 1;
+            }
+            for kk in split.max(kb_end)..k {
+                let av = a_row[kk];
+                if av == 0.0 { // lint: allow(float-eq) the tiled kernel's leftover zero-skip, mirrored
+                    continue;
+                }
+                let slot = &mut row_sums[live * n..(live + 1) * n];
+                for (s, &bv) in slot.iter_mut().zip(&b[kk * n..(kk + 1) * n]) {
+                    *s = av * bv;
+                }
+                live += 1;
+            }
+            store.counts.push(live);
+        }
+        me.store = Some(store);
+        me
+    }
+
+    /// `(m, k, n)` of the product the addends belong to.
+    pub fn shape(&self) -> (usize, usize, usize) {
+        (self.m, self.k, self.n)
+    }
+
+    /// `c += a·b`, bitwise equal to [`gemm_auto`] provided `a`'s columns
+    /// `c0..k` and `b` are those the addends were computed from. Counted
+    /// and timed as one dispatch of the product's class.
+    pub fn gemm(&self, a: &[f32], b: &[f32], c: &mut [f32]) {
+        let (m, k, n) = (self.m, self.k, self.n);
+        debug_assert_eq!(a.len(), m * k);
+        debug_assert_eq!(c.len(), m * n);
+        let (tiled, _timer) = dispatch(m * k * n);
+        debug_assert_eq!(tiled, self.store.is_some());
+        let Some(store) = &self.store else {
+            return gemm_naive(m, k, n, a, b, c);
+        };
+        gemm_rows_tiled(m, self.split, k, n, a, b, c);
+        for (i, c_row) in c.chunks_exact_mut(n).enumerate() {
+            let row_sums = &store.sums[i * self.slots * n..(i * self.slots + store.counts[i]) * n];
+            add_in_order(c_row, row_sums);
+        }
+    }
+}
+
+/// `out[j] += s[j]` for each `n`-wide slot `s` of `sums` in turn, with
+/// `LANES` outputs held in registers across all the slots.
+#[inline(never)]
+fn add_in_order(out: &mut [f32], sums: &[f32]) {
+    let n = out.len();
+    let end = n - n % LANES;
+    let mut j = 0;
+    while j < end {
+        let mut o: [f32; LANES] = *chunk(out, j);
+        let mut s = j;
+        while s < sums.len() {
+            let x: &[f32; LANES] = chunk(sums, s);
+            for l in 0..LANES {
+                o[l] += x[l];
+            }
+            s += n;
+        }
+        *chunk_mut(out, j) = o;
+        j += LANES;
+    }
+    for (j, o) in out.iter_mut().enumerate().skip(end) {
+        for slot in sums.chunks_exact(n) {
+            *o += slot[j];
+        }
+    }
+}
+
+impl Drop for ConstAddends {
+    fn drop(&mut self) {
+        if let Some(store) = self.store.take() {
+            store.give_back();
+        }
     }
 }
 

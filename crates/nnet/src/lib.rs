@@ -48,7 +48,7 @@ pub mod tensor;
 pub use conv::Conv2d;
 pub use dpsgd::{DpSgdConfig, DpSgdTrainer};
 pub use gru::Gru;
-pub use infer::{Arena, FrozenGru, FrozenNode, FrozenSequential};
+pub use infer::{Arena, ConstInputGru, FrozenGru, FrozenNode, FrozenSequential};
 pub use layers::{Activation, Init, Layer, Linear, Sequential, Unset};
 pub use optim::{Adam, GradClip, Optimizer, Sgd};
 pub use tensor::Tensor;

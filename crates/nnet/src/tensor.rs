@@ -289,6 +289,33 @@ impl Tensor {
         sanitize::check_finite("matmul_add_bias", &out.data);
     }
 
+    /// [`Tensor::matmul_add_bias_into`] for an input whose trailing
+    /// columns are those `addends` was computed from (with the same
+    /// `other`): the kernel adds their stored addends instead of
+    /// recomputing them, and the bytes are the same (see
+    /// [`kernel::ConstAddends`]).
+    ///
+    /// # Panics
+    /// Panics on a bias or `out` shape mismatch, or if `addends` belongs
+    /// to another shape of product.
+    pub fn matmul_add_bias_replay_into(
+        &self,
+        other: &Tensor,
+        bias: &Tensor,
+        addends: &kernel::ConstAddends,
+        out: &mut Tensor,
+    ) {
+        self.assert_matmul_dims(other);
+        assert_eq!(addends.shape(), (self.rows, self.cols, other.cols), "addends shape mismatch");
+        assert_eq!(bias.shape(), (1, other.cols), "bias must be a 1 × out row vector");
+        assert_eq!(out.shape(), (self.rows, other.cols), "matmul_add_bias_replay_into shape mismatch");
+        for r in 0..self.rows {
+            out.data[r * other.cols..(r + 1) * other.cols].copy_from_slice(&bias.data);
+        }
+        addends.gemm(&self.data, &other.data, &mut out.data);
+        sanitize::check_finite("matmul_add_bias", &out.data);
+    }
+
     /// Fused `acc += self · other`, accumulating straight into an
     /// existing tensor (gradient buffers) without a temporary.
     ///

@@ -6,19 +6,28 @@
 //! the steady-state floor (the cached `hs` clone in the forward and the
 //! escaping `dx` in the backward), not regress to per-gate allocation.
 //!
-//! Measured with a counting global allocator, so this file holds exactly
-//! one test — parallel tests would pollute each other's counts.
+//! The frozen sampler's step loop, with the generator's constant metadata
+//! columns replayed, has a stricter floor: none at all once warm.
+//!
+//! Measured with a counting global allocator whose count is per thread,
+//! so the tests of this file, which run on threads of their own, do not
+//! see each other's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
+use nnet::infer::Arena;
 use nnet::{Gru, Tensor};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and without a destructor: reading it never
+    // allocates, so the allocator can use it.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
 // The counter is a side effect with no influence on the returned memory;
 // every call delegates verbatim to `System`.
@@ -26,7 +35,7 @@ static ALLOCS: AtomicU64 = AtomicU64::new(0);
 unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: same layout contract as the caller; System::alloc upholds it.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOCS.with(|n| n.set(n.get() + 1));
         // SAFETY: layout is the caller's, forwarded unmodified.
         unsafe { System.alloc(layout) }
     }
@@ -40,8 +49,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Heap allocations made so far by the calling thread.
 fn allocs_now() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 /// One full forward + backward pass over `steps` timesteps.
@@ -103,6 +113,47 @@ fn gru_step_loops_do_not_allocate_per_gate() {
             per_step <= 6.0,
             "GRU step loops regressed to per-step allocation at {batch}x{input_dim}->{hidden}: \
              {per_step:.2} allocs/step"
+        );
+    }
+}
+
+/// Heap allocations of one pass of the frozen sampler's GRU loop over
+/// `steps` steps, the way `FrozenGenerator::generate` runs it: metadata
+/// written once into columns `z..`, the noise columns redrawn per step.
+fn frozen_pass(gru: &Gru, arena: &mut Arena, batch: usize, z: usize, steps: usize) -> u64 {
+    let frozen = gru.freeze();
+    let input_dim = frozen.wz.rows();
+    let mut rng = StdRng::seed_from_u64(5);
+    let before = allocs_now();
+    let mut x = arena.take_scratch(batch, input_dim);
+    x.fill_randn(&mut rng);
+    let stepper = frozen.with_constant_input(&x, z);
+    let mut h = arena.take_zeroed(batch, frozen.hidden_dim());
+    for _ in 0..steps {
+        x.fill_randn_cols(z, &mut rng);
+        let next = stepper.step(&x, &h, arena);
+        arena.recycle(std::mem::replace(&mut h, next));
+    }
+    drop(stepper);
+    arena.recycle(x);
+    arena.recycle(h);
+    allocs_now() - before
+}
+
+#[test]
+fn warm_frozen_step_loops_with_constant_input_allocate_nothing() {
+    // The serving shape: 8 noise + 139 metadata columns into 48, whose
+    // input products take the tiled kernel and so the replay.
+    let (batch, z, input_dim, hidden) = (32, 8, 147, 48);
+    let mut rng = StdRng::seed_from_u64(42);
+    let gru = Gru::new(input_dim, hidden, &mut rng);
+    let mut arena = Arena::new();
+    assert!(frozen_pass(&gru, &mut arena, batch, z, 32) > 0, "a cold pass allocates");
+    for steps in [8, 32] {
+        assert_eq!(
+            frozen_pass(&gru, &mut arena, batch, z, steps),
+            0,
+            "a warm {steps}-step pass allocated"
         );
     }
 }

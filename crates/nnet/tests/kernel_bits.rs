@@ -9,6 +9,10 @@
 //! `gemm_nt_naive ≡ gemm_nt_tiled`: `A·Bᵀ` has one summation order on
 //! every path, so its dispatch does not change a bit.
 //!
+//! [`kernel::ConstAddends`] is checked the same way: a product that adds
+//! stored addends for `a`'s constant columns must give the bits of the
+//! product its dispatch would otherwise run.
+//!
 //! Inputs are built to reach the paths where bit-equality is easiest to
 //! lose: whole-`KB` zero blocks and single zero values (the zero-skips),
 //! `-0.0` in inputs and accumulators, subnormals, and values near
@@ -281,4 +285,111 @@ fn skipped_blocks_keep_negative_zero_accumulators() {
         run(kernel::gemm_tn_tiled, shape, &a, &b[..m * n], &c0),
         run(oracle::gemm_tn_tiled, shape, &a, &b[..m * n], &c0),
     );
+}
+
+/// `c + a·b` through [`kernel::ConstAddends`] built on `a`'s columns
+/// `c0..k`, against the reference loop of the class `m·k·n` dispatches
+/// to, on the build's `a` and on two more with fresh columns `0..c0`.
+fn check_replay(m: usize, k: usize, n: usize, c0: usize, seed: u64) -> Result<(), String> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let shape = (m, k, n);
+    let mut a = left_operand(m, k, &mut rng);
+    let b = awkward_vec(k * n, &mut rng);
+    let acc = awkward_vec(m * n, &mut rng);
+    let addends = kernel::ConstAddends::new(m, k, n, c0, &a, &b);
+    let reference: Kernel =
+        if m * k * n >= kernel::TILE_MIN_FLOPS { oracle::gemm_rows_tiled } else { kernel::gemm_naive };
+    for round in 0..3 {
+        if round > 0 {
+            for i in 0..m {
+                let zero_row = rng.gen_range(0u32..4) == 0;
+                for x in &mut a[i * k..i * k + c0] {
+                    *x = if zero_row { 0.0 } else { awkward(&mut rng) };
+                }
+            }
+        }
+        let mut c = acc.clone();
+        addends.gemm(&a, &b, &mut c);
+        if bits(&c) != run(reference, shape, &a, &b, &acc) {
+            return Err(format!("replay {m}x{k}x{n} from column {c0}, round {round}: differs from the reference loop"));
+        }
+    }
+    Ok(())
+}
+
+/// Where the constant columns start, relative to the blocks: at 0, inside
+/// a block, at a block edge, at the last whole block's end (`kb_end`),
+/// past it, and at `k` (nothing constant).
+fn replay_start(k: usize, kind: usize, pick: usize) -> usize {
+    let kb_end = k - k % KB;
+    match kind {
+        0 => 0,
+        1 => (pick % k.max(1)) | 1,
+        2 => pick % (kb_end / KB + 1) * KB,
+        3 => kb_end,
+        4 => kb_end + 1 + pick % (k - kb_end).max(1),
+        _ => k,
+    }
+    .min(k)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn constant_column_replay_matches_the_reference_loops_bit_for_bit(
+        m in 1usize..41,
+        k in 1usize..201,
+        // Under `LANES`, the serving width, and past one `TILE_J` tile.
+        n in prop_oneof![1usize..8, 8usize..64, 120usize..160],
+        kind in 0usize..6,
+        pick in any::<usize>(),
+        seed in any::<u64>(),
+    ) {
+        let c0 = replay_start(k, kind, pick);
+        if let Err(why) = check_replay(m, k, n, c0, seed) {
+            prop_assert!(false, "{}", why);
+        }
+    }
+}
+
+/// Every start column of small reductions and of the generator's
+/// `[noise(5 or 8) ‖ metadata(139)]` step input, at widths either side of
+/// each lane block.
+#[test]
+fn constant_column_replay_matches_the_reference_loops_on_edge_shapes() {
+    let mut seed = 1000;
+    for (m, k) in [(1, 5), (3, 9), (8, 11), (32, 16), (1, 147), (7, 147), (32, 147)] {
+        for c0 in (0..=k).filter(|&c| k < 20 || !(12..=140).contains(&c)) {
+            for n in [3, 7, 8, 48, 129] {
+                seed += 1;
+                check_replay(m, k, n, c0, seed).unwrap();
+            }
+        }
+    }
+}
+
+/// The replay at a `-0.0` accumulator: constant blocks of exact zeros
+/// (`0.0` and `-0.0`) are skipped, not added as zeros, so rows whose
+/// columns are all zero keep `-0.0`.
+#[test]
+fn replay_keeps_negative_zero_accumulators_behind_skipped_blocks() {
+    let (m, k, n) = (32, 147, 48);
+    let mut a = vec![0.0f32; m * k];
+    for (i, row) in a.chunks_exact_mut(k).enumerate() {
+        for (col, x) in row.iter_mut().enumerate() {
+            *x = if col % 2 == 0 { -0.0 } else { 0.0 };
+        }
+        // Row 0 has one live constant column; the others stay all zero.
+        if i == 0 {
+            row[21] = 1.0;
+        }
+    }
+    let b = vec![1.0f32; k * n];
+    let c0 = vec![-0.0f32; m * n];
+    let addends = kernel::ConstAddends::new(m, k, n, 8, &a, &b);
+    let mut c = c0.clone();
+    addends.gemm(&a, &b, &mut c);
+    assert_eq!(bits(&c), run(oracle::gemm_rows_tiled, (m, k, n), &a, &b, &c0));
+    assert!(c[n..].iter().all(|&x| x.to_bits() == (-0.0f32).to_bits()), "skipped rows stay -0.0");
 }

@@ -2,7 +2,7 @@
 //!
 //! lint: io-boundary — this module owns the control-channel listener and
 //! its accept loop; raw socket I/O anywhere else in the workspace trips
-//! the `blocking-accept-loop` lint.
+//! the `capability-graph` lint.
 //!
 //! The thread pool in [`crate::pool`] scales training across cores; this
 //! module scales it across *processes*, mirroring the paper's Ray

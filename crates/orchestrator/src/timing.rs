@@ -7,8 +7,7 @@
 //! Wall-clock reads delegate to [`telemetry::clock`], the workspace's
 //! single monotonic-clock anchor, so stopwatch readings and telemetry
 //! span timestamps share one epoch and the ambient-clock lint boundary
-//! (`ambient-entropy` + `telemetry-clock` rules) stays one auditable
-//! surface.
+//! (the `capability-graph` rule) stays one auditable surface.
 
 use telemetry::clock;
 
@@ -41,9 +40,9 @@ fn stat_cpu_seconds(path: &str) -> Option<f64> {
 }
 
 /// A started wall clock. This is the only sanctioned way for orchestrator
-/// code outside this module to read elapsed time (the `ambient-entropy`
-/// and `telemetry-clock` lints ban raw clock reads so timing stays
-/// observable and auditable in one place).
+/// code outside this module to read elapsed time (the `capability-graph`
+/// lint bans raw clock reads so timing stays observable and auditable in
+/// one place).
 #[derive(Debug, Clone, Copy)]
 pub struct Stopwatch {
     start_ns: u64,

@@ -2,7 +2,7 @@
 //!
 //! lint: io-boundary — this module is a sanctioned socket I/O layer;
 //! raw reads/writes anywhere else in the workspace trip the
-//! `blocking-accept-loop` lint.
+//! `capability-graph` lint.
 //!
 //! The byte-level grammar is the one `netshared::protocol` froze in PR 7
 //! — `u32 big-endian payload length` followed by exactly that many

@@ -3,7 +3,7 @@
 //!
 //! lint: io-boundary — this module owns the worker's control-channel
 //! socket; raw socket I/O anywhere else in the workspace trips the
-//! `blocking-accept-loop` lint.
+//! `capability-graph` lint.
 //!
 //! A worker is deliberately dumb: it holds no scheduler state, just a
 //! registry of named executors. It dials the coordinator, claims one job

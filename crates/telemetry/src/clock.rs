@@ -4,8 +4,8 @@
 //! outside `orchestrator::timing` (which delegates here) and the bench
 //! harnesses. Everything else must read time through
 //! `orchestrator::timing::Stopwatch`/`measure` or through spans/metrics,
-//! so the ambient-clock surface stays auditable: the `ambient-entropy`
-//! and `telemetry-clock` rules in `netshare-lint` enforce the boundary.
+//! so the ambient-clock surface stays auditable: the `capability-graph`
+//! rule in `netshare-lint` enforces the boundary.
 //!
 //! The module is compiled unconditionally (not gated on the `telemetry`
 //! feature) because `orchestrator::timing` needs it even when span/metric

@@ -5,7 +5,7 @@
 //! * [`clock`] — the process-wide monotonic clock anchor. This module is
 //!   **always compiled** and is the single sanctioned ambient-clock read
 //!   site in the workspace besides `orchestrator::timing` (which delegates
-//!   here). The `telemetry-clock` lint rule in `netshare-lint` keeps every
+//!   here). The `capability-graph` lint rule in `netshare-lint` keeps every
 //!   other crate from reading it directly.
 //! * [`mod@span`] — a thread-local span stack. `span!("chunk[3]/fine_tune")`
 //!   pushes a named frame; dropping the returned guard pops it and emits a
