@@ -440,10 +440,7 @@ fn run(mode: &str, input: &str, output: &str, opts: &Options) -> Result<(), RunE
         }
         other => return Err(RunError::Runtime(format!("unknown mode {other}"))),
     }
-    // Dump the telemetry snapshot last so it covers fit + generate. The
-    // binary always ships with telemetry on (crates/core default feature);
-    // were it built with default-features off, this writes the
-    // empty-registry document rather than failing.
+    // Dump the telemetry snapshot last so it covers fit + generate.
     if let Some(path) = &opts.metrics_out {
         std::fs::write(path, telemetry::metrics::snapshot_json())
             .map_err(|e| RunError::Runtime(format!("write {}: {e}", path.display())))?;

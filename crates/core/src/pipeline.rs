@@ -527,9 +527,7 @@ impl FitRun {
                 });
             });
         }
-        // Bridge telemetry spans into the same JSONL stream. With the
-        // `telemetry` feature off this installs nothing (the sink setter is
-        // a no-op and spans never fire).
+        // Bridge telemetry spans into the same JSONL stream.
         let sink = std::sync::Arc::clone(&run.events);
         telemetry::span::set_span_sink(move |sp: &telemetry::span::SpanEvent| {
             sink.emit(Event::Span {

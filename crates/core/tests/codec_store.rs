@@ -4,7 +4,6 @@
 //!
 //! The `netshare.codec.*` counters are process-global, so the tests of
 //! this binary take turns.
-#![cfg(feature = "telemetry")]
 
 use netshare::config::NetShareConfig;
 use netshare::pipeline::NetShare;

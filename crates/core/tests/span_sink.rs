@@ -4,7 +4,6 @@
 //!
 //! One test, in a binary of its own: the sink is process-global, so a fit
 //! running beside this one would install its own.
-#![cfg(feature = "telemetry")]
 
 use netshare::config::NetShareConfig;
 use netshare::pipeline::NetShare;

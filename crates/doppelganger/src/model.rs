@@ -268,7 +268,7 @@ impl Parameterized for DgGenerator {
 /// A forward-only view over a [`DgGenerator`]: borrowed weights, no
 /// grad tape, no per-step caches. [`FrozenGenerator::generate`] is
 /// bitwise-equivalent to [`DgGenerator::generate`] for the same weights
-/// and RNG state (pinned by `tests/infer_equiv.rs`) while performing
+/// and RNG state (pinned by `tests/oracles/infer_equiv.rs`) while performing
 /// zero steady-state allocations per timestep. Like the training-graph
 /// generator it advances all `batch` flows per GRU step; unlike it, it
 /// computes the metadata columns' share of the GRU's input products once

@@ -536,7 +536,7 @@ impl DoppelGanger {
     /// (`nnet::infer`): no grad bookkeeping, arena-recycled activations,
     /// and `batch_size` flows advanced per GRU step. Bitwise-identical
     /// output to [`DoppelGanger::sample`] for the same weights and RNG
-    /// state (pinned by `tests/infer_equiv.rs`). This is
+    /// state (pinned by `tests/oracles/infer_equiv.rs`). This is
     /// [`DoppelGanger::sample_cursor`] drained in one call.
     pub fn sample_fast(&mut self, n: usize) -> Vec<GeneratedSample> {
         let _span = telemetry::span!("sample_fast[{n}]");

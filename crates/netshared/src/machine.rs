@@ -9,8 +9,9 @@
 //! the session module drives it from the producer thread
 //! ([`Stream::push`], [`Stream::finish`]), the sender thread
 //! ([`Stream::pull`]) and the session thread ([`Stream::credit`]), any
-//! of which may [`Stream::close`] it, and `tests/stream_sim.rs` drives it
-//! from a seeded simulator checked against a reference model.
+//! of which may [`Stream::close`] it, and the root package's
+//! `tests/oracles/stream_sim.rs` drives it from a seeded simulator checked
+//! against a reference model.
 //!
 //! Shaped after the flux `Flow` exemplar, with its seq-indexed bucket as
 //! the queue it is. Invariants:

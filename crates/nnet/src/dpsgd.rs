@@ -73,7 +73,7 @@ impl DpSgdTrainer {
     /// performance choice: clipping must see each example's gradient in
     /// isolation. The tensor kernels may tile *within* one
     /// example's forward/backward, but examples are never batched here —
-    /// `tests/dpsgd_golden.rs` pins the exact sanitized values.
+    /// `tests/oracles/dpsgd_golden.rs` pins the exact sanitized values.
     pub fn sanitize_batch<M, F>(&mut self, model: &mut M, batch: &[usize], mut per_example: F)
     where
         M: Parameterized,

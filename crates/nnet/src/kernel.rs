@@ -99,7 +99,7 @@ static GEMM_US_TILED: LazyTimerUs = LazyTimerUs::new("gemm.us.tiled");
 /// counts the dispatch and starts a per-call µs timer on the chosen
 /// class's histogram (`gemm.us.naive|tiled`). The handles are resolved
 /// once per process, so a call costs two atomic adds and two clock
-/// reads; all of it no-ops away when the `telemetry` feature is off.
+/// reads.
 fn dispatch(flops: usize) -> (bool, ScopedTimer) {
     GEMM_CALLS.get().inc();
     let tiled = flops >= TILE_MIN_FLOPS;

@@ -60,18 +60,15 @@ fn auto_dispatch_is_naive_or_tiled_at_any_thread_count() {
         assert_eq!(a.matmul_t(&b).data(), &expect[..], "matmul_t {m}x{k}x{n}");
     }
 
-    #[cfg(feature = "telemetry")]
-    {
-        let snap = telemetry::metrics::snapshot();
-        assert_eq!(snap.counters["gemm.calls"], 3 * SHAPES.len() as u64);
-        let series: Vec<&str> = snap
-            .histograms
-            .keys()
-            .map(String::as_str)
-            .filter(|name| name.starts_with("gemm.us."))
-            .collect();
-        assert_eq!(series, ["gemm.us.naive", "gemm.us.tiled"]);
-        assert_eq!(snap.histograms["gemm.us.naive"].count, 3 * 2);
-        assert_eq!(snap.histograms["gemm.us.tiled"].count, 3 * (SHAPES.len() as u64 - 2));
-    }
+    let snap = telemetry::metrics::snapshot();
+    assert_eq!(snap.counters["gemm.calls"], 3 * SHAPES.len() as u64);
+    let series: Vec<&str> = snap
+        .histograms
+        .keys()
+        .map(String::as_str)
+        .filter(|name| name.starts_with("gemm.us."))
+        .collect();
+    assert_eq!(series, ["gemm.us.naive", "gemm.us.tiled"]);
+    assert_eq!(snap.histograms["gemm.us.naive"].count, 3 * 2);
+    assert_eq!(snap.histograms["gemm.us.tiled"].count, 3 * (SHAPES.len() as u64 - 2));
 }

@@ -1,6 +1,5 @@
 //! Telemetry metrics stay deterministic when recorded from the rayon
 //! pool's threads.
-#![cfg(feature = "telemetry")]
 
 use rayon::prelude::*;
 

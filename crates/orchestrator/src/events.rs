@@ -110,7 +110,7 @@ pub enum Event {
         /// Human-readable specifics (index, value, shapes, norms).
         detail: String,
     },
-    /// A telemetry span closed (feature `telemetry` on the pipeline).
+    /// A telemetry span closed.
     /// Bridged from `telemetry::span`'s process-global sink; children
     /// close before parents, so leaf spans appear first in the stream and
     /// readers reconstruct the tree from `path` + `depth`.

@@ -8,8 +8,9 @@
 //!
 //! * [`crate::pool::run`] — scoped threads running closures in-process;
 //! * [`crate::coord::Coordinator::serve`] — TCP sessions with workers;
-//! * `tests/machine_sim.rs` — a seeded scheduler on a virtual clock that
-//!   checks the machine against a reference model.
+//! * the root package's `tests/oracles/machine_sim.rs` — a seeded
+//!   scheduler on a virtual clock that checks the machine against a
+//!   reference model.
 //!
 //! Jobs are deterministic, so a verified result is believed from whoever
 //! sends it, even from an attempt the machine already gave up on.

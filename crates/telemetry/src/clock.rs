@@ -6,10 +6,6 @@
 //! `orchestrator::timing::Stopwatch`/`measure` or through spans/metrics,
 //! so the ambient-clock surface stays auditable: the `capability-graph`
 //! rule in `netshare-lint` enforces the boundary.
-//!
-//! The module is compiled unconditionally (not gated on the `telemetry`
-//! feature) because `orchestrator::timing` needs it even when span/metric
-//! collection is off.
 
 use std::sync::OnceLock;
 use std::time::Instant;

@@ -1,10 +1,8 @@
-//! Metrics registry behavior with the feature on: bucket-edge semantics,
-//! non-finite handling, concurrent-recording determinism, and the pinned
-//! snapshot JSON schema.
+//! Metrics registry behavior: bucket-edge semantics, non-finite handling,
+//! concurrent-recording determinism, and the pinned snapshot JSON schema.
 //!
 //! Tests that need isolation build a private [`Registry`]; tests of the
 //! module-level functions use the process-global one with unique names.
-#![cfg(feature = "telemetry")]
 
 use std::sync::Arc;
 use telemetry::metrics::{self, Registry, DURATION_US_EDGES};

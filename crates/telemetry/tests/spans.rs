@@ -1,10 +1,9 @@
-//! Span stack behavior with the feature on: nesting, unwind safety
-//! across `catch_unwind` (the orchestrator's retry boundary), mis-nesting
-//! recovery, and the last-writer-wins sink contract.
+//! Span stack behavior: nesting, unwind safety across `catch_unwind` (the
+//! orchestrator's retry boundary), mis-nesting recovery, and the
+//! last-writer-wins sink contract.
 //!
 //! The sink is process-global, so every test that installs one serializes
 //! on `SINK_LOCK`; spans themselves are thread-local and need no lock.
-#![cfg(feature = "telemetry")]
 
 use std::sync::{Arc, Mutex, MutexGuard};
 use telemetry::span::{clear_span_sink, current_path, set_span_sink, SpanEvent};

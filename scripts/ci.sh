@@ -2,7 +2,7 @@
 # Full gate: release build, the whole workspace's test suites (tier-1's
 # `cargo test -q` runs the root package's four integration files only),
 # static analysis (clippy + netshare-lint), rustdoc at -D warnings, the
-# sanitize-feature and telemetry-off test suites, and an orchestrator
+# sanitize-feature test suite, and an orchestrator
 # fault-injection smoke test through the CLI (which also checks the
 # --metrics-out telemetry snapshot), then the serve, scale, serve-chaos,
 # nsbench, avx2 and experiments gates below.
@@ -551,17 +551,17 @@ fi
 
 # The determinism contract across hosts: the GEMM kernels lay their vector
 # lanes across output columns, so no output element's operations depend on
-# the vector width. The kernels' bit-equality oracles, the four pinned
-# trace digests, the frozen-inference equivalence and the DP-SGD golden run
-# release-built (a debug build does not vectorise, so it cannot tell), at
+# the vector width. The root package's `oracles` binary (the kernels'
+# bit-equality oracles, the frozen-inference equivalence, the DP-SGD golden
+# and the two state-machine simulators) and the four pinned trace digests
+# run release-built (a debug build does not vectorise, so it cannot tell), at
 # the default width and then rebuilt for 256-bit vectors in a target
 # directory of its own. `+fma` stays off on purpose: a fused multiply-add
 # rounds once where the contract rounds twice, so it changes bits by
 # design. On a CPU without AVX2 the second half is skipped with a line
 # saying so.
 if [[ "${1:-}" == "avx2" ]]; then
-  gates=(-p nnet -p netshare -p doppelganger
-         --test kernel_bits --test dpsgd_golden --test determinism --test infer_equiv)
+  gates=(-p netshare-suite -p netshare --test oracles --test determinism)
   cargo test -q --release "${gates[@]}"
   echo "avx2: bit-equality gates pass release-built at the default width"
   if ! grep -qw avx2 /proc/cpuinfo 2>/dev/null; then
@@ -620,19 +620,6 @@ echo "cargo doc: warning-free"
 cargo test -q -p nnet --features sanitize
 cargo clippy -q -p nnet --features sanitize --all-targets -- \
   -D clippy::undocumented_unsafe_blocks -D unsafe_op_in_unsafe_fn
-# The dispatch test's metrics half (no `gemm.us.parallel` series) only
-# compiles with nnet's own telemetry on, which no other gate gives it.
-cargo test -q -p nnet --features telemetry --test dispatch
-
-# Telemetry-off gate: building the instrumented crates in isolation keeps
-# the workspace-default `telemetry` feature out of the graph, proving the
-# no-op twins (zero-sized guards, empty inline bodies) still compile and
-# behave (`cargo test -p telemetry` runs the feature-off tests).
-cargo build -q -p telemetry -p nnet -p orchestrator -p doppelganger -p distmetrics
-# netshared turns its dependencies' telemetry on by default.
-cargo build -q -p netshared --no-default-features
-cargo test -q -p telemetry
-echo "telemetry-off: no-op twins build and pass"
 
 # Orchestrator smoke: inject one training-job fault through the CLI's
 # NETSHARE_INJECT_FAULT hook. The run must retry the job and complete

@@ -2,7 +2,7 @@
 //! RDP accounting, and the public-pretraining recipe.
 
 use netshare::{DpOptions, DpPretrainSource, NetShare, NetShareConfig};
-use privacy::compute_epsilon;
+use privacy::{compute_epsilon, compute_rdp_sampled_gaussian};
 use trace_synth::{generate_flows, DatasetKind};
 
 fn dp_cfg(sigma: f32, pretrain: usize, seed: u64) -> NetShareConfig {
@@ -35,6 +35,57 @@ fn more_noise_means_smaller_epsilon() {
         e_high < e_low,
         "σ=2.5 must give smaller ε than σ=0.6: {e_high} vs {e_low}"
     );
+}
+
+/// `ln(e^x + e^y)` without overflow.
+fn log_add(x: f64, y: f64) -> f64 {
+    let (hi, lo) = if x > y { (x, y) } else { (y, x) };
+    hi + (lo - hi).exp().ln_1p()
+}
+
+/// The sampled Gaussian's RDP at order `alpha` computed another way than
+/// the accountant's binomial sum: the log of the moment
+/// `E_{z∼N(0,σ²)}[((1−q) + q·e^{(2z−1)/(2σ²)})^α]` by the trapezoid rule,
+/// summed in log space, divided by `α − 1`. The integrand's mass sits near
+/// `z ≈ α` for large orders, so the grid runs over `[−40σ, α + 40σ]` in
+/// steps of about `σ/40`.
+fn rdp_by_quadrature(q: f64, sigma: f64, alpha: u32) -> f64 {
+    let alpha = f64::from(alpha);
+    let (lo, hi) = (-40.0 * sigma, alpha + 40.0 * sigma);
+    let n = ((hi - lo) / (sigma / 40.0)).ceil() as usize;
+    let h = (hi - lo) / n as f64;
+    let (ln_q, ln_1mq) = (q.ln(), (-q).ln_1p());
+    let var2 = 2.0 * sigma * sigma;
+    let ln_norm = (sigma * (2.0 * std::f64::consts::PI).sqrt()).ln();
+    let terms: Vec<f64> = (0..=n)
+        .map(|i| {
+            let z = lo + i as f64 * h;
+            let edge = if i == 0 || i == n { 0.5f64.ln() } else { 0.0 };
+            alpha * log_add(ln_1mq, ln_q + (2.0 * z - 1.0) / var2) - z * z / var2 - ln_norm
+                + h.ln()
+                + edge
+        })
+        .collect();
+    let max = terms.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    let ln_moment = max + terms.iter().map(|t| (t - max).exp()).sum::<f64>().ln();
+    ln_moment / (alpha - 1.0)
+}
+
+#[test]
+fn accountant_matches_quadrature_of_the_sampled_gaussian_moment() {
+    for q in [0.001, 0.01, 0.1, 0.5] {
+        for sigma in [0.7, 1.1, 2.0, 8.0] {
+            for alpha in [2, 3, 5, 8, 16, 32, 64] {
+                let accountant = compute_rdp_sampled_gaussian(q, sigma, alpha);
+                let reference = rdp_by_quadrature(q, sigma, alpha);
+                let tol = f64::max(1e-12, 1e-9 * reference.abs());
+                assert!(
+                    (accountant - reference).abs() <= tol,
+                    "q={q} σ={sigma} α={alpha}: accountant {accountant:e}, quadrature {reference:e}"
+                );
+            }
+        }
+    }
 }
 
 #[test]

@@ -5,7 +5,8 @@
 //! corrupt; watchdog trips of live and of long-gone attempts; the odd
 //! driver abort. Every output of the [`Machine`] is checked against a
 //! reference model of each job's life — Queued → Assigned → Completed |
-//! Requeued — written, like `tests/frontier.rs`, over plain sets.
+//! Requeued — written, like `crates/orchestrator/tests/frontier.rs`, over
+//! plain sets.
 
 use orchestrator::machine::Owner;
 use orchestrator::{Graph, Input, JobStats, Machine, OrchestratorError, Output};
