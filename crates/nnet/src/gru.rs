@@ -108,8 +108,9 @@ impl Gru {
     }
 
     /// A forward-only view over this cell's weights for the inference
-    /// path: no grad buffers, no BPTT cache, `&self` stepping. The view
-    /// replays [`Gru::step`]'s arithmetic bitwise.
+    /// path: no grad buffers, no BPTT cache, `&self` stepping. Its step
+    /// is the body [`Gru::step`] runs, so the two agree bit for bit by
+    /// construction.
     pub fn freeze(&self) -> FrozenGru<'_> {
         FrozenGru {
             wz: &self.wz,
@@ -137,50 +138,28 @@ impl Gru {
 
     /// One forward step: returns `h_t` and caches for BPTT.
     ///
-    /// Each gate is one fused chain — `x·W + b` seeds the output, `h·U`
-    /// accumulates into it, and the nonlinearity is applied in place —
-    /// so a gate costs two GEMMs and zero temporaries instead of two
-    /// GEMMs plus three extra passes over the pre-activation. All gate
-    /// buffers and cache copies draw on the scratch arena, so a warm
-    /// cell allocates nothing here. The returned hidden state borrows
-    /// pool storage and is reclaimed by the next cache drain.
+    /// The arithmetic is [`FrozenGru`]'s step body, run on this cell's
+    /// scratch arena over its nine weights; only the sink differs: it
+    /// keeps the gate outputs `z`, `r` and `ĥ`, with copies of `x` and
+    /// `h_prev`, for [`Gru::backward_sequence`]. So a training step and
+    /// a frozen step are bitwise-equal by construction, and a warm cell
+    /// allocates nothing here. The returned hidden state borrows pool
+    /// storage and is reclaimed by the next cache drain.
     pub fn step(&mut self, x: &Tensor, h_prev: &Tensor) -> Tensor {
-        let sigmoid = |v: f32| 1.0 / (1.0 + (-v).exp());
-        let mut z = self.scratch.take_zeroed(x.rows(), self.hidden_dim);
-        x.matmul_add_bias_into(&self.wz, &self.bz, &mut z);
-        h_prev.matmul_acc(&self.uz, &mut z);
-        z.map_inplace(sigmoid);
-
-        let mut r = self.scratch.take_zeroed(x.rows(), self.hidden_dim);
-        x.matmul_add_bias_into(&self.wr, &self.br, &mut r);
-        h_prev.matmul_acc(&self.ur, &mut r);
-        r.map_inplace(sigmoid);
-
-        let mut rh = self.scratch.take_zeroed(h_prev.rows(), h_prev.cols());
-        r.hadamard_into(h_prev, &mut rh);
-        let mut hhat = self.scratch.take_zeroed(x.rows(), self.hidden_dim);
-        x.matmul_add_bias_into(&self.wh, &self.bh, &mut hhat);
-        rh.matmul_acc(&self.uh, &mut hhat);
-        hhat.map_inplace(f32::tanh);
-        self.scratch.recycle(rh);
-
-        // h = (1-z)⊙h_prev + z⊙ĥ
-        let mut h = self.scratch.take_zeroed(h_prev.rows(), h_prev.cols());
-        for i in 0..h.len() {
-            let zv = z.data()[i];
-            h.data_mut()[i] = (1.0 - zv) * h_prev.data()[i] + zv * hhat.data()[i];
-        }
-
-        let cached_x = self.scratch.take_copy(x);
-        let cached_h_prev = self.scratch.take_copy(h_prev);
-        self.cache.push(StepCache {
-            x: cached_x,
-            h_prev: cached_h_prev,
-            z,
-            r,
-            hhat,
-        });
-        h
+        // Destructured, not `self.freeze()`: the weights are borrowed
+        // shared while `cache` and `scratch` stay mutable.
+        let Gru { wz, uz, bz, wr, ur, br, wh, uh, bh, cache, scratch, .. } = self;
+        let frozen = FrozenGru { wz, uz, bz, wr, ur, br, wh, uh, bh };
+        frozen.step_with(
+            h_prev,
+            scratch,
+            |_, w, b, out| x.matmul_add_bias_into(w, b, out),
+            |arena, [z, r, hhat]| {
+                let x = arena.take_copy(x);
+                let h_prev = arena.take_copy(h_prev);
+                cache.push(StepCache { x, h_prev, z, r, hhat });
+            },
+        )
     }
 
     /// Runs a full sequence from `h0`, returning all hidden states

@@ -12,10 +12,10 @@
 //!   steady-state allocations per timestep.
 //! * [`FrozenSequential`] / [`FrozenGru`] — immutable views over the
 //!   training networks' weights (no grad buffers, no caches, `&self`
-//!   forwards) that replay the training forward arithmetic **bitwise**:
-//!   identical GEMM shapes (hence identical kernel dispatch), identical
-//!   fused bias-seed + accumulate ordering, identical activation
-//!   closures. The equivalence suite in `crates/doppelganger` pins this.
+//!   forwards). [`FrozenSequential`] replays the training forward
+//!   **bitwise** (same GEMM shapes, bias-seed + accumulate order and
+//!   activation closures); [`crate::Gru::step`] runs [`FrozenGru`]'s own
+//!   step body, so a training and a frozen step are equal by construction.
 //! * [`ConstInputGru`] — a [`FrozenGru`] over one batch whose step inputs
 //!   keep some trailing columns (the generator's metadata) at every step.
 //!   The input products' share of those columns is computed once per
@@ -23,6 +23,10 @@
 //!   ([`crate::kernel::ConstAddends`]): the same product shapes and the
 //!   same per-element operations in the same order as [`FrozenGru::step`],
 //!   fewer of them recomputed, so the bytes stay those of training.
+//!
+//! `infer_equiv` (root `tests/oracles`) checks the rest: the replayed
+//! input against the plain one, and the whole frozen generator against
+//! the training generator and `DoppelGanger::sample`.
 //!
 //! Batched multi-stream sampling falls out of the design: a frozen
 //! forward over a `K × in` input advances K independent flows per GRU
@@ -286,11 +290,14 @@ impl<'a> FrozenGru<'a> {
     }
 
     /// One forward step: returns `h_t` with no cache and no grad tape.
-    /// Replays [`crate::Gru::step`]'s arithmetic exactly (same fused
-    /// GEMM chains, same gate expressions), so outputs are bitwise-equal
-    /// to the training path. The returned tensor borrows pool storage.
+    /// [`crate::Gru::step`] runs this same body and only keeps the gate
+    /// outputs that this step recycles, so the two are bitwise-equal by
+    /// construction. The returned tensor borrows pool storage.
     pub fn step(&self, x: &Tensor, h_prev: &Tensor, arena: &mut Arena) -> Tensor {
-        self.step_with(h_prev, arena, |_, w, b, out| x.matmul_add_bias_into(w, b, out))
+        let input = |_, w: &Tensor, b: &Tensor, out: &mut Tensor| {
+            x.matmul_add_bias_into(w, b, out)
+        };
+        self.step_with(h_prev, arena, input, recycle_gates)
     }
 
     /// Steps over a batch whose inputs keep their columns `c0..` at
@@ -310,14 +317,15 @@ impl<'a> FrozenGru<'a> {
         }
     }
 
-    /// The step's gate arithmetic, with `input(gate, w, b, out)` writing
-    /// `x·w + b` into `out` for gate 0 (update), 1 (reset) or 2
-    /// (candidate).
-    fn step_with(
+    /// The GRU's one copy of its gate arithmetic. `input(gate, w, b, out)`
+    /// writes `x·w + b` into `out` for gate 0 (update), 1 (reset) or 2
+    /// (candidate); `keep(arena, [z, r, ĥ])` caches or recycles the gates.
+    pub(crate) fn step_with(
         &self,
         h_prev: &Tensor,
         arena: &mut Arena,
         input: impl Fn(usize, &Tensor, &Tensor, &mut Tensor),
+        keep: impl FnOnce(&mut Arena, [Tensor; 3]),
     ) -> Tensor {
         let sigmoid = |v: f32| 1.0 / (1.0 + (-v).exp());
         let rows = h_prev.rows();
@@ -347,12 +355,15 @@ impl<'a> FrozenGru<'a> {
             let zv = z.data()[i];
             h.data_mut()[i] = (1.0 - zv) * h_prev.data()[i] + zv * hhat.data()[i];
         }
-        arena.recycle(z);
-        arena.recycle(r);
         arena.recycle(rh);
-        arena.recycle(hhat);
+        keep(arena, [z, r, hhat]);
         h
     }
+}
+
+/// The `keep` sink of a forward-only step: the gates go back to the pool.
+fn recycle_gates(arena: &mut Arena, gates: [Tensor; 3]) {
+    gates.into_iter().for_each(|g| arena.recycle(g));
 }
 
 /// A [`FrozenGru`] over one batch whose inputs hold the same values in
@@ -369,9 +380,10 @@ impl ConstInputGru<'_, '_> {
     /// [`FrozenGru::step`], bitwise, for an `x` whose columns `c0..`
     /// still hold the values this stepper was made from.
     pub fn step(&self, x: &Tensor, h_prev: &Tensor, arena: &mut Arena) -> Tensor {
-        self.gru.step_with(h_prev, arena, |gate, w, b, out| {
+        let input = |gate, w: &Tensor, b: &Tensor, out: &mut Tensor| {
             x.matmul_add_bias_replay_into(w, b, &self.addends[gate], out)
-        })
+        };
+        self.gru.step_with(h_prev, arena, input, recycle_gates)
     }
 }
 

@@ -21,7 +21,7 @@
 //! Determinism story: telemetry never feeds data *back* into training —
 //! timestamps and metric values flow out to event streams and snapshots
 //! only, so instrumented runs remain bit-identical to uninstrumented ones
-//! (pinned by `crates/core/tests/determinism.rs`).
+//! (pinned by the root package's `tests/oracles/determinism.rs`).
 
 #![warn(missing_docs)]
 
@@ -45,6 +45,6 @@ pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 #[macro_export]
 macro_rules! span {
     ($($arg:tt)*) => {
-        $crate::span::enter_with(|| format!($($arg)*))
+        $crate::span::enter(format!($($arg)*))
     };
 }

@@ -1,7 +1,7 @@
 //! Thread-local span stack with a process-global event sink.
 //!
 //! A span is opened with the [`span!`](crate::span!) macro (or
-//! [`enter_with`]) and closed when its guard drops. Frames nest per
+//! [`enter`]) and closed when its guard drops. Frames nest per
 //! thread; the emitted [`SpanEvent`] carries the slash-joined path of
 //! every frame open on that thread, so a fine-tune step inside a worker
 //! shows up as e.g. `job[chunk-1]/attempt[1]/chunk[1]/fine_tune`.
@@ -87,12 +87,12 @@ pub struct SpanGuard {
     _thread_bound: PhantomData<*const ()>,
 }
 
-/// Open a span on this thread's stack, naming it with `name()`.
-pub fn enter_with(name: impl FnOnce() -> String) -> SpanGuard {
+/// Open a span named `name` on this thread's stack.
+pub fn enter(name: String) -> SpanGuard {
     let start_ns = clock::monotonic_nanos();
     let len_after_push = STACK.with(|s| {
         let mut s = s.borrow_mut();
-        s.push(Frame { name: name(), start_ns });
+        s.push(Frame { name, start_ns });
         s.len()
     });
     SpanGuard { len_after_push, _thread_bound: PhantomData }

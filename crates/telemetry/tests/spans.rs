@@ -65,8 +65,8 @@ fn spans_emit_and_the_stack_balances_across_catch_unwind() {
 #[test]
 fn parent_drop_truncates_leaked_children() {
     let (events, _guard) = capture();
-    let parent = telemetry::span::enter_with(|| "parent".to_string());
-    let child = telemetry::span::enter_with(|| "child".to_string());
+    let parent = telemetry::span::enter("parent".to_string());
+    let child = telemetry::span::enter("child".to_string());
     // Mis-nested: the parent guard drops while the child is still open.
     drop(parent);
     assert_eq!(current_path(), "", "parent pop truncates the leaked child");

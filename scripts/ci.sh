@@ -552,16 +552,16 @@ fi
 # The determinism contract across hosts: the GEMM kernels lay their vector
 # lanes across output columns, so no output element's operations depend on
 # the vector width. The root package's `oracles` binary (the kernels'
-# bit-equality oracles, the frozen-inference equivalence, the DP-SGD golden
-# and the two state-machine simulators) and the four pinned trace digests
-# run release-built (a debug build does not vectorise, so it cannot tell), at
+# bit-equality oracles, the frozen-inference equivalence, the DP-SGD golden,
+# the two state-machine simulators and the four pinned trace digests) runs
+# release-built (a debug build does not vectorise, so it cannot tell), at
 # the default width and then rebuilt for 256-bit vectors in a target
 # directory of its own. `+fma` stays off on purpose: a fused multiply-add
 # rounds once where the contract rounds twice, so it changes bits by
 # design. On a CPU without AVX2 the second half is skipped with a line
 # saying so.
 if [[ "${1:-}" == "avx2" ]]; then
-  gates=(-p netshare-suite -p netshare --test oracles --test determinism)
+  gates=(-p netshare-suite --test oracles)
   cargo test -q --release "${gates[@]}"
   echo "avx2: bit-equality gates pass release-built at the default width"
   if ! grep -qw avx2 /proc/cpuinfo 2>/dev/null; then
